@@ -244,11 +244,11 @@ def _tpow(base: MultiPoly, n: int) -> MultiPoly:
 def _tstar_poly(p: MultiPoly) -> MultiPoly:
     """t* on a polynomial in the even subring of Z[1/3][a1, a3]."""
     out = MultiPoly.zero()
-    for (i, j), c in p.terms.items():
+    for (i, j) in p.terms:
         if (i + j) % 2 != 0:
             raise ValueError(f"monomial a1^{i}*a3^{j} is not sigma-invariant")
         k = min(i, j)
-        term = MultiPoly.const(c) * _tpow(T_B, k)
+        term = p.coeff((i, j)) * _tpow(T_B, k)
         if i > j:
             term = term * _tpow(T_A, (i - j) // 2)
         elif j > i:

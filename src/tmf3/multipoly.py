@@ -1,5 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
+A polynomial is stored as integer numerators over one common denominator,
+the layout of FLINT's ``fmpq_poly``: ``terms`` maps exponent tuples to
+nonzero ints and ``den`` is a positive int, with gcd(den, numerators) = 1
+and ``den == 1`` for zero, so the coefficient of a term is
+``Fraction(terms[e], den)`` and equal polynomials have equal fields.
+Sums and products run on Python ints and reduce by one gcd at the end.
+
 The default variable set is (a1, a3) carrying modular-form weights (1, 3);
 an extended set a1, a2, a3, a4, a6 (weights 1, 2, 3, 4, 6) is used by the
 Weierstrass invariant polynomials, and ad-hoc sets like (u, v) by the
@@ -15,9 +22,10 @@ Also provides:
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-
-from .rationals import val_p_int
+from math import gcd, lcm
+from operator import add, lshift, neg, sub
 
 DEFAULT_VARS = ("a1", "a3")
 STANDARD_WEIGHTS = {"a1": 1, "a2": 2, "a3": 3, "a4": 4, "a6": 6}
@@ -27,10 +35,22 @@ def _weights_for(vars):
     return tuple(STANDARD_WEIGHTS.get(v, 1) for v in vars)
 
 
-class MultiPoly:
-    """Sparse polynomial: dict {exponent tuple: nonzero Fraction}."""
+def _canonical(terms, den):
+    """(terms, den) with zero terms dropped and gcd(den, numerators) = 1;
+    ``den`` must be positive."""
+    terms = {e: c for e, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
+    return terms, den
 
-    __slots__ = ("vars", "weights", "terms")
+
+class MultiPoly:
+    """Sparse polynomial: dict {exponent tuple: nonzero int} over ``den``."""
+
+    __slots__ = ("vars", "weights", "terms", "den")
 
     def __init__(self, terms=None, vars=DEFAULT_VARS, weights=None):
         self.vars = tuple(vars)
@@ -38,20 +58,21 @@ class MultiPoly:
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[tuple(exps)] = clean.get(tuple(exps), 0) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+                e = tuple(exps)
+                clean[e] = clean.get(e, 0) + Fraction(c)
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.terms, self.den = _canonical(
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, terms, vars, weights):
-        """Internal: build from an already-clean dict of Fractions."""
+    def _make(cls, terms, den, vars, weights):
+        """Internal: build from {exponent tuple: int} over a positive den."""
         self = cls.__new__(cls)
         self.vars = vars
         self.weights = weights
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.terms, self.den = _canonical(terms, den)
         return self
 
     @classmethod
@@ -61,14 +82,14 @@ class MultiPoly:
     @classmethod
     def const(cls, c, vars=DEFAULT_VARS, weights=None):
         n = len(vars)
-        return cls({(0,) * n: Fraction(c)}, vars, weights)
+        return cls({(0,) * n: c}, vars, weights)
 
     @classmethod
     def gen(cls, name, vars=DEFAULT_VARS, weights=None):
         i = tuple(vars).index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls({tuple(e): Fraction(1)}, vars, weights)
+        return cls({tuple(e): 1}, vars, weights)
 
     # -- basic structure ---------------------------------------------------
 
@@ -83,10 +104,11 @@ class MultiPoly:
             other = MultiPoly.const(other, self.vars, self.weights)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -102,16 +124,19 @@ class MultiPoly:
     def __add__(self, other):
         other = self._wrap(other)
         self._check(other)
-        t = dict(self.terms)
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        t = dict(self.terms) if f1 == 1 else {e: c * f1 for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c
-        return MultiPoly._make(t, self.vars, self.weights)
+            t[e] = t.get(e, 0) + c * f2
+        return MultiPoly._make(t, den, self.vars, self.weights)
 
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._make({e: -c for e, c in self.terms.items()},
-                               self.vars, self.weights)
+                               self.den, self.vars, self.weights)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -121,16 +146,28 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return MultiPoly._make({e: c * c0 for e, c in self.terms.items()},
-                                   self.vars, self.weights)
+            n, d = other.numerator, other.denominator
+            return MultiPoly._make({e: c * n for e, c in self.terms.items()},
+                                   self.den * d, self.vars, self.weights)
         self._check(other)
+        if not (self.terms and other.terms):
+            return MultiPoly.zero(self.vars, self.weights)
+        # exponent tuples packed into ints, one field per variable, with
+        # fields wide enough that adding two packed keys never carries
+        width = (max(map(max, self.terms)) + max(map(max, other.terms))).bit_length() or 1
+        shifts = range(0, width * len(self.vars), width)
+        others = [(sum(map(lshift, e, shifts)), c) for e, c in other.terms.items()]
         t = {}
+        get = t.get
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                t[e] = t.get(e, 0) + c1 * c2
-        return MultiPoly._make(t, self.vars, self.weights)
+            k1 = sum(map(lshift, e1, shifts))
+            for k2, c2 in others:
+                k = k1 + k2
+                t[k] = get(k, 0) + c1 * c2
+        mask = (1 << width) - 1
+        fields = [[(k >> s) & mask for k in t] for s in shifts]
+        return MultiPoly._make(dict(zip(zip(*fields), t.values())),
+                               self.den * other.den, self.vars, self.weights)
 
     __rmul__ = __mul__
 
@@ -154,7 +191,7 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coeff(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0), self.den)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -171,51 +208,14 @@ class MultiPoly:
             raise ValueError(f"inhomogeneous polynomial, weights {sorted(ws)}")
         return ws.pop()
 
-    def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        ws = {sum(x * w for x, w in zip(e, self.weights)) for e in self.terms}
-        return len(ws) == 1
-
     def content_val2(self):
         """2-adic valuation of the gcd of the (integer) coefficients."""
         if not self.terms:
             raise ValueError("content of zero polynomial")
-        vals = []
-        for c in self.terms.values():
-            if c.denominator % 2 == 0:
-                raise ValueError("coefficient with even denominator")
-            vals.append(val_p_int(c.numerator, 2))
-        return min(vals)
-
-    def eval_at(self, values: dict):
-        """Evaluate at a dict {var name: Fraction}; returns a Fraction."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for name, x in zip(self.vars, e):
-                if x:
-                    v *= Fraction(values[name]) ** x
-            total += v
-        return total
-
-    def map_vars(self, images: dict):
-        """Ring-map substitution: each variable goes to a MultiPoly/scalar.
-
-        All images must share one variable set, which becomes the result's.
-        """
-        tpl = next(p for p in images.values() if isinstance(p, MultiPoly))
-        out = MultiPoly.zero(tpl.vars, tpl.weights)
-        for e, c in self.terms.items():
-            term = MultiPoly.const(c, tpl.vars, tpl.weights)
-            for name, x in zip(self.vars, e):
-                if x:
-                    img = images[name]
-                    if not isinstance(img, MultiPoly):
-                        img = MultiPoly.const(img, tpl.vars, tpl.weights)
-                    term = term * img ** x
-            out = out + term
-        return out
+        if self.den % 2 == 0:
+            raise ValueError("coefficient with even denominator")
+        g = gcd(*self.terms.values())
+        return (g & -g).bit_length() - 1
 
     # -- printing ----------------------------------------------------------
 
@@ -225,8 +225,7 @@ class MultiPoly:
             return "0"
         parts = []
         for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            factors = [str(c)]
+            factors = [str(Fraction(self.terms[e], self.den))]
             for name, x in zip(self.vars, e):
                 if x == 1:
                     factors.append(name)
@@ -259,14 +258,23 @@ def delta_poly():
     return a3() ** 3 * disc_factor()
 
 
+# the two factors of Delta, shared by every LocElem operation
+_A3 = a3()
+_DISC = disc_factor()
+
+
 # -- exact division ---------------------------------------------------------
 
 def divide_exact(p: MultiPoly, d: MultiPoly):
     """Exact quotient p / d, or None if d does not divide p.
 
     Division is performed univariately in the first variable of ``d`` whose
-    degree is positive, which suffices for the two fixed divisors a3 and
-    a1^3 - 27*a3 (their leading coefficients in that variable are units).
+    degree is positive, by integer synthetic division on the numerators:
+    terms of the remainder are taken in descending (pivot exponent,
+    exponent) order from a heap. The package divides only by a3 and
+    a1^3 - 27*a3, whose leading coefficients are 1; any other leading
+    coefficient c must be a monomial, and the powers of c the division
+    needs are folded into the quotient's denominator.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -279,32 +287,47 @@ def divide_exact(p: MultiPoly, d: MultiPoly):
     if len(lead) != 1:
         raise ValueError("divisor leading coefficient is not a monomial")
     (le, lc), = lead.items()
+    # p / d = (P / p.den) / (D / d.den) for the numerator polynomials P, D;
+    # the loops below find Q with Q * D = scale * P
+    scale = 1
+    q = {}
     if len(d.terms) == 1:
         # monomial divisor: exponent shift
-        q = {}
         for e, c in p.terms.items():
-            qe = tuple(x - y for x, y in zip(e, le))
-            if any(x < 0 for x in qe):
+            qe = tuple(map(sub, e, le))
+            if min(qe) < 0:
                 return None
-            q[qe] = c / lc
-        return MultiPoly._make(q, p.vars, p.weights)
-    q = {}
-    r = dict(p.terms)
-    while r:
-        e = max(r, key=lambda t: (t[pivot], t))
-        if e[pivot] < ddeg or any(x < y for x, y in zip(e, le)):
-            return None
-        qe = tuple(x - y for x, y in zip(e, le))
-        qc = r[e] / lc
-        q[qe] = qc
-        for e2, c2 in d.terms.items():
-            ke = tuple(x + y for x, y in zip(qe, e2))
-            nc = r.get(ke, 0) - qc * c2
-            if nc:
-                r[ke] = nc
-            else:
-                r.pop(ke, None)
-    return MultiPoly._make(q, p.vars, p.weights)
+            q[qe] = c
+        scale = lc
+    else:
+        r = dict(p.terms)
+        others = [(e, c) for e, c in d.terms.items() if e != le]
+        heap = [(-e[pivot], tuple(map(neg, e)), e) for e in r]
+        heapq.heapify(heap)
+        while heap:
+            e = heapq.heappop(heap)[2]
+            c = r.pop(e, 0)
+            if not c:
+                continue
+            qe = tuple(map(sub, e, le))
+            if e[pivot] < ddeg or min(qe) < 0:
+                return None
+            if c % lc:
+                f = lc // gcd(c, lc)
+                scale *= f
+                c *= f
+                r = {k: v * f for k, v in r.items()}
+                q = {k: v * f for k, v in q.items()}
+            qc = c // lc
+            q[qe] = qc
+            for e2, c2 in others:
+                ke = tuple(map(add, qe, e2))
+                if ke not in r:
+                    heapq.heappush(heap, (-ke[pivot], tuple(map(neg, ke)), ke))
+                r[ke] = r.get(ke, 0) - qc * c2
+    f = d.den if scale > 0 else -d.den
+    return MultiPoly._make({e: c * f for e, c in q.items()}, abs(scale) * p.den,
+                           p.vars, p.weights)
 
 
 # -- mod 2 -------------------------------------------------------------------
@@ -380,13 +403,11 @@ class GF2Poly:
 
 def mod2(p: MultiPoly) -> GF2Poly:
     """Reduce coefficients mod 2; denominators must be odd (3 maps to 1)."""
-    monos = []
-    for e, c in p.terms.items():
-        if c.denominator % 2 == 0:
-            raise ValueError(f"coefficient {c} has even denominator")
-        if c.numerator % 2 == 1:
-            monos.append(e)
-    return GF2Poly(monos, p.vars)
+    if p.den % 2 == 0:
+        bad = next(c for c in (Fraction(n, p.den) for n in p.terms.values())
+                   if c.denominator % 2 == 0)
+        raise ValueError(f"coefficient {bad} has even denominator")
+    return GF2Poly([e for e, c in p.terms.items() if c % 2], p.vars)
 
 
 def min_a1_term(p):
@@ -405,7 +426,7 @@ def min_a1_term(p):
         raise ValueError("min_a1_term of zero polynomial")
     i = p.vars.index("a1")
     e = min(p.terms, key=lambda t: (t[i], t))
-    return e, p.terms[e]
+    return e, Fraction(p.terms[e], p.den)
 
 
 # -- localization at Delta ---------------------------------------------------
@@ -450,10 +471,7 @@ class LocElem:
         other = LocElem.from_poly(other)
         e3 = max(self.e3, other.e3)
         e9 = max(self.e9, other.e9)
-        f = disc_factor()
-        n1 = self.num * a3() ** (e3 - self.e3) * f ** (e9 - self.e9)
-        n2 = other.num * a3() ** (e3 - other.e3) * f ** (e9 - other.e9)
-        return LocElem(n1 + n2, e3, e9)
+        return LocElem(_lift(self, e3, e9) + _lift(other, e3, e9), e3, e9)
 
     __radd__ = __add__
 
@@ -485,20 +503,19 @@ class LocElem:
         i.e. a scalar times a3^i * (a1^3-27*a3)^j."""
         num, i, j = self.num, 0, 0
         while True:
-            q = divide_exact(num, a3())
+            q = divide_exact(num, _A3)
             if q is None:
                 break
             num, i = q, i + 1
-        f = disc_factor()
         while True:
-            q = divide_exact(num, f)
+            q = divide_exact(num, _DISC)
             if q is None:
                 break
             num, j = q, j + 1
         if len(num.terms) != 1 or any(x != 0 for x in next(iter(num.terms))):
             raise ValueError("element is not invertible in the localization")
-        c = next(iter(num.terms.values()))
-        inv_num = (a3() ** self.e3) * (f ** self.e9) * (Fraction(1) / c)
+        c = Fraction(next(iter(num.terms.values())), num.den)
+        inv_num = (_A3 ** self.e3) * (_DISC ** self.e9) * (1 / c)
         return LocElem(inv_num, i, j)
 
     def as_poly(self) -> MultiPoly:
@@ -528,17 +545,26 @@ class LocElem:
         return f"LocElem({self.to_text()})"
 
 
+def _lift(g, e3, e9):
+    """The numerator of g over the denominator a3^e3 (a1^3 - 27*a3)^e9."""
+    num = g.num
+    if e3 > g.e3:
+        num = num * _A3 ** (e3 - g.e3)
+    if e9 > g.e9:
+        num = num * _DISC ** (e9 - g.e9)
+    return num
+
+
 def _loc_reduce(num, e3, e9):
     if num.is_zero():
         return num, 0, 0
     while e3 > 0:
-        q = divide_exact(num, a3())
+        q = divide_exact(num, _A3)
         if q is None:
             break
         num, e3 = q, e3 - 1
-    f = disc_factor()
     while e9 > 0:
-        q = divide_exact(num, f)
+        q = divide_exact(num, _DISC)
         if q is None:
             break
         num, e9 = q, e9 - 1

@@ -1,9 +1,11 @@
 """Exact q-expansions of modular forms and Eisenstein series.
 
-A QSeries is a truncated power series in q with Fraction coefficients and an
-explicit precision: coefficients are known for q^0 .. q^(prec-1).  Arithmetic
-truncates to the minimum precision of the operands, so precision tracking is
-automatic and pessimistic.
+A QSeries is a truncated power series in q with rational coefficients and an
+explicit precision: coefficients are known for q^0 .. q^(prec-1).  They are
+stored as a list of integer numerators over one common denominator, reduced
+so that gcd(den, numerators) = 1, and products are computed on the ints.
+Arithmetic truncates to the minimum precision of the operands, so precision
+tracking is automatic and pessimistic.
 
 Provides c4, c6, Delta, the Eisenstein series G_2k, and exact expression of
 G_2k in the c4/c6/Delta monomial basis by linear algebra over Q.
@@ -12,14 +14,26 @@ G_2k in the c4/c6/Delta monomial basis by linear algebra over Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .rationals import bernoulli, sigma_pow
 
 
-class QSeries:
-    """sum coeffs[n] q^n, exact up to (not including) q^prec."""
+def _canonical(nums, den):
+    """(nums, den) divided by gcd(den, nums); ``den`` must be positive."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return [c // g for c in nums], den // g
+    return nums, den
 
-    __slots__ = ("coeffs", "prec")
+
+class QSeries:
+    """sum nums[n]/den q^n, exact up to (not including) q^prec."""
+
+    __slots__ = ("nums", "den", "prec")
 
     def __init__(self, coeffs, prec=None):
         coeffs = [Fraction(c) for c in coeffs]
@@ -28,9 +42,18 @@ class QSeries:
         if prec < 1:
             raise ValueError("precision must be >= 1")
         coeffs = coeffs[:prec]
-        coeffs += [Fraction(0)] * (prec - len(coeffs))
-        self.coeffs = coeffs
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.nums, self.den = _canonical(nums + [0] * (prec - len(nums)), den)
         self.prec = prec
+
+    @classmethod
+    def _make(cls, nums, den, prec):
+        """Internal: build from prec int numerators over a positive den."""
+        self = cls.__new__(cls)
+        self.nums, self.den = _canonical(nums, den)
+        self.prec = prec
+        return self
 
     @classmethod
     def zero(cls, prec):
@@ -44,31 +67,40 @@ class QSeries:
     def q(cls, prec):
         return cls([0, 1], prec)
 
+    @property
+    def coeffs(self):
+        """The known coefficients, as Fractions."""
+        return [Fraction(c, self.den) for c in self.nums]
+
     def __getitem__(self, n):
         if not 0 <= n < self.prec:
             raise IndexError(f"coefficient of q^{n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other):
         """Equality of the known coefficients, to the common precision."""
         if isinstance(other, (int, Fraction)):
             other = QSeries([other], self.prec)
         n = min(self.prec, other.prec)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return ([c * other.den for c in self.nums[:n]]
+                == [c * self.den for c in other.nums[:n]])
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries([other], self.prec)
         n = min(self.prec, other.prec)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)], n)
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        return QSeries._make([a * f1 + b * f2 for a, b in
+                              zip(self.nums[:n], other.nums[:n])], den, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], self.prec)
+        return QSeries._make([-c for c in self.nums], self.den, self.prec)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -80,17 +112,15 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QSeries([c * other for c in self.coeffs], self.prec)
+            n, d = other.numerator, other.denominator
+            return QSeries._make([c * n for c in self.nums], self.den * d, self.prec)
         n = min(self.prec, other.prec)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QSeries(out, n)
+        b = other.nums[:n]
+        out = [0] * n
+        for i, a in enumerate(self.nums[:n]):
+            if a:
+                out[i:] = map(add, out[i:], map(mul, b, repeat(a)))
+        return QSeries._make(out, self.den * other.den, n)
 
     __rmul__ = __mul__
 
@@ -108,15 +138,13 @@ class QSeries:
 
     def inverse(self):
         """Multiplicative inverse; requires a unit constant term."""
-        if self.coeffs[0] == 0:
+        if not self.nums[0]:
             raise ZeroDivisionError("inverse of a q-series with zero constant term")
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.prec - 1)
+        c = self.coeffs
+        inv0 = 1 / c[0]
+        out = [inv0]
         for n in range(1, self.prec):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k] if k < self.prec else 0
-            out[n] = -inv0 * acc
+            out.append(-inv0 * sum(c[k] * out[n - k] for k in range(1, n + 1)))
         return QSeries(out, self.prec)
 
     def __truediv__(self, other):
@@ -127,10 +155,11 @@ class QSeries:
     def shift(self, k: int):
         """Multiply by q^k (k >= 0 keeps precision window at prec)."""
         if k < 0:
-            if any(self.coeffs[i] != 0 for i in range(min(-k, self.prec))):
+            if any(self.nums[:-k]):
                 raise ValueError("negative shift of a series with low-order terms")
-            return QSeries(self.coeffs[-k:], self.prec)
-        return QSeries([Fraction(0)] * k + self.coeffs, self.prec)
+            return QSeries._make(self.nums[-k:] + [0] * min(-k, self.prec),
+                                 self.den, self.prec)
+        return QSeries._make(([0] * k + self.nums)[:self.prec], self.den, self.prec)
 
     def truncate(self, prec):
         if prec > self.prec:
@@ -181,12 +210,18 @@ def series_c6(prec: int) -> QSeries:
 
 
 def series_delta(prec: int) -> QSeries:
-    """Delta = q prod (1 - q^n)^24, by the product expansion."""
-    prod = QSeries.one(prec)
-    for n in range(1, prec):
-        factor = QSeries([1] + [0] * (n - 1) + [-1], prec)
-        prod = prod * factor ** 24
-    return prod.shift(1).truncate(prec)
+    """Delta = q prod (1 - q^n)^24 = q (eta^3)^8, where by Jacobi's identity
+    eta^3 = prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2); the eighth
+    power is three squarings."""
+    cube = [0] * prec
+    k = 0
+    while k * (k + 1) // 2 < prec:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    eta3 = QSeries(cube, prec)
+    for _ in range(3):
+        eta3 = eta3 * eta3
+    return eta3.shift(1)
 
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------

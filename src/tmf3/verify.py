@@ -18,10 +18,10 @@ from .weierstrass import (WCurve, WPoint, O, WTransform, transform,
 
 
 def _timed(index, name, fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok, detail = fn()
     return {"index": index, "name": name, "pass": bool(ok),
-            "detail": detail, "seconds": round(time.time() - t0, 2)}
+            "detail": detail, "seconds": round(time.perf_counter() - t0, 2)}
 
 
 def _random_fraction(rng, span=12):
@@ -173,12 +173,11 @@ def item_flex():
         two_torsion = []
         while len(two_torsion) < 5:
             x0 = Fraction(rng.randint(-5, 5))
-            b4c = _random_fraction(rng, 6)
+            _random_fraction(rng, 6)    # unused draw; the instances below depend on it
             # y^2 = (x - x0)(x^2 + ux + v): (x0, 0) is 2-torsion
             u = _random_fraction(rng, 4)
             v = _random_fraction(rng, 4)
             C = WCurve(0, u - x0, 0, v - x0 * u, -x0 * v)
-            _ = b4c
             if C.is_smooth():
                 two_torsion.append((C, WPoint(x0, Fraction(0))))
         non_torsion = [

@@ -47,10 +47,6 @@ class WCurve:
     a4: object
     a6: object
 
-    @classmethod
-    def from_tuple(cls, coeffs):
-        return cls(*coeffs)
-
     def coeffs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 

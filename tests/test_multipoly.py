@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, delta_poly,
                             disc_factor, divide_exact, loc_normalize, mod2,
                             min_a1_term)
+from tmf3.rationals import val_p_int
 
 
 def test_basic_arithmetic_and_text():
@@ -85,3 +87,153 @@ def test_gf2_reduction_and_frobenius():
 def test_min_a1_term():
     g = mod2(a1() ** 6 * a3() ** 2 + a1() ** 8 * a3())
     assert min_a1_term(g) == (6, 2)
+
+
+# -- differential tests against a Fraction-dict reference ---------------------
+#
+# A reference polynomial is a dict {(i, j): nonzero Fraction} in (a1, a3).
+
+def _ref_clean(t):
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_add(p, q):
+    t = dict(p)
+    for e, c in q.items():
+        t[e] = t.get(e, 0) + c
+    return _ref_clean(t)
+
+
+def _ref_mul(p, q):
+    t = {}
+    for (i1, j1), c1 in p.items():
+        for (i2, j2), c2 in q.items():
+            e = (i1 + i2, j1 + j2)
+            t[e] = t.get(e, 0) + c1 * c2
+    return _ref_clean(t)
+
+
+def _ref_pow(p, n):
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+_REF_A3 = {(0, 1): Fraction(1)}
+_REF_DISC = {(3, 0): Fraction(1), (0, 1): Fraction(-27)}
+
+
+def _ref_divide(p, d):
+    """Long division in the first variable d involves, leading terms first."""
+    pivot = next(i for i in (0, 1) if any(e[i] for e in d))
+    (le, lc), = [(e, c) for e, c in d.items() if e[pivot] == max(x[pivot] for x in d)]
+    q, r = {}, dict(p)
+    while r:
+        e = max(r, key=lambda t: (t[pivot], t))
+        qe = (e[0] - le[0], e[1] - le[1])
+        if min(qe) < 0:
+            return None
+        qc = r[e] / lc
+        q[qe] = qc
+        r = _ref_add(r, _ref_mul({qe: -qc}, d))
+    return q
+
+
+def _ref_loc_reduce(num, e3, e9):
+    if not num:
+        return num, 0, 0
+    while e3 > 0 and (q := _ref_divide(num, _REF_A3)) is not None:
+        num, e3 = q, e3 - 1
+    while e9 > 0 and (q := _ref_divide(num, _REF_DISC)) is not None:
+        num, e9 = q, e9 - 1
+    return num, e3, e9
+
+
+def _ref_text(p):
+    if not p:
+        return "0"
+    parts = []
+    for e in sorted(p, reverse=True):
+        factors = [str(p[e])]
+        for name, x in zip(("a1", "a3"), e):
+            if x == 1:
+                factors.append(name)
+            elif x > 1:
+                factors.append(f"{name}^{x}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _agrees(poly, ref):
+    """poly is in canonical form and has the reference's coefficients."""
+    assert poly.den > 0 and math.gcd(poly.den, *poly.terms.values()) == 1
+    assert all(isinstance(c, int) and c for c in poly.terms.values())
+    assert poly.den == 1 or poly.terms
+    assert {e: poly.coeff(e) for e in poly.terms} == ref
+    assert poly.to_text() == _ref_text(ref)
+    return True
+
+
+# coefficients in Z[1/3], negative ones included
+_COEFFS = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 3, 9, 27]))
+_REF_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 3)), _COEFFS, max_size=6).map(_ref_clean)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_REF_POLYS, _REF_POLYS, st.integers(0, 4))
+def test_arithmetic_matches_fraction_reference(p, q, n):
+    P, Q = MultiPoly(p), MultiPoly(q)
+    assert _agrees(P, p)
+    assert _agrees(P + Q, _ref_add(p, q))
+    assert _agrees(P - Q, _ref_add(p, {e: -c for e, c in q.items()}))
+    assert _agrees(P * Q, _ref_mul(p, q))
+    assert _agrees(P ** n, _ref_pow(p, n))
+    assert _agrees(P * Fraction(-5, 9), _ref_mul(p, {(0, 0): Fraction(-5, 9)}))
+    assert (P * Q == MultiPoly(_ref_mul(p, q)))
+    assert hash(P * Q) == hash(MultiPoly(_ref_mul(p, q)))
+    # denominators are odd: content and mod-2 reduction read the numerators
+    assert mod2(P).monos == {e for e, c in p.items() if c.numerator % 2}
+    if p:
+        assert P.content_val2() == min(val_p_int(c.numerator, 2) for c in p.values())
+        e = min(p, key=lambda t: (t[0], t))
+        assert min_a1_term(P) == (e, p[e])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_REF_POLYS, _REF_POLYS, st.booleans())
+def test_divide_exact_matches_fraction_reference(p, r, by_disc):
+    ref_d = _REF_DISC if by_disc else _REF_A3
+    d = disc_factor() if by_disc else a3()
+    # an exact multiple, and the same plus a remainder that may break it
+    for num in (_ref_mul(p, ref_d), _ref_add(_ref_mul(p, ref_d), r)):
+        got = divide_exact(MultiPoly(num), d)
+        want = _ref_divide(num, ref_d)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and _agrees(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_REF_POLYS, st.integers(0, 2), st.integers(0, 2), st.integers(0, 3),
+       st.integers(0, 3))
+def test_loc_elem_canonical_form_matches_fraction_reference(p, k3, k9, e3, e9):
+    num = _ref_mul(_ref_mul(p, _ref_pow(_REF_A3, k3)), _ref_pow(_REF_DISC, k9))
+    g = LocElem(MultiPoly(num), e3, e9)
+    want, w3, w9 = _ref_loc_reduce(num, e3, e9)
+    assert (g.e3, g.e9) == (w3, w9)
+    assert _agrees(g.num, want)
+
+
+def test_divide_exact_folds_a_non_unit_leading_coefficient():
+    d = 3 * a1() ** 2 - a3()
+    p = (a1() + Fraction(1, 2) * a3()) * d
+    q = divide_exact(p, d)
+    assert q == a1() + Fraction(1, 2) * a3()
+    assert divide_exact(p + a1(), d) is None
+    assert divide_exact(5 * a1() * a3(), -2 * a3()) == Fraction(-5, 2) * a1()
+    # a divisor whose numerators share a factor: the quotient is a1 / 2
+    assert divide_exact(a1() * (a1() ** 2 - 2 * a3()), 2 * a1() ** 2 - 4 * a3()) \
+        == Fraction(1, 2) * a1()

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmf3.qexp import (QSeries, eisenstein_G, eisenstein_in_c4c6, series_c4,
                        series_c6, series_delta, e_alpha)
@@ -74,3 +76,42 @@ def test_e_alpha_weight_four():
 def test_e_alpha_cocycles():
     for k in (4, 6, 8, 10, 12):
         assert cochain_D1(*e_alpha(k)).is_zero()
+
+
+def _delta_by_product(prec):
+    """q prod_{n >= 1} (1 - q^n)^24 to precision prec, on plain ints."""
+    coeffs = [0] * prec
+    if prec > 1:
+        coeffs[1] = 1
+    for n in range(1, prec):
+        for _ in range(24):
+            for i in range(prec - 1, n - 1, -1):
+                coeffs[i] -= coeffs[i - n]
+    return coeffs
+
+
+def test_series_delta_matches_product_formula():
+    for prec in range(1, 31):
+        d = series_delta(prec)
+        assert d.prec == prec
+        assert d.coeffs == _delta_by_product(prec), prec
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 9]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_FRACTIONS, min_size=1, max_size=8),
+       st.lists(_FRACTIONS, min_size=1, max_size=8), _FRACTIONS)
+def test_series_arithmetic_matches_fraction_lists(a, b, c):
+    n = min(len(a), len(b))
+    prod = [sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(n)]
+    x, y = QSeries(a), QSeries(b)
+    assert (x * y).coeffs == prod
+    assert (x + y).coeffs == [a[i] + b[i] for i in range(n)]
+    assert (x * c).coeffs == [v * c for v in a]
+    assert x * y == QSeries(prod)
+    assert (x - x).is_zero() and (x - x).den == 1
+    s = x * y
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1

@@ -99,3 +99,12 @@ def test_chart_outputs(pages):
     assert all({"s", "t", "dim", "basis"} <= set(c) for c in payload["cells"])
     art = chart_ascii(pages["Einf"], max_stem=24)
     assert "0 |" in art
+
+
+@pytest.mark.parametrize("S,W", [(12, 98), (12, 102), (12, 112), (8, 102), (8, 116)])
+def test_window_edge_cells_are_not_read(S, W):
+    # apply_d3 drops the cell at t = W + s on lines s >= 3; neither the
+    # Delta-localization nor the 48-periodicity check may read it
+    pages = compute_all(Window(S, W, DEFAULT_WINDOW.D))
+    table = pi_table(pages["Einf"])
+    assert all(row["ok"] for row in table), [r["stem"] for r in table if not r["ok"]]
