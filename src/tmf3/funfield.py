@@ -1,112 +1,130 @@
 """Function field of the universal curve y^2 + a1 xy + a3 y = x^3.
 
-Elements are u(x) + v(x) * y with u, v rational functions in x over the
-fraction field of Q[a1, a3]; multiplication uses the reduction
+Elements are (u + v*y) / (x^i * a3^j) with u, v ``MultiPoly``s in
+(a1, a3, x) of weights (1, 3, 2); multiplication uses the reduction
 y^2 = x^3 - (a1 x + a3) y.  The conjugate ybar = -y - a1 x - a3 satisfies
-y * ybar = -x^3, which gives inverses via conjugate over norm.
+y * ybar = -x^3, and translation by (0,0) sends (x, y) to
+(-a3 y / x^2, -a3^2 y / x^3), so the isogeny checks only ever invert units:
+elements whose norm is a constant times a monomial in x and a3, inverted as
+conjugate over norm.
 
 Provides the translation-by-(0,0) pullback sigma*, the degree-3 quotient
-coordinates (X, Y), the quotient curve, and the symbolic verification that
+coordinates (X, Y), the quotient curve, and the exact verification that
 (X, Y) defines an isogeny pulling the invariant differential back to itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-import sympy as sp
-
+from .multipoly import MultiPoly
 from .weierstrass import WCurve
 
-X_, A1_, A3_ = sp.symbols("x a1 a3")
+VARS = ("a1", "a3", "x")
+WEIGHTS = (1, 3, 2)
+
+_A1 = MultiPoly.gen("a1", VARS, WEIGHTS)
+_A3 = MultiPoly.gen("a3", VARS, WEIGHTS)
+_X = MultiPoly.gen("x", VARS, WEIGHTS)
+_X3 = _X ** 3
+_S = _A1 * _X + _A3     # y + ybar = -(a1 x + a3)
 
 
-def _canc(e):
-    return sp.cancel(sp.together(e))
+def _poly(c) -> MultiPoly:
+    return c if isinstance(c, MultiPoly) else MultiPoly.const(c, VARS, WEIGHTS)
 
 
-@dataclass(frozen=True)
+def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
+    """p * x^dx * a3^da3, for shifts that keep every exponent >= 0."""
+    return MultiPoly._make({(e1, e3 + da3, ex + dx): c
+                            for (e1, e3, ex), c in p.terms.items()},
+                           p.den, VARS, WEIGHTS)
+
+
+def _euler(p: MultiPoly, i: int) -> MultiPoly:
+    """x * dp/dx - i * p."""
+    return MultiPoly._make({e: c * (e[2] - i) for e, c in p.terms.items()},
+                           p.den, VARS, WEIGHTS)
+
+
 class FFElem:
-    """u(x) + v(x) * y as a pair of sympy rational functions."""
-    u: object
-    v: object
+    """(u + v*y) / (x^i * a3^j), with den = (i, j) and the common power of
+    x and of a3 stripped from u, v and the denominator, so that equal
+    elements have equal fields."""
 
-    @classmethod
-    def make(cls, u, v=0):
-        return cls(_canc(sp.sympify(u)), _canc(sp.sympify(v)))
+    __slots__ = ("u", "v", "den")
+
+    def __init__(self, u=0, v=0, den=(0, 0)):
+        u, v = _poly(u), _poly(v)
+        i, j = den
+        exps = [*u.terms, *v.terms]
+        if not exps:
+            i = j = 0
+        di = min(i, *(e[2] for e in exps)) if i else 0
+        dj = min(j, *(e[1] for e in exps)) if j else 0
+        self.u, self.v = _shift(u, -di, -dj), _shift(v, -di, -dj)
+        self.den = (i - di, j - dj)
 
     @classmethod
     def x(cls):
-        return cls.make(X_)
+        return cls(_X)
 
     @classmethod
     def y(cls):
-        return cls.make(0, 1)
+        return cls(0, 1)
 
     def is_zero(self):
-        return self.u == 0 and self.v == 0
+        return not (self.u or self.v)
 
     def __eq__(self, other):
-        if not isinstance(other, FFElem):
-            other = FFElem.make(other)
-        return _canc(self.u - other.u) == 0 and _canc(self.v - other.v) == 0
+        other = _ff(other)
+        return (self.u, self.v, self.den) == (other.u, other.v, other.den)
 
     def __add__(self, other):
-        if not isinstance(other, FFElem):
-            other = FFElem.make(other)
-        return FFElem(_canc(self.u + other.u), _canc(self.v + other.v))
-
-    __radd__ = __add__
+        other = _ff(other)
+        (i1, j1), (i2, j2) = self.den, other.den
+        i, j = max(i1, i2), max(j1, j2)
+        return FFElem(_shift(self.u, i - i1, j - j1) + _shift(other.u, i - i2, j - j2),
+                      _shift(self.v, i - i1, j - j1) + _shift(other.v, i - i2, j - j2),
+                      (i, j))
 
     def __neg__(self):
-        return FFElem(-self.u, -self.v)
+        return FFElem(-self.u, -self.v, self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, FFElem):
-            other = FFElem.make(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return FFElem.make(other) - self
+        return self + (-_ff(other))
 
     def __mul__(self, other):
-        if not isinstance(other, FFElem):
-            other = FFElem.make(other)
+        other = _ff(other)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
         # (u1 + v1 y)(u2 + v2 y), with y^2 = x^3 - (a1 x + a3) y
-        u = u1 * u2 + v1 * v2 * X_**3
-        v = u1 * v2 + u2 * v1 - v1 * v2 * (A1_ * X_ + A3_)
-        return FFElem(_canc(u), _canc(v))
-
-    __rmul__ = __mul__
+        vv = v1 * v2
+        return FFElem(u1 * u2 + vv * _X3, u1 * v2 + u2 * v1 - vv * _S,
+                      (self.den[0] + other.den[0], self.den[1] + other.den[1]))
 
     def conj(self) -> "FFElem":
         """Image under y -> ybar = -y - a1 x - a3."""
-        return FFElem(_canc(self.u - self.v * (A1_ * X_ + A3_)), _canc(-self.v))
-
-    def norm(self):
-        """N(u + vy) = (u + vy)(u + v ybar), in the coefficient field."""
-        n = self * self.conj()
-        assert _canc(n.v) == 0
-        return _canc(n.u)
+        return FFElem(self.u - self.v * _S, -self.v, self.den)
 
     def inv(self) -> "FFElem":
+        """Inverse of a unit: raises ValueError unless the norm is a
+        constant times a monomial in x and a3."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in the function field")
-        n = self.norm()
-        c = self.conj()
-        return FFElem(_canc(c.u / n), _canc(c.v / n))
-
-    def __truediv__(self, other):
-        if not isinstance(other, FFElem):
-            other = FFElem.make(other)
-        return self * other.inv()
+        n = self * self.conj()      # the norm, with no y part
+        if len(n.u.terms) != 1 or next(iter(n.u.terms))[0]:
+            raise ValueError(f"{self!r} is not a unit: its norm is not "
+                             "a constant times a monomial in x and a3")
+        ((_, e3, ex), c), = n.u.terms.items()
+        ni, nj = n.den
+        inv_norm = FFElem(_shift(_poly(Fraction(n.u.den, c)), ni, nj), 0, (ex, e3))
+        return self.conj() * inv_norm
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = FFElem.make(1)
+        result = FFElem(1)
         base = self
         while n:
             if n & 1:
@@ -115,37 +133,32 @@ class FFElem:
             n >>= 1
         return result
 
-    def eval_at(self, a1, a3, x, y) -> tuple:
-        """Numeric value as a Fraction, at a specialized curve and point."""
-        subs = {A1_: sp.Rational(a1), A3_: sp.Rational(a3), X_: sp.Rational(x)}
-        uval = sp.Rational(sp.cancel(self.u.subs(subs)))
-        vval = sp.Rational(sp.cancel(self.v.subs(subs)))
-        return Fraction(uval.p, uval.q) + Fraction(vval.p, vval.q) * Fraction(y)
-
     def __repr__(self):
-        return f"{sp.sstr(self.u)} + ({sp.sstr(self.v)})*y"
+        s = f"({self.u.to_text()}) + ({self.v.to_text()})*y"
+        den = "*".join(name if n == 1 else f"{name}^{n}"
+                       for name, n in zip(("x", "a3"), self.den) if n)
+        return f"({s}) / ({den})" if den else s
 
 
-def _eval_ratfunc(f, arg: FFElem) -> FFElem:
-    """Evaluate a rational function of x at a function-field element."""
-    num, den = sp.fraction(sp.cancel(sp.together(f)))
-    return _eval_poly(num, arg) * _eval_poly(den, arg).inv()
+def _ff(c) -> FFElem:
+    return c if isinstance(c, FFElem) else FFElem(c)
 
 
-def _eval_poly(p, arg: FFElem) -> FFElem:
-    poly = sp.Poly(p, X_)
-    result = FFElem.make(0)
-    for c in poly.all_coeffs():
-        result = result * arg + FFElem.make(c)
-    return result
+# sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3)
+_SIGMA_X = FFElem(0, -_A3, (2, 0))
+_SIGMA_Y = FFElem(0, -_A3 * _A3, (3, 0))
 
 
 def sigma_pullback(e: FFElem) -> FFElem:
-    """Pullback along translation by P0 = (0,0):
-    sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3)."""
-    sx = FFElem.make(0, -A3_ / X_**2)
-    sy = FFElem.make(0, -(A3_**2) / X_**3)
-    return _eval_ratfunc(e.u, sx) + _eval_ratfunc(e.v, sx) * sy
+    """Pullback along translation by P0 = (0,0), term by term:
+    sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3) and a1, a3 are fixed."""
+    i, j = e.den
+    result = FFElem(0)
+    for p, sy in ((e.u, FFElem(1)), (e.v, _SIGMA_Y)):
+        for (e1, e3, ex), c in p.terms.items():
+            coeff = MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS, WEIGHTS)
+            result = result + FFElem(coeff, 0, (0, j)) * sy * _SIGMA_X ** (ex - i)
+    return result
 
 
 def velu3():
@@ -155,16 +168,9 @@ def velu3():
     y^2 + a1 xy + 3 a3 y = x^3 - 6 a1 a3 x - (9 a3^2 + a1^3 a3)
     and the trace coordinates X = x + s*x + s*s*x, Y likewise.
     """
-    x = FFElem.x()
-    y = FFElem.y()
-    sx = sigma_pullback(x)
-    ssx = sigma_pullback(sx)
-    sy = sigma_pullback(y)
-    ssy = sigma_pullback(sy)
-    X = x + sx + ssx
-    Y = y + sy + ssy
-    Cprime = WCurve(A1_, sp.Integer(0), 3 * A3_, -6 * A1_ * A3_,
-                    -(9 * A3_**2 + A1_**3 * A3_))
+    X, Y = (t + sigma_pullback(t) + sigma_pullback(sigma_pullback(t))
+            for t in (FFElem.x(), FFElem.y()))
+    Cprime = WCurve(_A1, 0, 3 * _A3, -6 * _A1 * _A3, -(9 * _A3 ** 2 + _A1 ** 3 * _A3))
     return Cprime, X, Y
 
 
@@ -173,38 +179,33 @@ def velu3_closed_form():
     Y = y - a3^2 y/x^3 - a3 x^3/y^2."""
     x = FFElem.x()
     y = FFElem.y()
-    a3 = FFElem.make(A3_)
+    a3 = FFElem(_A3)
     X = x - a3 * y * (x * x).inv() + a3 * x * y.inv()
     Y = y - (a3 * a3) * y * (x ** 3).inv() - a3 * (x ** 3) * (y * y).inv()
     return X, Y
 
 
-def _dx(e: FFElem) -> FFElem:
-    """Total derivative d/dx in the function field, using
-    dy/dx = (3x^2 - a1 y) / (2y + a1 x + a3)."""
-    dydx = FFElem.make(3 * X_**2, -A1_) * FFElem.make(A1_ * X_ + A3_, 2).inv()
-    return (FFElem.make(sp.diff(e.u, X_)) + FFElem.make(sp.diff(e.v, X_)) * FFElem.y()
-            + FFElem.make(e.v) * dydx)
-
-
 def verify_isogeny(Cprime=None, X=None, Y=None):
-    """Symbolic checks that (X, Y) maps the universal curve onto Cprime
+    """Exact checks that (X, Y) maps the universal curve onto Cprime
     with phi* eta' = eta.  Returns a dict of named boolean results."""
     if Cprime is None:
         Cprime, X, Y = velu3()
     report = {}
 
     # (i) the image satisfies the Weierstrass equation of Cprime
-    a1p, a2p, a3p, a4p, a6p = Cprime.coeffs()
-    lhs = (Y * Y + FFElem.make(a1p) * X * Y + FFElem.make(a3p) * Y
-           - X ** 3 - FFElem.make(a2p) * X * X - FFElem.make(a4p) * X
-           - FFElem.make(a6p))
+    a1p, a2p, a3p, a4p, a6p = map(FFElem, Cprime.coeffs())
+    lhs = Y * Y + a1p * X * Y + a3p * Y - X ** 3 - a2p * X * X - a4p * X - a6p
     report["equation"] = lhs.is_zero()
 
-    # (ii) phi* eta' = eta: dX/dx * (2y + a1 x + a3) = 2Y + a1 X + 3 a3
-    lhs2 = _dx(X) * FFElem.make(A1_ * X_ + A3_, 2)
-    rhs2 = Y + Y + FFElem.make(A1_) * X + FFElem.make(3 * A3_)
-    report["differential"] = lhs2 == rhs2
+    # (ii) phi* eta' = eta, without division: the derivation
+    # (2y + a1 x + a3) d/dx + (3x^2 - a1 y) d/dy of the function field
+    # sends X to 2Y + a1 X + 3 a3.  For X = (u + v y) / (x^i a3^j),
+    # dX/dx = ((x u' - i u) + (x v' - i v) y) / (x^(i+1) a3^j), dX/dy = v / (x^i a3^j).
+    i, j = X.den
+    dXdx = FFElem(_euler(X.u, i), _euler(X.v, i), (i + 1, j))
+    dXdy = FFElem(X.v, 0, X.den)
+    lhs2 = dXdx * FFElem(_S, 2) + dXdy * FFElem(3 * _X * _X, -_A1)
+    report["differential"] = lhs2 == Y + Y + FFElem(_A1) * X + FFElem(3 * _A3)
 
     # (iii) sigma* has order 3 on the coordinate generators
     x, y = FFElem.x(), FFElem.y()
@@ -231,9 +232,7 @@ def numeric_point(a1, a3, x0):
     disc = b * b + 4 * x0 ** 3
     if disc < 0:
         return None
-    num, den = disc.numerator, disc.denominator
-    rn, rd = sp.integer_nthroot(num, 2), sp.integer_nthroot(den, 2)
-    if not (rn[1] and rd[1]):
+    root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+    if root * root != disc:
         return None
-    root = Fraction(rn[0], rd[0])
     return (x0, (-b + root) / 2)

@@ -569,8 +569,3 @@ def _loc_reduce(num, e3, e9):
             break
         num, e9 = q, e9 - 1
     return num, e3, e9
-
-
-def loc_normalize(num: MultiPoly, e3: int, e9: int) -> LocElem:
-    """Canonical form of num / (a3^e3 (a1^3-27a3)^e9)."""
-    return LocElem(num, e3, e9)

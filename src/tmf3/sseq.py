@@ -75,7 +75,7 @@ def kernel_f2(rows, ncols_src):
     return kernel
 
 
-# -- the presentation monomials ----------------------------------------------
+# -- the presentation generators --------------------------------------------
 
 # raw expansions (zeta-power, GF2Poly in a1, a3) of the named generators
 RAW_A = (0, GF2Poly([(2, 0)]))       # a1^2
@@ -100,48 +100,6 @@ def _raw_add(p, q):
     if p[0] != q[0] and not (p[1].is_zero() or q[1].is_zero()):
         raise ValueError("mixed zeta-powers")
     return (max(p[0], q[0]), p[1] + q[1])
-
-
-@dataclass(frozen=True)
-class PresMonomial:
-    """A^a B^b C^c x^e Delta^d in the presentation
-    Z[1/3, A, B, C, Delta^-1][x]/(2x, AC - B^2), with b reduced to {0, 1}."""
-    a: int
-    b: int
-    c: int
-    e: int
-    d: int
-
-    def __post_init__(self):
-        if self.b not in (0, 1):
-            # reduce by B^2 = AC
-            q, r = divmod(self.b, 2)
-            object.__setattr__(self, "a", self.a + q)
-            object.__setattr__(self, "c", self.c + q)
-            object.__setattr__(self, "b", r)
-        if min(self.a, self.b, self.c) < 0 or self.e < 0:
-            raise ValueError("negative exponent on A, B, C, or x")
-
-    def bidegree(self):
-        return (self.e, 4 * self.a + 8 * self.b + 12 * self.c
-                + 18 * self.e + 24 * self.d)
-
-    def raw_gf2(self):
-        """(zeta-power, GF2Poly) expansion; requires d >= 0.  For d < 0
-        compare after clearing Delta-powers instead."""
-        if self.d < 0:
-            raise ValueError("clear Delta-powers before expanding")
-        out = _raw_mul(_raw_pow(RAW_A, self.a), _raw_pow(RAW_B, self.b))
-        out = _raw_mul(out, _raw_pow(RAW_C, self.c))
-        out = _raw_mul(out, _raw_pow(RAW_X, self.e))
-        return _raw_mul(out, _raw_pow(RAW_DELTA, self.d))
-
-    def __repr__(self):
-        names = zip("ABCx", (self.a, self.b, self.c, self.e))
-        parts = [f"{n}^{v}" if v > 1 else n for n, v in names if v]
-        if self.d:
-            parts.append(f"Delta^{self.d}")
-        return "*".join(parts) if parts else "1"
 
 
 # -- raw-monomial d3 ---------------------------------------------------------

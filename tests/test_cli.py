@@ -167,6 +167,16 @@ def test_chart_json(capsys):
     assert payload["result"]["page"] == 2
 
 
+def test_isogeny_json(capsys):
+    code, out, err = run(capsys, "isogeny", "--json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert sorted(c["name"] for c in checks) == [
+        "closed_form", "differential", "equation", "sigma_invariant",
+        "sigma_order_3"]
+    assert all(c["pass"] for c in checks)
+
+
 def test_verify_single_item(capsys):
     code, out, err = run(capsys, "verify", "--item", "1")
     assert code == 0

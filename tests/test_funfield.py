@@ -1,24 +1,34 @@
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from tmf3 import funfield
 from tmf3.funfield import (FFElem, sigma_pullback, velu3, velu3_closed_form,
                            verify_isogeny, numeric_point)
+from tmf3.multipoly import MultiPoly
+from tmf3.weierstrass import WCurve
+
+
+def gen(name):
+    return MultiPoly.gen(name, funfield.VARS, funfield.WEIGHTS)
 
 
 def test_field_relation():
     x, y = FFElem.x(), FFElem.y()
-    import sympy as sp
-    a1s, a3s = sp.symbols("a1 a3")
-    lhs = y * y + FFElem.make(a1s * sp.Symbol("x") + a3s) * y
+    lhs = y * y + FFElem(gen("a1") * gen("x") + gen("a3")) * y
     assert lhs == x ** 3
 
 
 def test_inverse_and_norm():
     x, y = FFElem.x(), FFElem.y()
-    e = x + y
-    assert (e * e.inv()) == 1
+    for e in (x, y, sigma_pullback(x), x * x * y):
+        assert (e * e.inv()) == 1
     assert (y * y.conj()).v == 0
+    with pytest.raises(ValueError):
+        (x + y).inv()
 
 
 def test_sigma_has_order_three():
@@ -36,11 +46,10 @@ def test_velu3_closed_form_matches_trace():
 
 
 def test_quotient_curve_coefficients():
-    import sympy as sp
-    a1s, a3s = sp.symbols("a1 a3")
+    a1, a3 = gen("a1"), gen("a3")
     Cprime, _, _ = velu3()
-    assert Cprime.coeffs() == (a1s, sp.Integer(0), 3 * a3s, -6 * a1s * a3s,
-                               -(9 * a3s ** 2 + a1s ** 3 * a3s))
+    assert Cprime.coeffs() == (a1, 0, 3 * a3, -6 * a1 * a3,
+                               -(9 * a3 ** 2 + a1 ** 3 * a3))
 
 
 def test_full_isogeny_verification():
@@ -53,4 +62,49 @@ def test_numeric_point_helper():
     assert P is not None
     x0, y0 = P
     assert y0 ** 2 + 1 * x0 * y0 + 2 * y0 == x0 ** 3
-    assert numeric_point(1, 1, 5) is None or True
+    # discriminant 536, not a square
+    assert numeric_point(1, 1, 5) is None
+
+
+# -- negative controls: each check of verify_isogeny can fail ----------------
+
+def test_wrong_a6_fails_equation():
+    Cprime, X, Y = velu3()
+    a1, a2, a3, a4, a6 = Cprime.coeffs()
+    report = verify_isogeny(WCurve(a1, a2, a3, a4, a6 + gen("a3") ** 2), X, Y)
+    assert report["equation"] is False
+
+
+def test_shifted_X_fails_differential():
+    Cprime, X, Y = velu3()
+    report = verify_isogeny(Cprime, X + FFElem(gen("a3")), Y)
+    assert report["differential"] is False
+
+
+def test_wrong_sign_sigma_fails_order_and_invariance(monkeypatch):
+    Cprime, X, Y = velu3()
+    monkeypatch.setattr(funfield, "_SIGMA_X", -funfield._SIGMA_X)
+    report = verify_isogeny(Cprime, X, Y)
+    assert report["sigma_order_3"] is False
+    assert report["sigma_invariant"] is False
+
+
+def test_perturbed_closed_form_fails(monkeypatch):
+    Cprime, X, Y = velu3()
+    Xc, Yc = velu3_closed_form()
+    monkeypatch.setattr(funfield, "velu3_closed_form",
+                        lambda: (Xc + FFElem(gen("a1") * gen("a3")), Yc))
+    report = verify_isogeny(Cprime, X, Y)
+    assert report["closed_form"] is False
+    assert all(v for k, v in report.items() if k != "closed_form")
+
+
+def test_package_imports_only_the_standard_library():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import tmf3.cli, tmf3.verify, tmf3.funfield, tmf3.levelmaps, "
+            "tmf3.qexp, tmf3.sseq\n"
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "assert new <= set(sys.stdlib_module_names) | {'tmf3'}, new\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(funfield.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
