@@ -317,6 +317,11 @@ def evaluate(node, env):
                 if b.coeffs[0] == 0:
                     raise DomainError("division by a q-series with no constant term")
                 return a / b if isinstance(a, QSeries) else a * b.inverse()
+            if isinstance(b, LocElem):
+                try:
+                    return a * b.inverse()
+                except ValueError as exc:
+                    raise DomainError(str(exc)) from exc
             raise DomainError(f"cannot divide by a {type(b).__name__}")
         raise DomainError(f"unknown operator {op!r}")
 
@@ -532,8 +537,12 @@ def cmd_maps(args):
                 raise DomainError(f"{applied} applies to level-1 forms")
         value = fn(value)
     result = value_text(value)
-    reparsed = to_text(parse(result)) if not isinstance(value, Fraction) else result
-    checks = [{"name": "round-trip", "pass": reparsed == to_text(parse(result)),
+    # the printed value, parsed and evaluated again, must give the value back
+    try:
+        same = evaluate(parse(result), env) == value
+    except (CliSyntaxError, DomainError):
+        same = False
+    checks = [{"name": "round-trip", "pass": same,
                "detail": "output reparses to an equal AST"}]
     return _emit(args, "maps", {"expr": args.expr, "apply": applied},
                  result, checks)

@@ -501,13 +501,15 @@ class LocElem:
     def inverse(self):
         """Inverse, defined only when num is a unit of the localization,
         i.e. a scalar times a3^i * (a1^3-27*a3)^j."""
+        if self.is_zero():
+            raise ValueError("element is not invertible in the localization")
         num, i, j = self.num, 0, 0
         while True:
             q = divide_exact(num, _A3)
             if q is None:
                 break
             num, i = q, i + 1
-        while True:
+        while _disc_may_divide(num):
             q = divide_exact(num, _DISC)
             if q is None:
                 break
@@ -555,6 +557,13 @@ def _lift(g, e3, e9):
     return num
 
 
+def _disc_may_divide(num):
+    """Whether a1^3 - 27*a3 may divide num, a polynomial in (a1, a3): every
+    multiple of it vanishes at (a1, a3) = (3, 1), so where num does not, the
+    division need not be tried."""
+    return not sum(c * 3 ** e[0] for e, c in num.terms.items())
+
+
 def _loc_reduce(num, e3, e9):
     if num.is_zero():
         return num, 0, 0
@@ -563,7 +572,7 @@ def _loc_reduce(num, e3, e9):
         if q is None:
             break
         num, e3 = q, e3 - 1
-    while e9 > 0:
+    while e9 > 0 and _disc_may_divide(num):
         q = divide_exact(num, _DISC)
         if q is None:
             break

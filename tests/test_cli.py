@@ -96,6 +96,34 @@ def test_maps_delta_of_c4(capsys):
     assert out.strip() == "240*a1*a3"
 
 
+@pytest.mark.parametrize("expr", ["tstar(fstar(c4^2*Delta^-1))", "c4^2*Delta^-1",
+                                  "a1/a3 - 1/3", "-5/7"])
+def test_maps_round_trip_evaluates_the_output(capsys, expr):
+    # the printed value, denominators included, evaluates back to the value
+    code, out, err = run(capsys, "maps", "--expr=" + expr, "--json")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["pass"] is True
+
+
+@pytest.mark.parametrize("broken", [lambda text: text + " + a1",
+                                    lambda text: text + ")"])
+def test_maps_round_trip_fails_on_a_wrong_output(capsys, monkeypatch, broken):
+    from tmf3 import cli
+    real = cli.value_text
+    monkeypatch.setattr(cli, "value_text", lambda v: broken(real(v)))
+    code, out, err = run(capsys, "maps", "--apply", "tstar", "--expr", "a1*a3",
+                         "--json")
+    assert code == 3
+    assert json.loads(out)["checks"][0]["pass"] is False
+
+
+def test_maps_division_by_a_non_unit_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "maps", "--expr", "a3/a1")
+    assert code == 1 and "not invertible" in err
+    code, out, err = run(capsys, "maps", "--expr", "a1/(a3 - a3)")
+    assert code == 1 and "not invertible" in err
+
+
 def test_maps_domain_error(capsys):
     code, out, err = run(capsys, "maps", "--expr", "a1 + c4")
     assert code == 1

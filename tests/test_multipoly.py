@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, delta_poly,
                             disc_factor, divide_exact, mod2,
-                            min_a1_term)
+                            min_a1_term, _disc_may_divide)
 from tmf3.rationals import val_p_int
 
 
@@ -225,6 +225,21 @@ def test_loc_elem_canonical_form_matches_fraction_reference(p, k3, k9, e3, e9):
     want, w3, w9 = _ref_loc_reduce(num, e3, e9)
     assert (g.e3, g.e9) == (w3, w9)
     assert _agrees(g.num, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_REF_POLYS, _REF_POLYS)
+def test_disc_early_rejection_never_rejects_a_multiple(p, r):
+    # LocElem skips the division by a1^3 - 27*a3 only where it must fail
+    assert _disc_may_divide(MultiPoly(_ref_mul(p, _REF_DISC)))
+    num = _ref_add(_ref_mul(p, _REF_DISC), r)
+    if not _disc_may_divide(MultiPoly(num)):
+        assert _ref_divide(num, _REF_DISC) is None
+
+
+def test_loc_elem_zero_is_not_invertible():
+    with pytest.raises(ValueError, match="not invertible"):
+        LocElem(MultiPoly.zero(), 1, 1).inverse()
 
 
 def test_divide_exact_folds_a_non_unit_leading_coefficient():

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tmf3.sseq import (Window, DEFAULT_WINDOW, build_E2, apply_d3,
+from tmf3 import sseq
+from tmf3.sseq import (Window, DEFAULT_WINDOW, ChartPage, build_E2, apply_d3,
                        localize_stabilize, e7_model_and_d7, compute_all,
                        pi_table, d3_presentation_checks, square_rule_check,
-                       d3_coeff, chart_json, chart_ascii, oracle_dims)
+                       d3_coeff, chart_json, chart_ascii, oracle_dims,
+                       row_space_f2, in_span_f2, kernel_f2)
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,132 @@ def test_window_edge_cells_are_not_read(S, W):
     pages = compute_all(Window(S, W, DEFAULT_WINDOW.D))
     table = pi_table(pages["Einf"])
     assert all(row["ok"] for row in table), [r["stem"] for r in table if not r["ok"]]
+
+
+# -- F2 linear algebra against a dense reference -------------------------------
+
+def _ref_rank(vectors, ncols):
+    """Rank by Gaussian elimination on dense 0/1 rows."""
+    rows = [[v >> k & 1 for k in range(ncols)] for v in vectors]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_in_span(v, vectors, ncols):
+    return _ref_rank(vectors + [v], ncols) == _ref_rank(vectors, ncols)
+
+
+_NCOLS = 9
+_VECTORS = st.lists(st.integers(0, (1 << _NCOLS) - 1), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS, st.integers(0, (1 << _NCOLS) - 1))
+def test_row_space_and_in_span_match_dense_reference(vectors, v):
+    pivots = row_space_f2(vectors)
+    basis = list(pivots.values())
+    rank = _ref_rank(vectors, _NCOLS)
+    assert len(pivots) == rank == _ref_rank(basis, _NCOLS)
+    assert all(k == b.bit_length() for k, b in pivots.items())
+    # same span: the basis lies in the span of the input and has its rank
+    assert all(_ref_in_span(b, vectors, _NCOLS) for b in basis)
+    assert in_span_f2(v, pivots) == _ref_in_span(v, vectors, _NCOLS)
+    assert all(in_span_f2(w, pivots) for w in vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VECTORS)
+def test_kernel_matches_dense_reference(rows):
+    n = len(rows)
+    kernel = kernel_f2(rows, n)
+    assert len(kernel) == n - _ref_rank(rows, _NCOLS)
+    assert _ref_rank(kernel, n) == len(kernel)      # independent
+    for combo in kernel:
+        assert 0 < combo < 1 << n
+        image = 0
+        for i in range(n):
+            if combo >> i & 1:
+                image ^= rows[i]
+        assert image == 0
+
+
+# -- negative controls: every apply_d3 / localize_stabilize check can fail ----
+
+def _sub_page(keys):
+    """The E2 page restricted to the given cells, in the given order."""
+    e2 = build_E2(Window(*DEFAULT_WINDOW))
+    return ChartPage(r=2, window=e2.window, cells={k: e2.cells[k] for k in keys})
+
+
+def test_d3_squared_matrix_check_fails_when_d3_squared_is_nonzero(monkeypatch):
+    monkeypatch.setattr(sseq, "d3_coeff", lambda s, i, j: 1)
+    with pytest.raises(AssertionError, match=r"d3\^2 != 0 at"):
+        apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
+
+
+def test_d3_squared_coefficient_check_fails_beyond_the_window(monkeypatch):
+    # d3 o d3 != 0 only from lines s >= S - 2, whose d3 targets leave the
+    # window: the matrix identity cannot see it, the coefficient check must
+    S = DEFAULT_WINDOW.S
+    monkeypatch.setattr(sseq, "d3_coeff", lambda s, i, j: (
+        1 if s > S - 3 else 0 if s > S - 6 else d3_coeff(s, i, j)))
+    with pytest.raises(AssertionError, match=r"d3\^2 != 0 on zeta\^"):
+        apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
+
+
+def _drop_last_kernel_vector(monkeypatch):
+    monkeypatch.setattr(sseq, "kernel_f2", lambda rows, n: kernel_f2(rows, n)[:-1])
+
+
+def test_zero_line_kernel_check_fails_on_a_short_kernel(monkeypatch):
+    _drop_last_kernel_vector(monkeypatch)
+    with pytest.raises(AssertionError, match="0-line mod-2 kernel mismatch"):
+        apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
+
+
+def test_image_check_fails_on_a_short_kernel(monkeypatch):
+    # (3, 6) = {zeta^3 a3, zeta^3 a1^3}, both d3-cycles; zeta^3 a1^3 is
+    # d3(a1^2) from (0, 4), and it is the kernel vector dropped
+    _drop_last_kernel_vector(monkeypatch)
+    with pytest.raises(AssertionError, match="image not contained in kernel"):
+        apply_d3(_sub_page([(3, 6), (0, 4)]))
+
+
+def test_rank_check_fails_on_a_short_kernel(monkeypatch):
+    # (1, 2) = {zeta a1}, a d3-cycle hit by nothing
+    _drop_last_kernel_vector(monkeypatch)
+    with pytest.raises(AssertionError, match=r"basis/rank mismatch at \(1,2\)"):
+        apply_d3(_sub_page([(1, 2)]))
+
+
+@pytest.fixture
+def e4():
+    return apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
+
+
+def test_injectivity_check_fails_on_a_zeroed_delta_row(monkeypatch, e4):
+    real = sseq._delta_mult_matrix
+    monkeypatch.setattr(sseq, "_delta_mult_matrix",
+                        lambda page, s, t: [0] + real(page, s, t)[1:])
+    with pytest.raises(AssertionError, match="not injective"):
+        localize_stabilize(e4)
+
+
+def test_stabilization_check_fails_on_a_growing_cokernel(e4):
+    # one class more in the target of the last Delta-step of the first
+    # (line, residue) that localize_stabilize checks: the cokernel grows there
+    s, t0 = next(iter(localize_stabilize(e4).loc))
+    t = max(t for t in range(t0, e4.window.W + s - 24, 24)
+            if (s, t) in e4.cells or (s, t + 24) in e4.cells)
+    e4.cells[(s, t + 24)] = e4.cells.get((s, t + 24), []) + [(999, 999)]
+    with pytest.raises(AssertionError, match="no stabilization within budget"):
+        localize_stabilize(e4)
