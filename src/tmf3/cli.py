@@ -2,7 +2,8 @@
 text/JSON emitters, and the verification suite runner.
 
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
-3 verification failure.
+3 verification failure. A domain error (``DomainError``) is raised where
+user input is evaluated and cannot be; other exceptions propagate.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def evaluate(node, env):
                 if not isinstance(arg, LocElem):
                     raise DomainError(
                         f"tstar expects a level-3 element, got {type(arg).__name__}")
-                return tstar(arg)
+                return _domain(tstar, arg)
             raise DomainError(f"unknown function {n.func!r}")
         raise DomainError(f"cannot evaluate node {n!r}")
 
@@ -450,6 +451,14 @@ def _parse_range(text):
     return a, b
 
 
+def _domain(fn, *args):
+    """fn(*args) on user input, its ValueError turned into a domain error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_invariants(args):
@@ -463,9 +472,11 @@ def cmd_invariants(args):
     vals = {"b2": C.b2(), "b4": C.b4(), "b6": C.b6(), "b8": C.b8(),
             "c4": C.c4(), "c6": C.c6(), "Delta": C.disc()}
     result = {k: value_text(v) for k, v in vals.items()}
-    try:
+    if args.curve and C.disc() != 0:
         result["j"] = value_text(C.j())
-    except Exception:
+    else:
+        # a singular curve has no j; the universal curve's j = c4^3 / Delta
+        # is not a polynomial, and it prints the same placeholder
         result["j"] = "undefined (Delta = 0)"
     identity = C.c4() ** 3 - C.c6() ** 2 - 1728 * C.disc()
     holds = identity.is_zero() if hasattr(identity, "is_zero") else identity == 0
@@ -476,12 +487,16 @@ def cmd_invariants(args):
 
 
 def cmd_normalize(args):
-    from .weierstrass import WCurve, WPoint, gamma1_normalize, transform
+    from .weierstrass import (CurveError, WCurve, WPoint, gamma1_normalize,
+                              transform)
     if not args.curve or not args.point:
         raise DomainError("normalize needs --curve and --point")
     C = WCurve(*_parse_curve(args.curve))
     P = WPoint(*_parse_point(args.point))
-    A1, A3, T = gamma1_normalize(C, P)
+    try:
+        A1, A3, T = gamma1_normalize(C, P)
+    except CurveError as exc:
+        raise DomainError(str(exc)) from exc
     Cn = transform(C, T)
     result = {"A1": str(A1), "A3": str(A3),
               "transform": {"lam": str(T.lam), "r": str(T.r),
@@ -508,34 +523,15 @@ def cmd_isogeny(args):
 
 
 def cmd_maps(args):
-    from .levelmaps import fstar, qstar, hstar, tstar, delta_map, LevelOneForm
-    from .multipoly import LocElem
     if not args.expr:
         raise DomainError("maps needs --expr")
     ast = parse(args.expr)
     env = {}
     env.update(level1_env())
     env.update(level3_env())
-    value = evaluate(ast, env)
+    # --apply F evaluates F(expr)
     applied = args.apply
-    if applied:
-        table = {"fstar": fstar, "qstar": qstar, "hstar": hstar,
-                 "tstar": tstar, "delta": delta_map}
-        if applied not in table:
-            raise DomainError(f"unknown map {applied!r}")
-        fn = table[applied]
-        if applied == "tstar":
-            if isinstance(value, Fraction):
-                from .multipoly import MultiPoly
-                value = LocElem(MultiPoly.const(value))
-            if not isinstance(value, LocElem):
-                raise DomainError("tstar applies to level-3 elements")
-        else:
-            if isinstance(value, Fraction):
-                value = LevelOneForm.const(value)
-            if not isinstance(value, LevelOneForm):
-                raise DomainError(f"{applied} applies to level-1 forms")
-        value = fn(value)
+    value = evaluate(Call(applied, ast) if applied else ast, env)
     result = value_text(value)
     # the printed value, parsed and evaluated again, must give the value back
     try:
@@ -559,20 +555,22 @@ def cmd_delta(args):
             a, b = _parse_range(args.range)
             rows = []
             for k in range(a, b + 1):
-                r = val2_delta_c4pow(k)
+                r = _domain(val2_delta_c4pow, k)
                 rows.append(f"k={k}: val2 = {r['valuation']}")
                 checks.append({"name": f"val2(content(delta(c4^{k})))",
                                "pass": r["pass"],
                                "detail": f"computed {r['valuation']}, expected {r['expected']}"})
             result = "\n".join(rows)
         else:
-            r = val2_delta_c4pow(args.c4_pow)
+            r = _domain(val2_delta_c4pow, args.c4_pow)
             result = str(r["valuation"])
             checks.append({"name": f"val2(content(delta(c4^{args.c4_pow})))",
                            "pass": r["pass"],
                            "detail": f"computed {r['valuation']}, expected {r['expected']}"})
     elif args.c4_pow is not None:
         inputs["c4_pow"] = args.c4_pow
+        if args.c4_pow < 0:
+            raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
         result = g.to_text()
     elif args.delta_pow is not None:
@@ -584,7 +582,7 @@ def cmd_delta(args):
             rng = [args.delta_pow]
         rows = []
         for N in rng:
-            r = delta_mod2_Delta_pow(N)
+            r = _domain(delta_mod2_Delta_pow, N)
             rows.append(f"N={N}: min term {r['leading_term']}")
             checks.append({"name": f"min_a1_term(mod2(delta(Delta^{N})))",
                            "pass": r["pass"],
@@ -604,7 +602,7 @@ def cmd_qexp(args):
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        expr = eisenstein_in_c4c6(k)
+        expr = _domain(eisenstein_in_c4c6, k)
         parts = []
         for (ca, eps, d), c in sorted(expr.items(), reverse=True):
             mono = [str(c)]
@@ -666,11 +664,11 @@ def cmd_chart(args):
 
 
 def cmd_verify(args):
-    from .verify import run_all, run_item
+    from .verify import get_item, run_all
     if args.all:
         results = run_all()
     elif args.item is not None:
-        results = [run_item(args.item)]
+        results = [_domain(get_item, args.item)()]
     else:
         raise DomainError("verify needs --all or --item N")
     checks = [{"name": f"item {r['index']}: {r['name']}", "pass": r["pass"],
@@ -741,13 +739,6 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
-        # domain-layer errors from the library surface as exit code 1
-        from .weierstrass import CurveError
-        if isinstance(exc, (CurveError, ValueError, ZeroDivisionError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        raise
 
 
 if __name__ == "__main__":

@@ -37,15 +37,13 @@ def _poly(c) -> MultiPoly:
 
 def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
     """p * x^dx * a3^da3, for shifts that keep every exponent >= 0."""
-    return MultiPoly._make({(e1, e3 + da3, ex + dx): c
-                            for (e1, e3, ex), c in p.terms.items()},
-                           p.den, VARS, WEIGHTS)
+    return p._shift((0, da3, dx))
 
 
 def _euler(p: MultiPoly, i: int) -> MultiPoly:
     """x * dp/dx - i * p."""
-    return MultiPoly._make({e: c * (e[2] - i) for e, c in p.terms.items()},
-                           p.den, VARS, WEIGHTS)
+    return MultiPoly._from_terms({e: c * (e[2] - i) for e, c in p.terms.items()},
+                                 p.den, VARS, WEIGHTS)
 
 
 class FFElem:

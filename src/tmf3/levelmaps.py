@@ -11,9 +11,10 @@ The maps:
 * qstar -- quotient by the subgroup: c_i evaluated on the quotient curve
   (a1, 0, 3a3, -6a1a3, -(9a3^2 + a1^3 a3));
 * hstar -- quotient by the full 3-torsion: multiplication by 3^weight;
-* tstar -- residual-subgroup swap, determined on the generators
-  a1^2, a1a3, a3^2 and extended as a ring map using t*(f* Delta) = q* Delta
-  for the denominators.
+* tstar -- residual-subgroup swap: the substitution a1 -> s a1,
+  a3 -> (a1^3 - 27 a3) / (3 s) with s^2 = -3, which takes the generators
+  a1^2, a1a3, a3^2 of the even subring to T_A, T_B, T_C and exchanges the
+  two factors a3 and a1^3 - 27 a3 of Delta, so t*(f* Delta) = q* Delta.
 
 Also houses the building cochain complex D0, D1 and the 2-adic valuation
 analyses of delta = qstar - fstar.
@@ -24,9 +25,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
-from .multipoly import (MultiPoly, LocElem, GF2Poly, a1, a3, delta_poly,
-                        disc_factor, mod2, min_a1_term)
+from .multipoly import MultiPoly, LocElem, a1, a3, mod2, min_a1_term
 from .rationals import val_p_int
 from .weierstrass import WCurve
 
@@ -227,47 +229,56 @@ def hstar(m: LevelOneForm) -> LevelOneForm:
 
 
 def is_gamma03(g: LocElem) -> bool:
-    """Fixed by a1 -> -a1, a3 -> -a3: numerator parity matches denominator."""
+    """Fixed by a1 -> -a1, a3 -> -a3: numerator parity matches denominator.
+    A term a1^(w-3j) a3^j of weight w has i + j = w - 2j, so the parity of
+    each term is that of its weight."""
     par = (g.e3 + g.e9) % 2
-    return all((i + j) % 2 == par for (i, j) in g.num.terms)
+    return all(w % 2 == par for (w,) in g.num.groups)
 
 
 @lru_cache(maxsize=None)
-def _tpow_cached(which: int, n: int) -> MultiPoly:
-    return (T_A, T_B, T_C)[which] ** n
-
-
-def _tpow(base: MultiPoly, n: int) -> MultiPoly:
-    return _tpow_cached((T_A, T_B, T_C).index(base), n)
-
-
-def _tstar_poly(p: MultiPoly) -> MultiPoly:
-    """t* on a polynomial in the even subring of Z[1/3][a1, a3]."""
-    out = MultiPoly.zero()
-    for (i, j) in p.terms:
-        if (i + j) % 2 != 0:
-            raise ValueError(f"monomial a1^{i}*a3^{j} is not sigma-invariant")
-        k = min(i, j)
-        term = p.coeff((i, j)) * _tpow(T_B, k)
-        if i > j:
-            term = term * _tpow(T_A, (i - j) // 2)
-        elif j > i:
-            term = term * _tpow(T_C, (j - i) // 2)
-        out = out + term
-    return out
+def _tpow_cached(j: int) -> tuple:
+    """The coefficients of D^j = (a1^3 - 27 a3)^j, by the power of a3."""
+    return tuple(math.comb(j, k) * (-27) ** k for k in range(j + 1))
 
 
 def tstar(g: LocElem) -> LocElem:
     """The residual-subgroup swap, as a ring map on the localized even ring.
 
-    Denominators are cleared to a Delta-power first; t*(Delta-power) is a
-    power of q*(Delta) = a3 (a1^3 - 27 a3)^3 by t* f* = q*.
+    t* substitutes a1 -> s a1 and a3 -> D / (3 s) with s^2 = -3 and
+    D = a1^3 - 27 a3; it sends D to -81 s a3, so the two factors of the
+    denominator swap places:
+
+        t*(c a1^i a3^j / (a3^e3 D^e9))
+            = c (-3)^((i-j+e3-e9)/2) 3^(e3-j) (-81)^(-e9) a1^i D^j / (a3^e9 D^e3),
+
+    and on T_A, T_B, T_C = t*(a1^2), t*(a1 a3), t*(a3^2) this is the table
+    of item 2. In a weight-w group, i = w - 3j and the scalar is
+    K_w 27^(-j) with K_w = (-3)^((w+e3-e9)/2) 3^e3 (-81)^(-e9); each group
+    is summed as sum_j c_j 27^(J-j) D^j over 27^J, J the group's top index.
     """
     if not is_gamma03(g):
         raise ValueError("tstar requires a sigma-invariant element")
-    m = max(math.ceil(g.e3 / 3), g.e9)
-    extra = a3() ** (3 * m - g.e3) * disc_factor() ** (m - g.e9)
-    return LocElem(_tstar_poly(g.num * extra), m, 3 * m)
+    if g.is_zero():
+        return g
+    e3, e9 = g.e3, g.e9
+    groups = {}
+    for (w,), cs in g.num.groups.items():
+        top = len(cs) - 1
+        acc = [0] * len(cs)
+        for j, c in enumerate(cs):
+            if c:
+                acc[:j + 1] = map(add, acc[:j + 1],
+                                  map(mul, _tpow_cached(j), repeat(c * 27 ** (top - j))))
+        # the scalar K_w / 27^top = sign * 3^power
+        half = (w + e3 - e9) // 2
+        sign = -1 if (half + e9) % 2 else 1
+        groups[w] = (sign, half + e3 - 4 * e9 - 3 * top, acc)
+    low = min(power for _, power, _ in groups.values())
+    num = MultiPoly._new({(w,): [sign * 3 ** (power - low) * x for x in acc]
+                          for w, (sign, power, acc) in groups.items()},
+                         g.num.den, g.num.vars, g.num.weights)
+    return LocElem(num * Fraction(3) ** low, e9, e3)
 
 
 def delta_map(m: LevelOneForm) -> LocElem:

@@ -1,31 +1,42 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Weight-graded polynomials with exact rational coefficients.
 
-A polynomial is stored as integer numerators over one common denominator,
-the layout of FLINT's ``fmpq_poly``: ``terms`` maps exponent tuples to
-nonzero ints and ``den`` is a positive int, with gcd(den, numerators) = 1
-and ``den == 1`` for zero, so the coefficient of a term is
-``Fraction(terms[e], den)`` and equal polynomials have equal fields.
-Sums and products run on Python ints and reduce by one gcd at the end.
+Every variable set has a first variable of weight 1 (a1 or u), so a
+monomial is fixed by its weight and its other exponents. A polynomial is
+stored as integer numerators over one common denominator ``den``, grouped
+by weight: ``groups`` maps the key (weight, e_1, ..., e_{n-2}) to a dense
+list of ints indexed by the exponent e_{n-1} of the last variable, and the
+exponent of the first variable is the weight minus the weight of the rest.
+For (a1, a3) the key is (w,) and the list holds the coefficients of
+a1^(w-3j) a3^j; for the function field's (a1, a3, x) the key is (w, j) and
+the list runs over the power of x. Lists have no trailing zeros, zero lists
+are dropped, gcd(den, numerators) = 1 and ``den == 1`` for zero, so equal
+polynomials have equal fields. Products are list convolutions, one per pair
+of groups; ``terms`` is a read-only view {exponent tuple: int}.
 
 The default variable set is (a1, a3) carrying modular-form weights (1, 3);
-an extended set a1, a2, a3, a4, a6 (weights 1, 2, 3, 4, 6) is used by the
-Weierstrass invariant polynomials, and ad-hoc sets like (u, v) by the
+an extended set a1, a2, a3, a4, a6 (weights 1, 2, 3, 4, 6) is available for
+the Weierstrass invariant polynomials, and ad-hoc sets like (u, v) serve the
 binomial lemma checks.
 
 Also provides:
 
+* ``divide_exact`` -- for two variables, weight by weight: dividing a
+  weight-w list by a homogeneous divisor is the recurrence
+  q_j = (c_j - sum_i e_i q_(j-i)) / e_0 from the low end (for a1^3 - 27*a3,
+  q_j = c_j + 27 q_(j-1)), followed by an exact check of the product;
 * ``GF2Poly`` -- the mod-2 reduction, as a set of exponent vectors;
 * ``LocElem`` -- canonical elements of the localization inverting
   Delta = a3^3 * (a1^3 - 27*a3); denominators are tracked as the pair
-  (power of a3, power of a1^3 - 27*a3) since Delta is reducible.
+  (power of a3, power of a1^3 - 27*a3) since Delta is reducible. A power
+  of a3 is removed by one shift of the lists' leading zeros.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, lshift, neg, sub
+from operator import add, mul
 
 DEFAULT_VARS = ("a1", "a3")
 STANDARD_WEIGHTS = {"a1": 1, "a2": 2, "a3": 3, "a4": 4, "a6": 6}
@@ -35,45 +46,119 @@ def _weights_for(vars):
     return tuple(STANDARD_WEIGHTS.get(v, 1) for v in vars)
 
 
-def _canonical(terms, den):
-    """(terms, den) with zero terms dropped and gcd(den, numerators) = 1;
-    ``den`` must be positive."""
-    terms = {e: c for e, c in terms.items() if c}
+# -- int lists ---------------------------------------------------------------
+
+def _add_lists(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [*map(add, a, b), *a[len(b):]]
+
+
+def _convolve(a, b):
+    """The product of two coefficient lists: one slice update per entry of
+    the shorter list."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + n] = map(add, out[j:j + n], map(mul, a, repeat(y)))
+    return out
+
+
+def _power_list(a, k):
+    """a^k for a list with a[0] != 0, by J. C. P. Miller's recurrence
+    m a_0 c_m = sum_i ((k + 1) i - m) a_i c_(m-i), which is exact on ints:
+    O(len(a)) steps per coefficient instead of a squaring's O(len(c))."""
+    a0, top = a[0], len(a) - 1
+    c = [a0 ** k]
+    for m in range(1, k * top + 1):
+        s = 0
+        for i in range(1, min(m, top) + 1):
+            s += ((k + 1) * i - m) * a[i] * c[m - i]
+        c.append(s // (m * a0))
+    return c
+
+
+def _scale(groups, f):
+    return {key: [c * f for c in cs] for key, cs in groups.items()}
+
+
+def _leading_zeros(cs):
+    return next(i for i, c in enumerate(cs) if c)
+
+
+def _group(terms, weights):
+    """{exponent tuple: int} -> {key: list}, not yet canonical."""
+    groups = {}
+    for e, c in terms.items():
+        if min(e) < 0:
+            raise ValueError(f"negative exponent in {e}")
+        cs = groups.setdefault((sum(map(mul, e, weights)), *e[1:-1]), [])
+        k = e[-1]
+        if len(cs) <= k:
+            cs.extend([0] * (k + 1 - len(cs)))
+        cs[k] += c
+    return groups
+
+
+def _canonical(groups, den):
+    """(groups, den) with trailing zeros stripped, zero lists dropped and
+    gcd(den, numerators) = 1; ``den`` must be positive."""
+    clean = {}
+    for key, cs in groups.items():
+        if cs and not cs[-1]:
+            n = len(cs) - 1
+            while n and not cs[n - 1]:
+                n -= 1
+            cs = cs[:n]
+        if cs:
+            clean[key] = cs
     if den != 1:
-        g = gcd(den, *terms.values())
+        g = gcd(den, *chain.from_iterable(clean.values()))
         if g != 1:
-            terms = {e: c // g for e, c in terms.items()}
+            clean = {key: [c // g for c in cs] for key, cs in clean.items()}
             den //= g
-    return terms, den
+    return clean, den
 
 
 class MultiPoly:
-    """Sparse polynomial: dict {exponent tuple: nonzero int} over ``den``."""
+    """Weight-graded polynomial: {key: list of ints} over ``den``."""
 
-    __slots__ = ("vars", "weights", "terms", "den")
+    __slots__ = ("vars", "weights", "groups", "den")
 
     def __init__(self, terms=None, vars=DEFAULT_VARS, weights=None):
         self.vars = tuple(vars)
         self.weights = tuple(weights) if weights is not None else _weights_for(self.vars)
+        if len(self.vars) < 2 or self.weights[0] != 1:
+            raise ValueError("a MultiPoly needs two or more variables, "
+                             "the first of weight 1")
         clean = {}
         if terms:
             for exps, c in terms.items():
                 e = tuple(exps)
                 clean[e] = clean.get(e, 0) + Fraction(c)
         den = lcm(*(c.denominator for c in clean.values()))
-        self.terms, self.den = _canonical(
-            {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+        self.groups, self.den = _canonical(_group(
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+            self.weights), den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, terms, den, vars, weights):
-        """Internal: build from {exponent tuple: int} over a positive den."""
+    def _new(cls, groups, den, vars, weights):
+        """Internal: build from {key: list of ints} over a positive den."""
         self = cls.__new__(cls)
         self.vars = vars
         self.weights = weights
-        self.terms, self.den = _canonical(terms, den)
+        self.groups, self.den = _canonical(groups, den)
         return self
+
+    @classmethod
+    def _from_terms(cls, terms, den, vars, weights):
+        """Internal: build from {exponent tuple: int} over a positive den."""
+        return cls._new(_group(terms, weights), den, vars, weights)
 
     @classmethod
     def zero(cls, vars=DEFAULT_VARS, weights=None):
@@ -93,11 +178,24 @@ class MultiPoly:
 
     # -- basic structure ---------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only view {exponent tuple: nonzero int numerator}."""
+        w = self.weights
+        out = {}
+        for key, cs in self.groups.items():
+            mid = key[1:]
+            top = key[0] - sum(map(mul, mid, w[1:-1]))
+            for k, c in enumerate(cs):
+                if c:
+                    out[(top - w[-1] * k, *mid, k)] = c
+        return out
+
     def is_zero(self):
-        return not self.terms
+        return not self.groups
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.groups)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -105,10 +203,11 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.vars == other.vars and self.den == other.den
-                and self.terms == other.terms)
+                and self.groups == other.groups)
 
     def __hash__(self):
-        return hash((self.vars, self.den, frozenset(self.terms.items())))
+        return hash((self.vars, self.den,
+                     frozenset((key, tuple(cs)) for key, cs in self.groups.items())))
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -119,6 +218,15 @@ class MultiPoly:
             return x
         return MultiPoly.const(x, self.vars, self.weights)
 
+    def _shift(self, exps):
+        """self times the monomial with exponents ``exps``, whose negative
+        entries must leave every exponent >= 0."""
+        dw = sum(map(mul, exps, self.weights))
+        mid, k = exps[1:-1], exps[-1]
+        groups = {(key[0] + dw, *map(add, key[1:], mid)):
+                  [0] * k + cs if k >= 0 else cs[-k:] for key, cs in self.groups.items()}
+        return MultiPoly._new(groups, self.den, self.vars, self.weights)
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -127,16 +235,18 @@ class MultiPoly:
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
         f1, f2 = den // d1, den // d2
-        t = dict(self.terms) if f1 == 1 else {e: c * f1 for e, c in self.terms.items()}
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0) + c * f2
-        return MultiPoly._make(t, den, self.vars, self.weights)
+        g = dict(self.groups) if f1 == 1 else _scale(self.groups, f1)
+        for key, cs in other.groups.items():
+            if f2 != 1:
+                cs = [c * f2 for c in cs]
+            old = g.get(key)
+            g[key] = cs if old is None else _add_lists(old, cs)
+        return MultiPoly._new(g, den, self.vars, self.weights)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make({e: -c for e, c in self.terms.items()},
-                               self.den, self.vars, self.weights)
+        return MultiPoly._new(_scale(self.groups, -1), self.den, self.vars, self.weights)
 
     def __sub__(self, other):
         return self + (-self._wrap(other))
@@ -147,33 +257,30 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
-            return MultiPoly._make({e: c * n for e, c in self.terms.items()},
-                                   self.den * d, self.vars, self.weights)
+            return MultiPoly._new(_scale(self.groups, n), self.den * d,
+                                  self.vars, self.weights)
         self._check(other)
-        if not (self.terms and other.terms):
-            return MultiPoly.zero(self.vars, self.weights)
-        # exponent tuples packed into ints, one field per variable, with
-        # fields wide enough that adding two packed keys never carries
-        width = (max(map(max, self.terms)) + max(map(max, other.terms))).bit_length() or 1
-        shifts = range(0, width * len(self.vars), width)
-        others = [(sum(map(lshift, e, shifts)), c) for e, c in other.terms.items()]
-        t = {}
-        get = t.get
-        for e1, c1 in self.terms.items():
-            k1 = sum(map(lshift, e1, shifts))
-            for k2, c2 in others:
-                k = k1 + k2
-                t[k] = get(k, 0) + c1 * c2
-        mask = (1 << width) - 1
-        fields = [[(k >> s) & mask for k in t] for s in shifts]
-        return MultiPoly._make(dict(zip(zip(*fields), t.values())),
-                               self.den * other.den, self.vars, self.weights)
+        out = {}
+        for k1, c1 in self.groups.items():
+            for k2, c2 in other.groups.items():
+                key = tuple(map(add, k1, k2))
+                prod = _convolve(c1, c2)
+                old = out.get(key)
+                out[key] = prod if old is None else _add_lists(old, prod)
+        return MultiPoly._new(out, self.den * other.den, self.vars, self.weights)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.groups) == 1:
+            # every homogeneous polynomial in two variables
+            (key, cs), = self.groups.items()
+            z = _leading_zeros(cs)
+            power = [0] * (z * n) + _power_list(cs[z:], n)
+            return MultiPoly._new({tuple(n * x for x in key): power},
+                                  self.den ** n, self.vars, self.weights)
         result = MultiPoly.const(1, self.vars, self.weights)
         base = self
         while n:
@@ -191,41 +298,44 @@ class MultiPoly:
     # -- queries -----------------------------------------------------------
 
     def coeff(self, exps) -> Fraction:
-        return Fraction(self.terms.get(tuple(exps), 0), self.den)
+        e = tuple(exps)
+        cs = self.groups.get((sum(map(mul, e, self.weights)), *e[1:-1]), ())
+        return Fraction(cs[e[-1]] if e[-1] < len(cs) else 0, self.den)
 
     def degree_in(self, name: str) -> int:
-        if not self.terms:
+        if not self.groups:
             return -1
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
     def weight_of(self) -> int:
         """Common weight of all terms; raises if inhomogeneous or zero."""
-        if not self.terms:
+        if not self.groups:
             raise ValueError("weight of the zero polynomial is undefined")
-        ws = {sum(x * w for x, w in zip(e, self.weights)) for e in self.terms}
+        ws = {key[0] for key in self.groups}
         if len(ws) != 1:
             raise ValueError(f"inhomogeneous polynomial, weights {sorted(ws)}")
         return ws.pop()
 
     def content_val2(self):
         """2-adic valuation of the gcd of the (integer) coefficients."""
-        if not self.terms:
+        if not self.groups:
             raise ValueError("content of zero polynomial")
         if self.den % 2 == 0:
             raise ValueError("coefficient with even denominator")
-        g = gcd(*self.terms.values())
+        g = gcd(*chain.from_iterable(self.groups.values()))
         return (g & -g).bit_length() - 1
 
     # -- printing ----------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form: terms sorted by descending lex exponents."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            factors = [str(Fraction(self.terms[e], self.den))]
+        for e in sorted(terms, reverse=True):
+            factors = [str(Fraction(terms[e], self.den))]
             for name, x in zip(self.vars, e):
                 if x == 1:
                     factors.append(name)
@@ -265,69 +375,78 @@ _DISC = disc_factor()
 
 # -- exact division ---------------------------------------------------------
 
-def divide_exact(p: MultiPoly, d: MultiPoly):
-    """Exact quotient p / d, or None if d does not divide p.
+def _divide_list(c, e, n, scale):
+    """The list q of length n with q * e == c * scale, or None; e[0] != 0
+    and ``scale`` a power of e[0] that makes every step exact."""
+    if scale != 1:
+        c = [x * scale for x in c]
+    e0, top = e[0], len(e) - 1
+    q = []
+    for j in range(n):
+        s = c[j]
+        for i in range(1, min(j, top) + 1):
+            s -= e[i] * q[j - i]
+        q.append(s if e0 == 1 else s // e0)
+    return q if _convolve(q, e) == c else None
 
-    Division is performed univariately in the first variable of ``d`` whose
-    degree is positive, by integer synthetic division on the numerators:
-    terms of the remainder are taken in descending (pivot exponent,
-    exponent) order from a heap. The package divides only by a3 and
-    a1^3 - 27*a3, whose leading coefficients are 1; any other leading
-    coefficient c must be a monomial, and the powers of c the division
-    needs are folded into the quotient's denominator.
+
+def _divide_homogeneous(p, d):
+    """p / d for a homogeneous d in two variables, weight by weight."""
+    ((dw,), e), = d.groups.items()
+    z = _leading_zeros(e)
+    e = e[z:]
+    wl = p.weights[-1]
+    sizes = {}
+    for (w,), c in p.groups.items():
+        # q has len(c) - z - len(e) + 1 entries; its top one must keep the
+        # first variable's exponent w - dw - wl * (len(q) - 1) >= 0
+        n = len(c) - z - len(e) + 1
+        if n <= 0 or w - dw - wl * (n - 1) < 0 or any(c[:z]):
+            return None
+        sizes[w] = n
+    scale = e[0] ** max(sizes.values())
+    out = {}
+    for (w,), c in p.groups.items():
+        q = _divide_list(c[z:], e, sizes[w], scale)
+        if q is None:
+            return None
+        out[(w - dw,)] = q
+    return MultiPoly._new(_scale(out, d.den if scale > 0 else -d.den),
+                          abs(scale) * p.den, p.vars, p.weights)
+
+
+def divide_exact(p: MultiPoly, d: MultiPoly):
+    """Exact quotient p / d, or None if d does not divide p; for
+    polynomials in two variables.
+
+    A homogeneous d divides p weight by weight (`_divide_list`); a
+    non-unit e_0 is folded into the quotient's denominator. Otherwise the
+    lowest-weight part of the quotient is the lowest-weight part of p over
+    that of d, and the rest follows from p minus that part times d.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    p._check(d)
+    if len(p.vars) != 2:
+        raise ValueError("divide_exact needs polynomials in two variables")
     if p.is_zero():
         return MultiPoly.zero(p.vars, p.weights)
-    p._check(d)
-    pivot = next(i for i, name in enumerate(d.vars) if d.degree_in(name) > 0)
-    ddeg = max(e[pivot] for e in d.terms)
-    lead = {e: c for e, c in d.terms.items() if e[pivot] == ddeg}
-    if len(lead) != 1:
-        raise ValueError("divisor leading coefficient is not a monomial")
-    (le, lc), = lead.items()
-    # p / d = (P / p.den) / (D / d.den) for the numerator polynomials P, D;
-    # the loops below find Q with Q * D = scale * P
-    scale = 1
-    q = {}
-    if len(d.terms) == 1:
-        # monomial divisor: exponent shift
-        for e, c in p.terms.items():
-            qe = tuple(map(sub, e, le))
-            if min(qe) < 0:
-                return None
-            q[qe] = c
-        scale = lc
-    else:
-        r = dict(p.terms)
-        others = [(e, c) for e, c in d.terms.items() if e != le]
-        heap = [(-e[pivot], tuple(map(neg, e)), e) for e in r]
-        heapq.heapify(heap)
-        while heap:
-            e = heapq.heappop(heap)[2]
-            c = r.pop(e, 0)
-            if not c:
-                continue
-            qe = tuple(map(sub, e, le))
-            if e[pivot] < ddeg or min(qe) < 0:
-                return None
-            if c % lc:
-                f = lc // gcd(c, lc)
-                scale *= f
-                c *= f
-                r = {k: v * f for k, v in r.items()}
-                q = {k: v * f for k, v in q.items()}
-            qc = c // lc
-            q[qe] = qc
-            for e2, c2 in others:
-                ke = tuple(map(add, qe, e2))
-                if ke not in r:
-                    heapq.heappush(heap, (-ke[pivot], tuple(map(neg, ke)), ke))
-                r[ke] = r.get(ke, 0) - qc * c2
-    f = d.den if scale > 0 else -d.den
-    return MultiPoly._make({e: c * f for e, c in q.items()}, abs(scale) * p.den,
-                           p.vars, p.weights)
+    if len(d.groups) == 1:
+        return _divide_homogeneous(p, d)
+    low = min(d.groups)
+    d_low = MultiPoly._new({low: d.groups[low]}, d.den, d.vars, d.weights)
+    top = max(p.groups)[0] - max(d.groups)[0]
+    q = MultiPoly.zero(p.vars, p.weights)
+    while p:
+        w = min(p.groups)
+        if w[0] - low[0] > top:
+            return None
+        part = _divide_homogeneous(MultiPoly._new({w: p.groups[w]}, p.den, p.vars,
+                                                  p.weights), d_low)
+        if part is None:
+            return None
+        q, p = q + part, p - part * d
+    return q
 
 
 # -- mod 2 -------------------------------------------------------------------
@@ -403,11 +522,12 @@ class GF2Poly:
 
 def mod2(p: MultiPoly) -> GF2Poly:
     """Reduce coefficients mod 2; denominators must be odd (3 maps to 1)."""
+    terms = p.terms
     if p.den % 2 == 0:
-        bad = next(c for c in (Fraction(n, p.den) for n in p.terms.values())
+        bad = next(c for c in (Fraction(n, p.den) for n in terms.values())
                    if c.denominator % 2 == 0)
         raise ValueError(f"coefficient {bad} has even denominator")
-    return GF2Poly([e for e, c in p.terms.items() if c % 2], p.vars)
+    return GF2Poly([e for e, c in terms.items() if c % 2], p.vars)
 
 
 def min_a1_term(p):
@@ -422,11 +542,12 @@ def min_a1_term(p):
             raise ValueError("min_a1_term of zero polynomial")
         i = p.vars.index("a1")
         return min(p.monos, key=lambda e: (e[i], e))
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         raise ValueError("min_a1_term of zero polynomial")
     i = p.vars.index("a1")
-    e = min(p.terms, key=lambda t: (t[i], t))
-    return e, Fraction(p.terms[e], p.den)
+    e = min(terms, key=lambda t: (t[i], t))
+    return e, Fraction(terms[e], p.den)
 
 
 # -- localization at Delta ---------------------------------------------------
@@ -503,20 +624,13 @@ class LocElem:
         i.e. a scalar times a3^i * (a1^3-27*a3)^j."""
         if self.is_zero():
             raise ValueError("element is not invertible in the localization")
-        num, i, j = self.num, 0, 0
-        while True:
-            q = divide_exact(num, _A3)
-            if q is None:
-                break
-            num, i = q, i + 1
-        while _disc_may_divide(num):
-            q = divide_exact(num, _DISC)
-            if q is None:
-                break
+        i = min(map(_leading_zeros, self.num.groups.values()))
+        num, j = self.num._shift((0, -i)), 0
+        while (q := divide_exact(num, _DISC)) is not None:
             num, j = q, j + 1
-        if len(num.terms) != 1 or any(x != 0 for x in next(iter(num.terms))):
+        if list(num.groups) != [(0,)]:
             raise ValueError("element is not invertible in the localization")
-        c = Fraction(next(iter(num.terms.values())), num.den)
+        c = Fraction(num.groups[(0,)][0], num.den)
         inv_num = (_A3 ** self.e3) * (_DISC ** self.e9) * (1 / c)
         return LocElem(inv_num, i, j)
 
@@ -551,28 +665,20 @@ def _lift(g, e3, e9):
     """The numerator of g over the denominator a3^e3 (a1^3 - 27*a3)^e9."""
     num = g.num
     if e3 > g.e3:
-        num = num * _A3 ** (e3 - g.e3)
+        num = num._shift((0, e3 - g.e3))
     if e9 > g.e9:
         num = num * _DISC ** (e9 - g.e9)
     return num
 
 
-def _disc_may_divide(num):
-    """Whether a1^3 - 27*a3 may divide num, a polynomial in (a1, a3): every
-    multiple of it vanishes at (a1, a3) = (3, 1), so where num does not, the
-    division need not be tried."""
-    return not sum(c * 3 ** e[0] for e, c in num.terms.items())
-
-
 def _loc_reduce(num, e3, e9):
     if num.is_zero():
         return num, 0, 0
-    while e3 > 0:
-        q = divide_exact(num, _A3)
-        if q is None:
-            break
-        num, e3 = q, e3 - 1
-    while e9 > 0 and _disc_may_divide(num):
+    if e3:
+        k = min(e3, *map(_leading_zeros, num.groups.values()))
+        if k:
+            num, e3 = num._shift((0, -k)), e3 - k
+    while e9 > 0:
         q = divide_exact(num, _DISC)
         if q is None:
             break

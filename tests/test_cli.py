@@ -214,3 +214,45 @@ def test_verify_single_item(capsys):
 def test_verify_bad_item(capsys):
     code, out, err = run(capsys, "verify", "--item", "99")
     assert code == 1
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+@pytest.mark.parametrize("argv, module, name, exc", [
+    (("maps", "--expr", "fstar(c4)"), "tmf3.levelmaps", "_cached_pow",
+     ValueError("internal fault")),
+    (("delta", "--c4-pow", "2"), "tmf3.levelmaps", "delta_map",
+     ValueError("internal fault")),
+    # only the lookup of the item is user input, not its run
+    (("verify", "--item", "3"), "tmf3.levelmaps", "cochain_D1",
+     ValueError("internal fault")),
+    (("normalize", "--curve", "1,0,2,0,0", "--point", "0,0"), "tmf3.weierstrass",
+     "transform", ZeroDivisionError("internal fault")),
+    (("invariants", "--curve", "0,0,1,-1,0"), "tmf3.weierstrass.WCurve", "j",
+     ValueError("internal fault")),
+])
+def test_an_internal_error_surfaces_as_a_traceback(monkeypatch, argv, module, name, exc):
+    # only errors in evaluating user input are domain errors (exit 1)
+    monkeypatch.setattr(f"{module}.{name}", _raise(exc))
+    with pytest.raises(type(exc), match="internal fault"):
+        main(list(argv))
+
+
+def test_user_input_errors_are_domain_errors(capsys):
+    for argv in (("maps", "--expr", "tstar(a1)"), ("delta", "--c4-pow", "0", "--val2"),
+                 ("delta", "--c4-pow=-1"), ("delta", "--delta-pow", "1", "--range", "0..3"),
+                 ("qexp", "--eisenstein", "2"), ("verify", "--item", "0"),
+                 ("normalize", "--curve", "0,0,1,-1,0", "--point", "0,0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: "), argv
+
+
+def test_invariants_j_placeholder(capsys):
+    code, out, err = run(capsys, "invariants", "--curve", "0,0,0,0,0", "--json")
+    assert code == 0 and json.loads(out)["result"]["j"] == "undefined (Delta = 0)"
+    code, out, err = run(capsys, "invariants", "--curve", "0,0,1,-1,0", "--json")
+    assert json.loads(out)["result"]["j"] == "110592/37"

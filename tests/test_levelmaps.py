@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmf3.multipoly import LocElem, MultiPoly, a1, a3, disc_factor
 from tmf3.levelmaps import (LevelOneForm, F4, F6, FDELTA, Q4, Q6, QDELTA,
@@ -126,3 +128,45 @@ def test_binomial_lemma_examples():
             assert lemma_binomial_check(d, k)["pass"]
     with pytest.raises(ValueError):
         lemma_binomial_check(1, 3)
+
+
+# -- tstar against the generator expansion ------------------------------------
+
+def _ref_tstar(g):
+    """t* as the earlier code computed it: clear the denominator to a power
+    Delta^m, expand each monomial a1^i a3^j of the numerator in
+    T_A = t*(a1^2), T_B = t*(a1 a3), T_C = t*(a3^2), and divide by
+    t*(Delta^m) = q*(Delta)^m = a3^m (a1^3 - 27 a3)^(3m)."""
+    m = max(math.ceil(g.e3 / 3), g.e9)
+    num = g.num * a3() ** (3 * m - g.e3) * disc_factor() ** (m - g.e9)
+    out = MultiPoly.zero()
+    for (i, j), c in num.terms.items():
+        k = min(i, j)
+        term = Fraction(c, num.den) * T_B ** k
+        if i > j:
+            term = term * T_A ** ((i - j) // 2)
+        elif j > i:
+            term = term * T_C ** ((j - i) // 2)
+        out = out + term
+    return LocElem(out, m, 3 * m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 4)),
+                       st.builds(Fraction, st.integers(-30, 30),
+                                 st.sampled_from([1, 2, 3, 9])), max_size=5),
+       st.integers(0, 4), st.integers(0, 3))
+def test_tstar_matches_the_generator_expansion(terms, e3, e9):
+    # a sigma-invariant element: every a1^i a3^j has i + j = e3 + e9 mod 2
+    terms = {(i, j): c for (i, j), c in terms.items() if (i + j - e3 - e9) % 2 == 0}
+    g = LocElem(MultiPoly(terms), e3, e9)
+    assert tstar(g) == _ref_tstar(g)
+    if not g.is_zero() and len(g.num.groups) == 1:
+        assert tstar(tstar(g)) == Fraction(3) ** g.weight_of() * g
+
+
+def test_tstar_rejects_an_element_that_is_not_sigma_invariant():
+    with pytest.raises(ValueError, match="sigma-invariant"):
+        tstar(LocElem(a1() ** 2 + a3()))
+    with pytest.raises(ValueError, match="sigma-invariant"):
+        tstar(LocElem(a1() ** 2, 1, 0))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, delta_poly,
                             disc_factor, divide_exact, mod2,
-                            min_a1_term, _disc_may_divide)
+                            min_a1_term)
 from tmf3.rationals import val_p_int
 
 
@@ -91,7 +91,8 @@ def test_min_a1_term():
 
 # -- differential tests against a Fraction-dict reference ---------------------
 #
-# A reference polynomial is a dict {(i, j): nonzero Fraction} in (a1, a3).
+# A reference polynomial is a dict {exponent tuple: nonzero Fraction}, in
+# (a1, a3) unless a test says otherwise.
 
 def _ref_clean(t):
     return {e: c for e, c in t.items() if c}
@@ -106,15 +107,15 @@ def _ref_add(p, q):
 
 def _ref_mul(p, q):
     t = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            e = (i1 + i2, j1 + j2)
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
             t[e] = t.get(e, 0) + c1 * c2
     return _ref_clean(t)
 
 
-def _ref_pow(p, n):
-    out = {(0, 0): Fraction(1)}
+def _ref_pow(p, n, nvars=2):
+    out = {(0,) * nvars: Fraction(1)}
     for _ in range(n):
         out = _ref_mul(out, p)
     return out
@@ -125,16 +126,16 @@ _REF_DISC = {(3, 0): Fraction(1), (0, 1): Fraction(-27)}
 
 
 def _ref_divide(p, d):
-    """Long division in the first variable d involves, leading terms first."""
-    pivot = next(i for i in (0, 1) if any(e[i] for e in d))
-    (le, lc), = [(e, c) for e, c in d.items() if e[pivot] == max(x[pivot] for x in d)]
+    """Division by the lex-leading term of d, leading terms of p first; with
+    one divisor, a leading term it does not divide stays in the remainder."""
+    le = max(d)
     q, r = {}, dict(p)
     while r:
-        e = max(r, key=lambda t: (t[pivot], t))
-        qe = (e[0] - le[0], e[1] - le[1])
+        e = max(r)
+        qe = tuple(x - y for x, y in zip(e, le))
         if min(qe) < 0:
             return None
-        qc = r[e] / lc
+        qc = r[e] / d[le]
         q[qe] = qc
         r = _ref_add(r, _ref_mul({qe: -qc}, d))
     return q
@@ -150,13 +151,13 @@ def _ref_loc_reduce(num, e3, e9):
     return num, e3, e9
 
 
-def _ref_text(p):
+def _ref_text(p, names=("a1", "a3")):
     if not p:
         return "0"
     parts = []
     for e in sorted(p, reverse=True):
         factors = [str(p[e])]
-        for name, x in zip(("a1", "a3"), e):
+        for name, x in zip(names, e):
             if x == 1:
                 factors.append(name)
             elif x > 1:
@@ -170,8 +171,9 @@ def _agrees(poly, ref):
     assert poly.den > 0 and math.gcd(poly.den, *poly.terms.values()) == 1
     assert all(isinstance(c, int) and c for c in poly.terms.values())
     assert poly.den == 1 or poly.terms
+    assert all(cs and cs[-1] for cs in poly.groups.values())
     assert {e: poly.coeff(e) for e in poly.terms} == ref
-    assert poly.to_text() == _ref_text(ref)
+    assert poly.to_text() == _ref_text(ref, poly.vars)
     return True
 
 
@@ -227,14 +229,82 @@ def test_loc_elem_canonical_form_matches_fraction_reference(p, k3, k9, e3, e9):
     assert _agrees(g.num, want)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_REF_POLYS, _REF_POLYS)
-def test_disc_early_rejection_never_rejects_a_multiple(p, r):
-    # LocElem skips the division by a1^3 - 27*a3 only where it must fail
-    assert _disc_may_divide(MultiPoly(_ref_mul(p, _REF_DISC)))
-    num = _ref_add(_ref_mul(p, _REF_DISC), r)
-    if not _disc_may_divide(MultiPoly(num)):
-        assert _ref_divide(num, _REF_DISC) is None
+# the three variable sets of the package: the level-3 ring, the binomial
+# lemma's (u, v) and the function field's (a1, a3, x), each with the
+# exponent bounds its random polynomials use
+VAR_SETS = [(("a1", "a3"), (1, 3), (6, 3)), (("u", "v"), (1, 1), (6, 6)),
+            (("a1", "a3", "x"), (1, 3, 2), (4, 2, 3))]
+
+
+def _polys(bounds):
+    return st.dictionaries(st.tuples(*(st.integers(0, b) for b in bounds)),
+                           _COEFFS, max_size=6).map(_ref_clean)
+
+
+@pytest.mark.parametrize("vars, weights, bounds", VAR_SETS, ids=["a1a3", "uv", "a1a3x"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_graded_layout_matches_fraction_reference(vars, weights, bounds, data):
+    p, q, r = (data.draw(_polys(bounds)) for _ in range(3))
+    n = data.draw(st.integers(0, 4))
+    P, Q = MultiPoly(p, vars, weights), MultiPoly(q, vars, weights)
+    one = (0,) * len(vars)
+    assert _agrees(P, p)
+    assert _agrees(P + Q, _ref_add(p, q))
+    assert _agrees(P - Q, _ref_add(p, {e: -c for e, c in q.items()}))
+    assert _agrees(P * Q, _ref_mul(p, q))
+    assert _agrees(P ** n, _ref_pow(p, n, len(vars)))
+    assert _agrees(P * Fraction(-5, 9), _ref_mul(p, {one: Fraction(-5, 9)}))
+    # equal values built along different paths are equal and hash alike
+    assert (P == Q) == (p == q)
+    assert P * Q == Q * P and hash(P * Q) == hash(Q * P)
+    assert (P + Q) - Q == P and hash((P + Q) - Q) == hash(P)
+    assert mod2(P).monos == {e for e, c in p.items() if c.numerator % 2}
+    if p:
+        assert P.content_val2() == min(val_p_int(c.numerator, 2) for c in p.values())
+        if "a1" in vars:
+            e = min(p, key=lambda t: (t[0], t))
+            assert min_a1_term(P) == (e, p[e])
+        else:
+            with pytest.raises(ValueError):
+                min_a1_term(P)
+    if len(vars) != 2:
+        with pytest.raises(ValueError, match="two variables"):
+            divide_exact(P, MultiPoly.gen(vars[-1], vars, weights))
+    elif q:
+        # any nonzero divisor, homogeneous or not: an exact multiple, then
+        # the same plus a remainder that may break it
+        assert _agrees(divide_exact(P * Q, Q), p)
+        num = _ref_add(_ref_mul(p, q), r)
+        got = divide_exact(MultiPoly(num, vars, weights), Q)
+        want = _ref_divide(num, q)
+        assert got is None if want is None else _agrees(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(VAR_SETS[:2]), st.integers(0, 2),
+       st.lists(_COEFFS, min_size=1, max_size=7).filter(lambda cs: cs[-1]),
+       st.integers(0, 6))
+def test_power_of_a_homogeneous_polynomial(var_set, zeros, cs, n):
+    # one weight group, leading zeros included: the power takes Miller's
+    # recurrence, checked against repeated products
+    vars, weights, _ = var_set
+    wl, top = weights[1], zeros + len(cs) - 1
+    p = _ref_clean({(wl * (top - j), j): c for j, c in enumerate([0] * zeros + cs)})
+    P = MultiPoly(p, vars, weights)
+    assert len(P.groups) == 1
+    assert _agrees(P ** n, _ref_pow(p, n))
+
+
+def test_inhomogeneous_sums():
+    s = a1() + a3()
+    assert sorted(s.groups) == [(1,), (3,)]
+    assert (s - a3()).to_text() == "1*a1"
+    assert (s ** 2).to_text() == "1*a1^2 + 2*a1*a3 + 1*a3^2"
+    assert divide_exact(s ** 3, s) == s ** 2
+    assert divide_exact(s ** 3 + a1(), s) is None
+    with pytest.raises(ValueError):
+        s.weight_of()
 
 
 def test_loc_elem_zero_is_not_invertible():
