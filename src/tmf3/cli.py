@@ -1,6 +1,10 @@
 """Command-line front end: expression parser, one subcommand per concern,
 text/JSON emitters, and the verification suite runner.
 
+The tokens and AST nodes (``Token``, ``Num``, ``Ident``, ``Unary``,
+``BinOp``, ``Call``) are frozen records (``tmf3.record``), so two parses of
+the same text compare equal.
+
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
 3 verification failure. A domain error (``DomainError``) is raised where
 user input is evaluated and cannot be; other exceptions propagate.
@@ -11,8 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class CliSyntaxError(Exception):
@@ -34,12 +39,9 @@ KNOWN_IDENTS = ("a1", "a3", "c4", "c6", "Delta", "q")
 KNOWN_FUNCS = ("fstar", "qstar", "hstar", "tstar", "delta")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str   # "int", "ident", "op", "lparen", "rparen", "comma", "end"
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    # kind: "int", "ident", "op", "lparen", "rparen", "comma" or "end"
+    __slots__ = ("kind", "text", "line", "col")
 
 
 def _tokenize(text: str):
@@ -92,33 +94,24 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Ident(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
+class Unary(Record):
+    __slots__ = ("op", "operand")
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
+class Call(Record):
+    __slots__ = ("func", "arg")
 
 
 # precedence: ^ (4, right) > unary - (3) > * / (2) > + - (1)

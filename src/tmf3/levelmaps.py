@@ -278,7 +278,8 @@ def tstar(g: LocElem) -> LocElem:
     num = MultiPoly._new({(w,): [sign * 3 ** (power - low) * x for x in acc]
                           for w, (sign, power, acc) in groups.items()},
                          g.num.den, g.num.vars, g.num.weights)
-    return LocElem(num * Fraction(3) ** low, e9, e3)
+    # t* swaps a3 and a1^3 - 27 a3 up to units, so the result is canonical
+    return LocElem._from_canonical(num * Fraction(3) ** low, e9, e3)
 
 
 def delta_map(m: LevelOneForm) -> LocElem:

@@ -566,6 +566,16 @@ class LocElem:
         self.e9 = e9
 
     @classmethod
+    def _from_canonical(cls, num: MultiPoly, e3: int, e9: int):
+        """num / (a3^e3 (a1^3 - 27*a3)^e9) from a numerator that is already
+        canonical (divisible by neither factor of a positive power), taken
+        as it is; a zero numerator still gives e3 = e9 = 0."""
+        g = cls.__new__(cls)
+        g.num = num
+        g.e3, g.e9 = (0, 0) if num.is_zero() else (e3, e9)
+        return g
+
+    @classmethod
     def from_poly(cls, p):
         if isinstance(p, LocElem):
             return p
@@ -596,8 +606,10 @@ class LocElem:
 
     __radd__ = __add__
 
+    # negation, a scalar and a power keep a numerator canonical: a3 and
+    # a1^3 - 27*a3 are prime, so neither divides num^n unless it divides num
     def __neg__(self):
-        return LocElem(-self.num, self.e3, self.e9)
+        return LocElem._from_canonical(-self.num, self.e3, self.e9)
 
     def __sub__(self, other):
         return self + (-LocElem.from_poly(other))
@@ -607,7 +619,7 @@ class LocElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LocElem(self.num * other, self.e3, self.e9)
+            return LocElem._from_canonical(self.num * other, self.e3, self.e9)
         other = LocElem.from_poly(other)
         return LocElem(self.num * other.num, self.e3 + other.e3, self.e9 + other.e9)
 
@@ -617,7 +629,7 @@ class LocElem:
         if n < 0:
             inv = self.inverse()
             return inv ** (-n)
-        return LocElem(self.num ** n, self.e3 * n, self.e9 * n)
+        return LocElem._from_canonical(self.num ** n, self.e3 * n, self.e9 * n)
 
     def inverse(self):
         """Inverse, defined only when num is a unit of the localization,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 INF = float("inf")
 
@@ -52,23 +51,23 @@ def val_p(q, p: int):
     return val_p_int(q.numerator, p) - val_p_int(q.denominator, p)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_all(m: int) -> tuple:
-    # B_0 .. B_m via sum_{k<=m} C(m+1,k) B_k = 0 (convention B_1 = -1/2).
-    bs = [Fraction(1)]
-    for n in range(1, m + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n + 1, k) * bs[k]
-        bs.append(-acc / (n + 1))
-    return tuple(bs)
+# B_0, B_1, ... as far as computed so far; `bernoulli` extends it on demand,
+# so each number is computed once per process whatever order m arrives in
+_BERNOULLI = [Fraction(1)]
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m for even m >= 2 (B_2 = 1/6, B_4 = -1/30)."""
     if m < 2 or m % 2 != 0:
         raise ValueError(f"bernoulli requires even m >= 2, got {m}")
-    return _bernoulli_all(m)[m]
+    bs = _BERNOULLI
+    # sum_{k<=n} C(n+1,k) B_k = 0 (convention B_1 = -1/2)
+    for n in range(len(bs), m + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            acc += math.comb(n + 1, k) * bs[k]
+        bs.append(-acc / (n + 1))
+    return bs[m]
 
 
 def sigma_pow(k: int, n: int) -> int:

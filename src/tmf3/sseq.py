@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from .multipoly import GF2Poly
 
@@ -196,19 +195,21 @@ def square_rule_check(pairs=((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))):
 
 # -- chart pages -------------------------------------------------------------
 
-@dataclass
 class ChartPage:
-    r: int
-    window: Window
-    # (s, t) -> ordered list of raw monomials (i, j); F2 basis for s >= 1,
-    # free Z[1/3] basis for s = 0
-    cells: dict
-    # t -> number of 0-line basis monomials replaced by twice themselves in
-    # the integral d3-kernel (index-2 bookkeeping)
-    zero_index2: dict = field(default_factory=dict)
-    # localization data, set by localize_stabilize
-    loc: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
+    def __init__(self, r: int, window: Window, cells: dict,
+                 zero_index2: dict = None, loc: dict = None,
+                 checks: dict = None):
+        self.r = r
+        self.window = window
+        # (s, t) -> ordered list of raw monomials (i, j); F2 basis for
+        # s >= 1, free Z[1/3] basis for s = 0
+        self.cells = cells
+        # t -> number of 0-line basis monomials replaced by twice themselves
+        # in the integral d3-kernel (index-2 bookkeeping)
+        self.zero_index2 = {} if zero_index2 is None else zero_index2
+        # localization data, set by localize_stabilize
+        self.loc = {} if loc is None else loc
+        self.checks = {} if checks is None else checks
 
     def dim(self, s, t):
         return len(self.cells.get((s, t), ()))

@@ -5,6 +5,10 @@ Coefficients live in any exact commutative ring whose elements support
 symbolic work).  Operations needing division (group law, j, normalization)
 require Fraction coefficients.
 
+Points (``WPoint``), curves (``WCurve``) and transforms (``WTransform``) are
+frozen records (``tmf3.record``): built positionally or by keyword, equal by
+type and fields, hashable and immutable.
+
 Transformation convention: ``WTransform(lam, r, s, t)`` substitutes
 x = x'/lam^2 + r, y = y'/lam^3 + s x'/lam^2 + t internally, so the new
 invariants scale as c4' = lam^4 c4, c6' = lam^6 c6, Delta' = lam^12 Delta,
@@ -13,20 +17,19 @@ and a point (x, y) maps to (lam^2 (x - r), lam^3 (y - s x + s r - t)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class CurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(Record):
     """Affine point (x, y) or the point at infinity O."""
-    x: object = None
-    y: object = None
-    infinity: bool = False
+    __slots__ = ("x", "y", "infinity")
+    _defaults = {"x": None, "y": None, "infinity": False}
 
     @classmethod
     def O(cls):
@@ -39,13 +42,8 @@ class WPoint:
 O = WPoint.O()
 
 
-@dataclass(frozen=True)
-class WCurve:
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
+class WCurve(Record):
+    __slots__ = ("a1", "a2", "a3", "a4", "a6")
 
     def coeffs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -199,12 +197,9 @@ def is_flex(C: WCurve, P: WPoint, with_reason=False):
 
 # -- coordinate transformations ----------------------------------------------
 
-@dataclass(frozen=True)
-class WTransform:
-    lam: object
-    r: object = 0
-    s: object = 0
-    t: object = 0
+class WTransform(Record):
+    __slots__ = ("lam", "r", "s", "t")
+    _defaults = {"r": 0, "s": 0, "t": 0}
 
     @classmethod
     def identity(cls):

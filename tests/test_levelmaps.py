@@ -160,7 +160,11 @@ def test_tstar_matches_the_generator_expansion(terms, e3, e9):
     # a sigma-invariant element: every a1^i a3^j has i + j = e3 + e9 mod 2
     terms = {(i, j): c for (i, j), c in terms.items() if (i + j - e3 - e9) % 2 == 0}
     g = LocElem(MultiPoly(terms), e3, e9)
-    assert tstar(g) == _ref_tstar(g)
+    t = tstar(g)
+    assert t == _ref_tstar(g)
+    # t* returns its numerator unreduced, so it must already be canonical
+    # (LocElem equality compares numerator and exponents as stored)
+    assert t == LocElem(t.num, t.e3, t.e9)
     if not g.is_zero() and len(g.num.groups) == 1:
         assert tstar(tstar(g)) == Fraction(3) ** g.weight_of() * g
 

@@ -229,6 +229,26 @@ def test_loc_elem_canonical_form_matches_fraction_reference(p, k3, k9, e3, e9):
     assert _agrees(g.num, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_REF_POLYS, st.integers(0, 3), st.integers(0, 3), _COEFFS, st.integers(0, 3),
+       _REF_POLYS, st.integers(0, 2), st.integers(0, 1))
+def test_loc_elem_results_equal_the_reduced_form(p, e3, e9, c, n, q, k3, k9):
+    # negation, a scalar and a power keep the numerator unreduced; a product
+    # with h, whose numerator has the factors a3^k3 (a1^3 - 27 a3)^k9, must not
+    g = LocElem(MultiPoly(p), e3, e9)
+    h = LocElem(MultiPoly(q) * a3() ** k3 * disc_factor() ** k9)
+    cases = [(LocElem._from_canonical(g.num, g.e3, g.e9), g.num, g.e3, g.e9),
+             (-g, -g.num, g.e3, g.e9),
+             (g * c, g.num * c, g.e3, g.e9),
+             (g * 0, g.num * 0, g.e3, g.e9),
+             (g ** n, g.num ** n, g.e3 * n, g.e9 * n),
+             (g * h, g.num * h.num, g.e3, g.e9)]
+    # LocElem equality compares numerator and exponents as stored
+    for got, num, f3, f9 in cases:
+        assert got == LocElem(num, f3, f9)
+    assert ((g * 0).e3, (g * 0).e9) == (0, 0)
+
+
 # the three variable sets of the package: the level-3 ring, the binomial
 # lemma's (u, v) and the function field's (a1, a3, x), each with the
 # exponent bounds its random polynomials use

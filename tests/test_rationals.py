@@ -1,0 +1,33 @@
+import math
+from fractions import Fraction
+
+import pytest
+
+from tmf3.rationals import bernoulli, is_prime
+
+# B_2 .. B_14
+_SMALL = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
+          8: Fraction(-1, 30), 10: Fraction(5, 66), 12: Fraction(-691, 2730),
+          14: Fraction(7, 6)}
+
+
+def test_bernoulli_closed_forms():
+    for m, b in _SMALL.items():
+        assert bernoulli(m) == b
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_m + sum of 1/p over the primes p with p - 1 | m is an integer, so the
+    # denominator of B_m is the product of those primes; the sign alternates
+    for m in range(40, 0, -2):
+        primes = [p for p in range(2, m + 2) if is_prime(p) and m % (p - 1) == 0]
+        b = bernoulli(m)
+        assert (b + sum(Fraction(1, p) for p in primes)).denominator == 1
+        assert b.denominator == math.prod(primes)
+        assert (b > 0) == (m % 4 == 2)
+
+
+def test_bernoulli_rejects_odd_and_small_indices():
+    for m in (0, 1, 3, -2):
+        with pytest.raises(ValueError, match="even m >= 2"):
+            bernoulli(m)
