@@ -16,7 +16,6 @@ coordinates (X, Y), the quotient curve, and the exact verification that
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .multipoly import MultiPoly
 from .weierstrass import WCurve
@@ -220,17 +219,3 @@ def verify_isogeny(Cprime=None, X=None, Y=None):
     report["closed_form"] = (X == Xc and Y == Yc)
     return report
 
-
-def numeric_point(a1, a3, x0):
-    """A rational point on y^2 + a1 xy + a3 y = x^3 with given x0, when the
-    quadratic in y splits over Q; returns (x0, y0) or None."""
-    a1, a3, x0 = Fraction(a1), Fraction(a3), Fraction(x0)
-    # y^2 + (a1 x0 + a3) y - x0^3 = 0
-    b = a1 * x0 + a3
-    disc = b * b + 4 * x0 ** 3
-    if disc < 0:
-        return None
-    root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
-    if root * root != disc:
-        return None
-    return (x0, (-b + root) / 2)

@@ -14,16 +14,14 @@ polynomials have equal fields. Products are list convolutions, one per pair
 of groups; ``terms`` is a read-only view {exponent tuple: int}.
 
 The default variable set is (a1, a3) carrying modular-form weights (1, 3);
-an extended set a1, a2, a3, a4, a6 (weights 1, 2, 3, 4, 6) is available for
-the Weierstrass invariant polynomials, and ad-hoc sets like (u, v) serve the
-binomial lemma checks.
+other variables default to weight 1 unless weights are given, so ad-hoc sets
+like (u, v) serve the binomial lemma checks.
 
 Also provides:
 
-* ``divide_exact`` -- for two variables, weight by weight: dividing a
-  weight-w list by a homogeneous divisor is the recurrence
-  q_j = (c_j - sum_i e_i q_(j-i)) / e_0 from the low end (for a1^3 - 27*a3,
-  q_j = c_j + 27 q_(j-1)), followed by an exact check of the product;
+* ``divide_exact`` -- exact division by a1^3 - 27*a3 only, weight by
+  weight: the quotient's list is q_j = c_j + 27 q_(j-1) from the low end,
+  accepted only if the product gives back p;
 * ``GF2Poly`` -- the mod-2 reduction, as a set of exponent vectors;
 * ``LocElem`` -- canonical elements of the localization inverting
   Delta = a3^3 * (a1^3 - 27*a3); denominators are tracked as the pair
@@ -39,7 +37,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 DEFAULT_VARS = ("a1", "a3")
-STANDARD_WEIGHTS = {"a1": 1, "a2": 2, "a3": 3, "a4": 4, "a6": 6}
+STANDARD_WEIGHTS = {"a1": 1, "a3": 3}
 
 
 def _weights_for(vars):
@@ -302,12 +300,6 @@ class MultiPoly:
         cs = self.groups.get((sum(map(mul, e, self.weights)), *e[1:-1]), ())
         return Fraction(cs[e[-1]] if e[-1] < len(cs) else 0, self.den)
 
-    def degree_in(self, name: str) -> int:
-        if not self.groups:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
     def weight_of(self) -> int:
         """Common weight of all terms; raises if inhomogeneous or zero."""
         if not self.groups:
@@ -363,11 +355,6 @@ def disc_factor():
     return a1() ** 3 - 27 * a3()
 
 
-def delta_poly():
-    """Delta = a3^3 * (a1^3 - 27*a3) = a1^3*a3^3 - 27*a3^4."""
-    return a3() ** 3 * disc_factor()
-
-
 # the two factors of Delta, shared by every LocElem operation
 _A3 = a3()
 _DISC = disc_factor()
@@ -375,78 +362,25 @@ _DISC = disc_factor()
 
 # -- exact division ---------------------------------------------------------
 
-def _divide_list(c, e, n, scale):
-    """The list q of length n with q * e == c * scale, or None; e[0] != 0
-    and ``scale`` a power of e[0] that makes every step exact."""
-    if scale != 1:
-        c = [x * scale for x in c]
-    e0, top = e[0], len(e) - 1
-    q = []
-    for j in range(n):
-        s = c[j]
-        for i in range(1, min(j, top) + 1):
-            s -= e[i] * q[j - i]
-        q.append(s if e0 == 1 else s // e0)
-    return q if _convolve(q, e) == c else None
+def divide_exact(p: MultiPoly):
+    """Exact quotient p / (a1^3 - 27*a3), or None if a1^3 - 27*a3 does not
+    divide p; p is a polynomial in (a1, a3).
 
-
-def _divide_homogeneous(p, d):
-    """p / d for a homogeneous d in two variables, weight by weight."""
-    ((dw,), e), = d.groups.items()
-    z = _leading_zeros(e)
-    e = e[z:]
-    wl = p.weights[-1]
-    sizes = {}
-    for (w,), c in p.groups.items():
-        # q has len(c) - z - len(e) + 1 entries; its top one must keep the
-        # first variable's exponent w - dw - wl * (len(q) - 1) >= 0
-        n = len(c) - z - len(e) + 1
-        if n <= 0 or w - dw - wl * (n - 1) < 0 or any(c[:z]):
-            return None
-        sizes[w] = n
-    scale = e[0] ** max(sizes.values())
+    Weight by weight the quotient's list is q_j = c_j + 27 q_(j-1). Then
+    q * (a1^3 - 27*a3) equals p in every coefficient but the top one, so
+    the product gives back p exactly when c_n = -27 q_(n-1).
+    """
+    p._check(_DISC)
     out = {}
     for (w,), c in p.groups.items():
-        q = _divide_list(c[z:], e, sizes[w], scale)
-        if q is None:
+        q, prev = [], 0
+        for x in c[:-1]:
+            prev = x + 27 * prev
+            q.append(prev)
+        if c[-1] != -27 * prev:
             return None
-        out[(w - dw,)] = q
-    return MultiPoly._new(_scale(out, d.den if scale > 0 else -d.den),
-                          abs(scale) * p.den, p.vars, p.weights)
-
-
-def divide_exact(p: MultiPoly, d: MultiPoly):
-    """Exact quotient p / d, or None if d does not divide p; for
-    polynomials in two variables.
-
-    A homogeneous d divides p weight by weight (`_divide_list`); a
-    non-unit e_0 is folded into the quotient's denominator. Otherwise the
-    lowest-weight part of the quotient is the lowest-weight part of p over
-    that of d, and the rest follows from p minus that part times d.
-    """
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    p._check(d)
-    if len(p.vars) != 2:
-        raise ValueError("divide_exact needs polynomials in two variables")
-    if p.is_zero():
-        return MultiPoly.zero(p.vars, p.weights)
-    if len(d.groups) == 1:
-        return _divide_homogeneous(p, d)
-    low = min(d.groups)
-    d_low = MultiPoly._new({low: d.groups[low]}, d.den, d.vars, d.weights)
-    top = max(p.groups)[0] - max(d.groups)[0]
-    q = MultiPoly.zero(p.vars, p.weights)
-    while p:
-        w = min(p.groups)
-        if w[0] - low[0] > top:
-            return None
-        part = _divide_homogeneous(MultiPoly._new({w: p.groups[w]}, p.den, p.vars,
-                                                  p.weights), d_low)
-        if part is None:
-            return None
-        q, p = q + part, p - part * d
-    return q
+        out[(w - 3,)] = q
+    return MultiPoly._new(out, p.den, p.vars, p.weights)
 
 
 # -- mod 2 -------------------------------------------------------------------
@@ -583,11 +517,6 @@ class LocElem:
             p = MultiPoly.const(p)
         return cls(p, 0, 0)
 
-    @classmethod
-    def delta_inverse(cls, k: int = 1):
-        """Delta^-k as a LocElem; sugar for exponents (3k, k)."""
-        return cls(MultiPoly.const(1), 3 * k, k)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -638,18 +567,13 @@ class LocElem:
             raise ValueError("element is not invertible in the localization")
         i = min(map(_leading_zeros, self.num.groups.values()))
         num, j = self.num._shift((0, -i)), 0
-        while (q := divide_exact(num, _DISC)) is not None:
+        while (q := divide_exact(num)) is not None:
             num, j = q, j + 1
         if list(num.groups) != [(0,)]:
             raise ValueError("element is not invertible in the localization")
         c = Fraction(num.groups[(0,)][0], num.den)
         inv_num = (_A3 ** self.e3) * (_DISC ** self.e9) * (1 / c)
         return LocElem(inv_num, i, j)
-
-    def as_poly(self) -> MultiPoly:
-        if self.e3 or self.e9:
-            raise ValueError("element has a nontrivial denominator")
-        return self.num
 
     def weight_of(self) -> int:
         return self.num.weight_of() - 3 * self.e3 - 3 * self.e9
@@ -691,7 +615,7 @@ def _loc_reduce(num, e3, e9):
         if k:
             num, e3 = num._shift((0, -k)), e3 - k
     while e9 > 0:
-        q = divide_exact(num, _DISC)
+        q = divide_exact(num)
         if q is None:
             break
         num, e9 = q, e9 - 1

@@ -8,7 +8,8 @@ Arithmetic truncates to the minimum precision of the operands, so precision
 tracking is automatic and pessimistic.
 
 Provides c4, c6, Delta, the Eisenstein series G_2k, and exact expression of
-G_2k in the c4/c6/Delta monomial basis by linear algebra over Q.
+G_2k in the c4/c6/Delta monomial basis by back-substitution: that basis is
+unitriangular in q, since c4^a c6^eps Delta^d = q^d + O(q^(d+1)).
 """
 
 from __future__ import annotations
@@ -161,11 +162,6 @@ class QSeries:
                                  self.den, self.prec)
         return QSeries._make(([0] * k + self.nums)[:self.prec], self.den, self.prec)
 
-    def truncate(self, prec):
-        if prec > self.prec:
-            raise ValueError("cannot extend precision by truncation")
-        return QSeries(self.coeffs, prec)
-
     def to_text(self, terms=8):
         parts = []
         for n, c in enumerate(self.coeffs[:terms]):
@@ -226,73 +222,36 @@ def series_delta(prec: int) -> QSeries:
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------
 
-def _holomorphic_basis(weight: int):
-    """Monomials c4^a c6^eps Delta^d of the given weight with a, d >= 0 and
-    eps in {0, 1} -- a Q-basis of the weight-w modular forms."""
-    basis = []
-    for eps in (0, 1):
-        for d in range(weight // 12 + 1):
-            rem = weight - 6 * eps - 12 * d
-            if rem >= 0 and rem % 4 == 0:
-                basis.append((rem // 4, eps, d))
-    return sorted(basis)
-
-
-def _solve_exact(rows, rhs):
-    """Solve the (possibly overdetermined, consistent) system over Q by
-    Gaussian elimination; returns the solution or raises ValueError."""
-    m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        scale = aug[row][col]
-        aug[row] = [x / scale for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if len(pivots) < n:
-        raise ValueError("underdetermined system")
-    for i in range(row, m):
-        if aug[i][n] != 0:
-            raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][n]
-    return sol
-
-
 def eisenstein_in_c4c6(k: int) -> dict:
     """Exact expression of G_k as a polynomial in c4, c6, Delta.
 
     Returns {(a, eps, d): coefficient} with G_k = sum c * c4^a c6^eps Delta^d,
-    determined by matching q-expansions at precision len(basis) + 10.
+    in ascending a. The weight-k monomials have eps = 1 exactly when
+    k = 2 mod 4, and c4^a c6^eps Delta^d = q^d + O(q^(d+1)); so for
+    d = 0, 1, ... the coefficient of Delta^d is the q^d coefficient of what is
+    left of G_k after the lower powers of Delta are subtracted. What is left
+    at the end must vanish to precision (number of monomials) + 10.
     """
-    basis = _holomorphic_basis(k)
-    if not basis:
+    eps = 1 if k % 4 == 2 else 0
+    if k % 2 or k < 6 * eps:
         raise ValueError(f"no holomorphic forms of weight {k}")
-    prec = len(basis) + 10
+    n = (k - 6 * eps) // 12 + 1
+    prec = n + 10
     c4s, c6s, ds = series_c4(prec), series_c6(prec), series_delta(prec)
-    cols = []
-    for (a, eps, d) in basis:
-        s = c4s ** a
-        if eps:
-            s = s * c6s
-        s = s * ds ** d
-        cols.append(s.coeffs)
-    g = eisenstein_G(k, prec)
-    rows = [[cols[j][i] for j in range(len(basis))] for i in range(prec)]
-    sol = _solve_exact(rows, g.coeffs)
-    return {basis[j]: sol[j] for j in range(len(basis)) if sol[j] != 0}
+    rest = eisenstein_G(k, prec)
+    expr = {}
+    for d in range(n):
+        c = rest[d]
+        if c:
+            a = (k - 6 * eps - 12 * d) // 4
+            s = c4s ** a
+            if eps:
+                s = s * c6s
+            rest = rest - c * (s * ds ** d)
+            expr[(a, eps, d)] = c
+    if not rest.is_zero():
+        raise ValueError("inconsistent system")
+    return dict(reversed(expr.items()))
 
 
 def e_alpha(k: int):

@@ -2,8 +2,8 @@
 divisor power sums.
 
 Rationals are plain ``fractions.Fraction`` values: always reduced, positive
-denominator, structural equality.  ``val_p(0)`` returns the ``INF`` sentinel
-so valuation arithmetic stays total.
+denominator, structural equality.  ``val_p_int(0)`` returns the ``INF``
+sentinel so valuation arithmetic stays total.
 """
 
 from __future__ import annotations
@@ -12,21 +12,6 @@ import math
 from fractions import Fraction
 
 INF = float("inf")
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def val_p_int(n: int, p: int):
@@ -39,16 +24,6 @@ def val_p_int(n: int, p: int):
         n //= p
         v += 1
     return v
-
-
-def val_p(q, p: int):
-    """p-adic valuation of a Fraction or int.  Total: val_p(0) = +inf."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return INF
-    return val_p_int(q.numerator, p) - val_p_int(q.denominator, p)
 
 
 # B_0, B_1, ... as far as computed so far; `bernoulli` extends it on demand,

@@ -340,6 +340,3 @@ def get_item(index: int):
         raise ValueError(f"no verification item {index}; valid range 1..{len(ITEMS)}")
     return ITEMS[index - 1]
 
-
-def run_item(index: int):
-    return get_item(index)()

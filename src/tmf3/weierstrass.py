@@ -84,10 +84,6 @@ class WCurve(Record):
         c4 = self.c4()
         return c4 * c4 * c4 / d
 
-    def invariants(self):
-        return (self.b2(), self.b4(), self.b6(), self.b8(),
-                self.c4(), self.c6(), self.disc())
-
     def is_smooth(self):
         return bool(self.disc())
 
@@ -201,10 +197,6 @@ class WTransform(Record):
     __slots__ = ("lam", "r", "s", "t")
     _defaults = {"r": 0, "s": 0, "t": 0}
 
-    @classmethod
-    def identity(cls):
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-
     def compose(self, other: "WTransform") -> "WTransform":
         """Transform equal to applying self first, then other."""
         l1, r1, s1, t1 = self.lam, self.r, self.s, self.t
@@ -222,9 +214,6 @@ class WTransform(Record):
     def inverse(self) -> "WTransform":
         l, r, s, t = Fraction(self.lam), self.r, self.s, self.t
         return WTransform(1 / l, -r * l * l, -s * l, l ** 3 * (s * r - t))
-
-    def is_identity(self):
-        return self.lam == 1 and self.r == 0 and self.s == 0 and self.t == 0
 
 
 def transform(C: WCurve, T: WTransform) -> WCurve:

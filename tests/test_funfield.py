@@ -7,7 +7,7 @@ import pytest
 
 from tmf3 import funfield
 from tmf3.funfield import (FFElem, sigma_pullback, velu3, velu3_closed_form,
-                           verify_isogeny, numeric_point)
+                           verify_isogeny)
 from tmf3.multipoly import MultiPoly
 from tmf3.weierstrass import WCurve
 
@@ -55,15 +55,6 @@ def test_quotient_curve_coefficients():
 def test_full_isogeny_verification():
     report = verify_isogeny()
     assert all(report.values()), report
-
-
-def test_numeric_point_helper():
-    P = numeric_point(1, 2, 0)
-    assert P is not None
-    x0, y0 = P
-    assert y0 ** 2 + 1 * x0 * y0 + 2 * y0 == x0 ** 3
-    # discriminant 536, not a square
-    assert numeric_point(1, 1, 5) is None
 
 
 # -- negative controls: each check of verify_isogeny can fail ----------------

@@ -54,8 +54,12 @@ def test_g6_is_minus_c6_over_504():
 
 
 def test_higher_weight_expression_matches_expansion():
-    for k in (8, 10, 12, 14, 26):
+    for k in range(4, 61, 2):
         expr = eisenstein_in_c4c6(k)
+        # the weight-k monomials, with c6 exactly when k = 2 mod 4, by ascending a
+        assert all(4 * a + 6 * eps + 12 * d == k and eps == (k % 4 == 2)
+                   for a, eps, d in expr)
+        assert list(expr) == sorted(expr)
         prec = len(expr) + 25
         c4, c6, d = series_c4(prec), series_c6(prec), series_delta(prec)
         total = QSeries.zero(prec)
@@ -65,6 +69,14 @@ def test_higher_weight_expression_matches_expansion():
                 s = s * c6
             total = total + c * (s * d ** dd)
         assert total == eisenstein_G(k, prec)
+
+
+def test_eisenstein_expression_errors():
+    for k in (2, 3, -4):
+        with pytest.raises(ValueError, match=f"^no holomorphic forms of weight {k}$"):
+            eisenstein_in_c4c6(k)
+    with pytest.raises(ValueError, match="^eisenstein_G needs even weight >= 4$"):
+        eisenstein_in_c4c6(0)
 
 
 def test_e_alpha_weight_four():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tmf3.rationals import bernoulli, is_prime
+from tmf3.rationals import bernoulli
 
 # B_2 .. B_14
 _SMALL = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
@@ -16,11 +16,15 @@ def test_bernoulli_closed_forms():
         assert bernoulli(m) == b
 
 
+def _is_prime(p):
+    return p > 1 and all(p % f for f in range(2, math.isqrt(p) + 1))
+
+
 def test_bernoulli_von_staudt_clausen():
     # B_m + sum of 1/p over the primes p with p - 1 | m is an integer, so the
     # denominator of B_m is the product of those primes; the sign alternates
     for m in range(40, 0, -2):
-        primes = [p for p in range(2, m + 2) if is_prime(p) and m % (p - 1) == 0]
+        primes = [p for p in range(2, m + 2) if _is_prime(p) and m % (p - 1) == 0]
         b = bernoulli(m)
         assert (b + sum(Fraction(1, p) for p in primes)).denominator == 1
         assert b.denominator == math.prod(primes)
