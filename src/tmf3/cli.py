@@ -223,45 +223,6 @@ def parse(text: str):
     return _Parser(_tokenize(text)).parse()
 
 
-def to_text(node) -> str:
-    """Print an AST; parses back to an equal AST."""
-    def prec_of(n):
-        if isinstance(n, BinOp):
-            return _BINARY_PREC[n.op]
-        if isinstance(n, Unary):
-            return 3
-        return 5
-
-    def walk(n):
-        if isinstance(n, Num):
-            if n.value.denominator == 1 and n.value >= 0:
-                return str(n.value)
-            return f"({n.value})" if n.value < 0 else str(n.value)
-        if isinstance(n, Ident):
-            return n.name
-        if isinstance(n, Call):
-            return f"{n.func}({walk(n.arg)})"
-        if isinstance(n, Unary):
-            inner = walk(n.operand)
-            if prec_of(n.operand) < 3:
-                inner = f"({inner})"
-            return f"-{inner}"
-        prec = _BINARY_PREC[n.op]
-        left = walk(n.left)
-        if prec_of(n.left) < prec or (n.op == "^" and isinstance(n.left, BinOp)):
-            left = f"({left})"
-        right = walk(n.right)
-        rp = prec_of(n.right)
-        if n.op == "^":
-            if isinstance(n.right, BinOp) and n.right.op != "^":
-                right = f"({right})"
-        elif rp < prec or (rp == prec and isinstance(n.right, (BinOp, Unary))):
-            right = f"({right})"
-        return f"{left} {n.op} {right}" if n.op in "+-" else f"{left}{n.op}{right}"
-
-    return walk(node)
-
-
 # -- evaluation --------------------------------------------------------------
 
 def _level1_const(c):
@@ -590,22 +551,13 @@ def cmd_delta(args):
 
 def cmd_qexp(args):
     from .qexp import eisenstein_in_c4c6
+    from .ring import terms_text
     prec = args.precision
     if prec < 1:
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        expr = _domain(eisenstein_in_c4c6, k)
-        parts = []
-        for (ca, eps, d), c in sorted(expr.items(), reverse=True):
-            mono = [str(c)]
-            for nm, x in (("c4", ca), ("c6", eps), ("Delta", d)):
-                if x == 1:
-                    mono.append(nm)
-                elif x != 0:
-                    mono.append(f"{nm}^{x}")
-            parts.append("*".join(mono))
-        result = " + ".join(parts) if parts else "0"
+        result = terms_text(("c4", "c6", "Delta"), _domain(eisenstein_in_c4c6, k))
         return _emit(args, "qexp", {"eisenstein": k}, result, [])
     if not args.expr:
         raise DomainError("qexp needs --expr or --eisenstein K")

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly
+from .ring import monomial_text, power
 from .weierstrass import WCurve
 
 VARS = ("a1", "a3", "x")
@@ -121,19 +122,11 @@ class FFElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = FFElem(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, FFElem(1))
 
     def __repr__(self):
         s = f"({self.u.to_text()}) + ({self.v.to_text()})*y"
-        den = "*".join(name if n == 1 else f"{name}^{n}"
-                       for name, n in zip(("x", "a3"), self.den) if n)
+        den = monomial_text(("x", "a3"), self.den)
         return f"({s}) / ({den})" if den else s
 
 

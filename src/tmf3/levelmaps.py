@@ -30,6 +30,7 @@ from operator import add, mul
 
 from .multipoly import MultiPoly, LocElem, a1, a3, mod2, min_a1_term
 from .rationals import val_p_int
+from .ring import power, terms_text
 from .weierstrass import WCurve
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
@@ -140,46 +141,24 @@ class LevelOneForm:
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
             return LevelOneForm({k: c * c0 for k, c in self.terms.items()})
-        out = LevelOneForm.zero()
+        out = {}
         for (a1_, e1, d1), c1 in self.terms.items():
             for (a2_, e2, d2), c2 in other.terms.items():
                 ca, eps, d, c = a1_ + a2_, e1 + e2, d1 + d2, c1 * c2
                 if eps == 2:
                     # c6^2 = c4^3 - 1728 Delta
-                    out = out + LevelOneForm({(ca + 3, 0, d): c,
-                                              (ca, 0, d + 1): -1728 * c})
-                else:
-                    out = out + LevelOneForm({(ca, eps, d): c})
-        return out
+                    out[(ca + 3, 0, d)] = out.get((ca + 3, 0, d), 0) + c
+                    eps, d, c = 0, d + 1, -1728 * c
+                out[(ca, eps, d)] = out.get((ca, eps, d), 0) + c
+        return LevelOneForm(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a level-1 form")
-        result = LevelOneForm.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, LevelOneForm.const(1))
 
     def to_text(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (ca, eps, d) in sorted(self.terms, reverse=True):
-            c = self.terms[(ca, eps, d)]
-            factors = [str(c)]
-            for name, x in (("c4", ca), ("c6", eps), ("Delta", d)):
-                if x == 1:
-                    factors.append(name)
-                elif x != 0:
-                    factors.append(f"{name}^{x}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return terms_text(("c4", "c6", "Delta"), self.terms)
 
     def __repr__(self):
         return f"LevelOneForm({self.to_text()})"

@@ -36,6 +36,8 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
+from .ring import monomial_text, power, terms_text
+
 DEFAULT_VARS = ("a1", "a3")
 STANDARD_WEIGHTS = {"a1": 1, "a3": 3}
 
@@ -276,17 +278,10 @@ class MultiPoly:
             # every homogeneous polynomial in two variables
             (key, cs), = self.groups.items()
             z = _leading_zeros(cs)
-            power = [0] * (z * n) + _power_list(cs[z:], n)
-            return MultiPoly._new({tuple(n * x for x in key): power},
+            return MultiPoly._new({tuple(n * x for x in key):
+                                   [0] * (z * n) + _power_list(cs[z:], n)},
                                   self.den ** n, self.vars, self.weights)
-        result = MultiPoly.const(1, self.vars, self.weights)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.const(1, self.vars, self.weights))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -322,19 +317,8 @@ class MultiPoly:
 
     def to_text(self) -> str:
         """Canonical text form: terms sorted by descending lex exponents."""
-        terms = self.terms
-        if not terms:
-            return "0"
-        parts = []
-        for e in sorted(terms, reverse=True):
-            factors = [str(Fraction(terms[e], self.den))]
-            for name, x in zip(self.vars, e):
-                if x == 1:
-                    factors.append(name)
-                elif x > 1:
-                    factors.append(f"{name}^{x}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return terms_text(self.vars, {e: Fraction(c, self.den)
+                                      for e, c in self.terms.items()})
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()})"
@@ -415,40 +399,19 @@ class GF2Poly:
         return GF2Poly(self.monos ^ other.monos, self.vars)
 
     def __mul__(self, other):
+        # the products of one monomial of self are distinct, so each is a set
+        # of terms, and over F2 their sum is the symmetric difference
         acc = set()
         for e1 in self.monos:
-            for e2 in other.monos:
-                e = tuple(i + j for i, j in zip(e1, e2))
-                if e in acc:
-                    acc.discard(e)
-                else:
-                    acc.add(e)
+            acc ^= {tuple(map(add, e1, e2)) for e2 in other.monos}
         return GF2Poly(acc, self.vars)
 
     def __pow__(self, n: int):
-        result = GF2Poly([(0,) * len(self.vars)], self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            # squaring over F2 is the Frobenius: double every exponent
-            base = GF2Poly([tuple(2 * x for x in e) for e in base.monos], base.vars)
-            n >>= 1
-        return result
+        return power(self, n, GF2Poly([(0,) * len(self.vars)], self.vars))
 
     def to_text(self):
-        if not self.monos:
-            return "0"
-        parts = []
-        for e in sorted(self.monos, reverse=True):
-            factors = []
-            for name, x in zip(self.vars, e):
-                if x == 1:
-                    factors.append(name)
-                elif x > 1:
-                    factors.append(f"{name}^{x}")
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
+        return " + ".join(monomial_text(self.vars, e) or "1"
+                          for e in sorted(self.monos, reverse=True)) or "0"
 
     def __repr__(self):
         return f"GF2Poly({self.to_text()})"

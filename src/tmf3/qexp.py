@@ -20,6 +20,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .rationals import bernoulli, sigma_pow
+from .ring import power
 
 
 def _canonical(nums, den):
@@ -128,14 +129,7 @@ class QSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.one(self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, QSeries.one(self.prec))
 
     def inverse(self):
         """Multiplicative inverse; requires a unit constant term."""
@@ -254,17 +248,14 @@ def eisenstein_in_c4c6(k: int) -> dict:
     return dict(reversed(expr.items()))
 
 
-def e_alpha(k: int):
-    """The explicit building 1-cocycle on G_k: the pair
+def e_alpha(expr: dict):
+    """The explicit building 1-cocycle on G_k, from its expression
+    ``expr = eisenstein_in_c4c6(k)``: the pair
     (u (q* - f*) G_k, u (3^k - 1) G_k) with u = 1 for k = 0 mod 4 and
     u = 2 for k = 2 mod 4, returned as (LocElem, LevelOneForm)."""
-    from .levelmaps import LevelOneForm, delta_map, cochain_D1
+    from .levelmaps import LevelOneForm, delta_map
 
-    if k < 4 or k % 2 != 0:
-        raise ValueError("e_alpha needs even weight >= 4")
+    G = LevelOneForm(expr)
+    k = G.weight_of()
     u = 1 if k % 4 == 0 else 2
-    expr = eisenstein_in_c4c6(k)
-    G = LevelOneForm({key: c for key, c in expr.items()})
-    first = u * delta_map(G)
-    second = (u * (3 ** k - 1)) * G
-    return first, second
+    return u * delta_map(G), (u * (3 ** k - 1)) * G

@@ -90,29 +90,23 @@ def kernel_f2(rows, ncols_src):
 
 # -- the presentation generators --------------------------------------------
 
-# raw expansions (zeta-power, GF2Poly in a1, a3) of the named generators
-RAW_A = (0, GF2Poly([(2, 0)]))       # a1^2
-RAW_B = (0, GF2Poly([(1, 1)]))       # a1 a3
-RAW_C = (0, GF2Poly([(0, 2)]))       # a3^2
-RAW_X = (1, GF2Poly([(0, 3)]))       # zeta a3^3
-RAW_DELTA = (0, GF2Poly([(3, 3), (0, 4)]))   # B^3 - 27 C^2 mod 2
-RAW_H1 = (1, GF2Poly([(1, 0)]))      # zeta a1
-RAW_H2 = (3, GF2Poly([(0, 1)]))      # zeta^3 a3
-RAW_H20 = (1, GF2Poly([(0, 1)]))     # zeta a3
+# raw monomials a1^i zeta^s a3^j, and the named generators as their sums
+RAW_VARS = ("a1", "zeta", "a3")
 
 
-def _raw_mul(p, q):
-    return (p[0] + q[0], p[1] * q[1])
+def _raw(*monos):
+    return GF2Poly(monos, RAW_VARS)
 
 
-def _raw_pow(p, n):
-    return (p[0] * n, p[1] ** n)
-
-
-def _raw_add(p, q):
-    if p[0] != q[0] and not (p[1].is_zero() or q[1].is_zero()):
-        raise ValueError("mixed zeta-powers")
-    return (max(p[0], q[0]), p[1] + q[1])
+RAW_A = _raw((2, 0, 0))              # a1^2
+RAW_B = _raw((1, 0, 1))              # a1 a3
+RAW_C = _raw((0, 0, 2))              # a3^2
+RAW_X = _raw((0, 1, 3))              # zeta a3^3
+RAW_DELTA = _raw((3, 0, 3), (0, 0, 4))   # B^3 - 27 C^2 mod 2
+RAW_H1 = _raw((1, 1, 0))             # zeta a1
+RAW_H2 = _raw((0, 3, 1))             # zeta^3 a3
+RAW_H20 = _raw((0, 1, 1))            # zeta a3
+RAW_ZETA = _raw((0, 1, 0))
 
 
 # -- raw-monomial d3 ---------------------------------------------------------
@@ -123,61 +117,45 @@ def d3_coeff(s, i, j):
     return (s // 2 + (i - j) // 2) % 2
 
 
-def _raw_d3(s, poly: GF2Poly):
-    """d3 of a (zeta-power, GF2Poly) pair, monomial by monomial."""
-    out = GF2Poly([], poly.vars)
-    for (i, j) in poly.monos:
-        if d3_coeff(s, i, j):
-            out = out + GF2Poly([(i + 1, j)], poly.vars)
-    return (s + 3, out)
+def _raw_d3(p: GF2Poly) -> GF2Poly:
+    """d3 of a polynomial in raw monomials, monomial by monomial."""
+    return _raw(*((i + 1, s + 3, j) for (i, s, j) in p.monos if d3_coeff(s, i, j)))
 
 
 def d3_presentation_checks():
     """The displayed d3 values of the Leibniz presentation, re-derived from
     the raw-monomial formula, with Delta- and C-denominators cleared."""
     checks = {}
-
-    def eq(p, q):
-        return p[1] == q[1] and (p[0] == q[0] or p[1].is_zero())
-
-    A6_C2 = _raw_add(_raw_pow(RAW_A, 6), _raw_pow(RAW_C, 2))
-    d4 = _raw_pow(RAW_DELTA, 4)
+    A6_C2 = RAW_A ** 6 + RAW_C ** 2
+    d4 = RAW_DELTA ** 4
 
     # d3(A) = x^3 B^3 (A^6 + C^2) Delta^-4, i.e. h1^3
-    lhs = _raw_mul(_raw_d3(*RAW_A), d4)
-    rhs = _raw_mul(_raw_mul(_raw_pow(RAW_X, 3), _raw_pow(RAW_B, 3)), A6_C2)
-    checks["d3(A) = h1^3"] = (eq(lhs, rhs)
-                              and eq(_raw_d3(*RAW_A), _raw_pow(RAW_H1, 3)))
+    checks["d3(A) = h1^3"] = (
+        _raw_d3(RAW_A) * d4 == RAW_X ** 3 * RAW_B ** 3 * A6_C2
+        and _raw_d3(RAW_A) == RAW_H1 ** 3)
 
     # d3(C) = x^3 B C^2 (A^6 + C^2) Delta^-4, i.e. h1 h20^2
-    lhs = _raw_mul(_raw_d3(*RAW_C), d4)
-    rhs = _raw_mul(_raw_mul(RAW_X, _raw_pow(RAW_B, 1)), A6_C2)
-    rhs = _raw_mul(_raw_mul(rhs, _raw_pow(RAW_X, 2)), _raw_pow(RAW_C, 2))
-    h1h20sq = _raw_mul(RAW_H1, _raw_pow(RAW_H20, 2))
-    checks["d3(C) = h1 h20^2"] = (eq(lhs, rhs)
-                                  and eq(_raw_d3(*RAW_C), h1h20sq))
+    checks["d3(C) = h1 h20^2"] = (
+        _raw_d3(RAW_C) * d4 == RAW_X ** 3 * RAW_B * RAW_C ** 2 * A6_C2
+        and _raw_d3(RAW_C) == RAW_H1 * RAW_H20 ** 2)
 
-    checks["d3(B) = 0"] = _raw_d3(*RAW_B)[1].is_zero()
-    checks["d3(x) = 0"] = _raw_d3(*RAW_X)[1].is_zero()
-    checks["d3(h1) = 0"] = _raw_d3(*RAW_H1)[1].is_zero()
+    checks["d3(B) = 0"] = _raw_d3(RAW_B).is_zero()
+    checks["d3(x) = 0"] = _raw_d3(RAW_X).is_zero()
+    checks["d3(h1) = 0"] = _raw_d3(RAW_H1).is_zero()
 
     # d3(h20) = h1 h20 zeta^2, via Leibniz on h20 = x C^-1:
     # d3(h20) C^2 = x d3(C), and directly on the raw monomial
-    lhs = _raw_mul(_raw_d3(*RAW_H20), _raw_pow(RAW_C, 2))
-    rhs = _raw_mul(RAW_X, _raw_d3(*RAW_C))
-    direct = _raw_d3(*RAW_H20)
-    zeta2h1h20 = (direct[0], _raw_mul(RAW_H1, RAW_H20)[1])
-    checks["d3(h20) = h1 h20 zeta^2"] = eq(lhs, rhs) and eq(direct, zeta2h1h20)
+    checks["d3(h20) = h1 h20 zeta^2"] = (
+        _raw_d3(RAW_H20) * RAW_C ** 2 == RAW_X * _raw_d3(RAW_C)
+        and _raw_d3(RAW_H20) == RAW_H1 * RAW_H20 * RAW_ZETA ** 2)
 
     # d3(Delta) = 0 by Leibniz on B^3 - 27 C^2 (both contributions even)
-    checks["d3(Delta) = 0"] = _raw_d3(*RAW_DELTA)[1].is_zero()
+    checks["d3(Delta) = 0"] = _raw_d3(RAW_DELTA).is_zero()
 
     # translation identities locating h1, h2, h20 inside the presentation
-    checks["h1 C^2 = x B"] = eq(_raw_mul(RAW_H1, _raw_pow(RAW_C, 2)),
-                                _raw_mul(RAW_X, RAW_B))
-    checks["h2 C^4 = x^3"] = eq(_raw_mul(RAW_H2, _raw_pow(RAW_C, 4)),
-                                _raw_pow(RAW_X, 3))
-    checks["h20 C = x"] = eq(_raw_mul(RAW_H20, RAW_C), RAW_X)
+    checks["h1 C^2 = x B"] = RAW_H1 * RAW_C ** 2 == RAW_X * RAW_B
+    checks["h2 C^4 = x^3"] = RAW_H2 * RAW_C ** 4 == RAW_X ** 3
+    checks["h20 C = x"] = RAW_H20 * RAW_C == RAW_X
     return checks
 
 
@@ -186,9 +164,8 @@ def square_rule_check(pairs=((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))):
     for (p, q) in pairs:
         if (p + q) % 2 == 0:
             raise ValueError("square rule needs odd weight")
-        lhs = _raw_d3(0, GF2Poly([(2 * p, 2 * q)]))
-        rhs = _raw_mul(RAW_H1, (2, GF2Poly([(2 * p, 2 * q)])))
-        if not (lhs[1] == rhs[1] and lhs[0] == rhs[0]):
+        c = _raw((p, 0, q))
+        if _raw_d3(c ** 2) != RAW_H1 * (RAW_ZETA * c) ** 2:
             return False
     return True
 

@@ -161,7 +161,7 @@ class WCurve(Record):
 
 # -- flex test ---------------------------------------------------------------
 
-def is_flex(C: WCurve, P: WPoint, with_reason=False):
+def is_flex(C: WCurve, P: WPoint):
     """True iff the tangent at P meets C with multiplicity 3 at P.
 
     Computed by restricting the curve to the tangent line and checking that
@@ -175,7 +175,7 @@ def is_flex(C: WCurve, P: WPoint, with_reason=False):
         raise CurveError("flex test on a singular curve")
     m = C.tangent_slope(P)
     if m is None:
-        return (False, "vertical-tangent") if with_reason else False
+        return False
     a1, a2, a3, a4, a6 = C.coeffs()
     x0, y0 = P.x, P.y
     # line y = y0 + m (x - x0); cubic G(x) = x^3 + ... - (line substituted)
@@ -188,7 +188,7 @@ def is_flex(C: WCurve, P: WPoint, with_reason=False):
     c0 = a6 - b * b - a3 * b
     # want x^3 + c2 x^2 + c1 x + c0 == (x - x0)^3
     ok = (c2 == -3 * x0) and (c1 == 3 * x0 * x0) and (c0 == -(x0 * x0 * x0))
-    return (ok, None if ok else "not-triple") if with_reason else ok
+    return ok
 
 
 # -- coordinate transformations ----------------------------------------------

@@ -80,14 +80,14 @@ def test_eisenstein_expression_errors():
 
 
 def test_e_alpha_weight_four():
-    u, v = e_alpha(4)
+    u, v = e_alpha(eisenstein_in_c4c6(4))
     assert u == LocElem(MultiPoly({(1, 1): Fraction(1)}))
     assert v == Fraction(1, 3) * LevelOneForm.c4()
 
 
 def test_e_alpha_cocycles():
     for k in (4, 6, 8, 10, 12):
-        assert cochain_D1(*e_alpha(k)).is_zero()
+        assert cochain_D1(*e_alpha(eisenstein_in_c4c6(k))).is_zero()
 
 
 def _delta_by_product(prec):

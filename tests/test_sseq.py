@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmf3 import sseq
+from tmf3 import sseq, verify
 from tmf3.sseq import (Window, DEFAULT_WINDOW, ChartPage, build_E2, apply_d3,
                        localize_stabilize, e7_model_and_d7, compute_all,
                        pi_table, d3_presentation_checks, square_rule_check,
@@ -31,6 +31,24 @@ def test_d3_presentation():
 
 def test_square_rule():
     assert square_rule_check()
+
+
+# -- negative controls: the presentation checks can fail -----------------------
+
+def test_d3_presentation_fails_with_a_wrong_d3_on_a3_squared(monkeypatch):
+    real = sseq.d3_coeff
+    monkeypatch.setattr(sseq, "d3_coeff", lambda s, i, j: real(s, i, j) ^ (j == 2))
+    checks = d3_presentation_checks()
+    assert checks["d3(C) = h1 h20^2"] is False
+    assert checks["d3(h20) = h1 h20 zeta^2"] is False
+    r = verify.item_sseq()
+    assert r["pass"] is False and r["detail"].startswith("d3 presentation checks failed")
+
+
+def test_square_rule_fails_with_a_wrong_h1(monkeypatch):
+    # h1 = zeta a1; zeta a3 is h20
+    monkeypatch.setattr(sseq, "RAW_H1", sseq.RAW_H20)
+    assert square_rule_check() is False
 
 
 def test_d3_squared_zero():
