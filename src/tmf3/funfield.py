@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .ring import monomial_text, power
+from .ring import Ring, monomial_text
 from .weierstrass import WCurve
 
 VARS = ("a1", "a3", "x")
@@ -46,7 +46,7 @@ def _euler(p: MultiPoly, i: int) -> MultiPoly:
                                  p.den, VARS, WEIGHTS)
 
 
-class FFElem:
+class FFElem(Ring):
     """(u + v*y) / (x^i * a3^j), with den = (i, j) and the common power of
     x and of a3 stripped from u, v and the denominator, so that equal
     elements have equal fields."""
@@ -72,6 +72,9 @@ class FFElem:
     def y(cls):
         return cls(0, 1)
 
+    def one(self):
+        return FFElem(1)
+
     def is_zero(self):
         return not (self.u or self.v)
 
@@ -89,9 +92,6 @@ class FFElem:
 
     def __neg__(self):
         return FFElem(-self.u, -self.v, self.den)
-
-    def __sub__(self, other):
-        return self + (-_ff(other))
 
     def __mul__(self, other):
         other = _ff(other)
@@ -119,10 +119,7 @@ class FFElem:
         inv_norm = FFElem(_shift(_poly(Fraction(n.u.den, c)), ni, nj), 0, (ex, e3))
         return self.conj() * inv_norm
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, FFElem(1))
+    inverse = inv
 
     def __repr__(self):
         s = f"({self.u.to_text()}) + ({self.v.to_text()})*y"
@@ -170,8 +167,8 @@ def velu3_closed_form():
     x = FFElem.x()
     y = FFElem.y()
     a3 = FFElem(_A3)
-    X = x - a3 * y * (x * x).inv() + a3 * x * y.inv()
-    Y = y - (a3 * a3) * y * (x ** 3).inv() - a3 * (x ** 3) * (y * y).inv()
+    X = x - a3 * y / (x * x) + a3 * x / y
+    Y = y - (a3 * a3) * y / x ** 3 - a3 * x ** 3 / (y * y)
     return X, Y
 
 

@@ -30,7 +30,7 @@ from operator import add, mul
 
 from .multipoly import MultiPoly, LocElem, a1, a3, mod2, min_a1_term
 from .rationals import val_p_int
-from .ring import power, terms_text
+from .ring import Ring, terms_text
 from .weierstrass import WCurve
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
@@ -50,7 +50,7 @@ T_C = (Fraction(-1, 27) * a1() ** 6 + 2 * a1() ** 3 * a3()  # t*(a3^2)
        - 27 * a3() ** 2)
 
 
-class LevelOneForm:
+class LevelOneForm(Ring):
     """Element of MF* in the basis c4^a c6^eps Delta^d, eps in {0,1}."""
 
     __slots__ = ("terms",)
@@ -68,12 +68,11 @@ class LevelOneForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
     def const(cls, c):
         return cls({(0, 0, 0): Fraction(c)})
+
+    def one(self):
+        return LevelOneForm.const(1)
 
     @classmethod
     def monomial(cls, ca, eps, d, coef=1):
@@ -124,18 +123,8 @@ class LevelOneForm:
             t[k] = t.get(k, Fraction(0)) + c
         return LevelOneForm(t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LevelOneForm({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LevelOneForm.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return LevelOneForm.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -152,53 +141,50 @@ class LevelOneForm:
                 out[(ca, eps, d)] = out.get((ca, eps, d), 0) + c
         return LevelOneForm(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return power(self, n, LevelOneForm.const(1))
+    def inverse(self):
+        """The inverse of a unit c*Delta^d. These are the only units of
+        MF*[Delta^-1]: c4^3 - c6^2 = 1728 Delta is irreducible, so the ring
+        is Q[c4, c6] with that one prime inverted."""
+        if len(self.terms) != 1 or next(iter(self.terms))[:2] != (0, 0):
+            raise ValueError(f"{self.to_text()} is not a unit c*Delta^d "
+                             "of MF*[Delta^-1]")
+        ((_, _, d), c), = self.terms.items()
+        return LevelOneForm.monomial(0, 0, -d, 1 / c)
 
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
-
-    def __repr__(self):
-        return f"LevelOneForm({self.to_text()})"
 
 
 # -- the four maps -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cached_pow(which: str, n: int) -> LocElem:
-    base = {"F4": F4, "F6": F6, "FD": FDELTA, "Q4": Q4, "Q6": Q6,
-            "QD": QDELTA}.get(which)
-    if base is not None:
-        return LocElem.from_poly(base) ** n
-    base = {"FDi": LocElem(MultiPoly.const(1), 3, 1),
-            "QDi": LocElem(MultiPoly.const(1), 1, 3)}[which]
-    return base ** n
+def _cached_pow(which: str, n: int) -> MultiPoly:
+    return {"F4": F4, "F6": F6, "FD": FDELTA,
+            "Q4": Q4, "Q6": Q6, "QD": QDELTA}[which] ** n
 
 
-def _image(m: LevelOneForm, k4, k6, kd, kdi) -> LocElem:
-    out = LocElem.from_poly(0)
+def _image(m: LevelOneForm, k4, k6, kd, e3, e9) -> LocElem:
+    """The image of m = sum c c4^a c6^eps Delta^d, as the numerator
+    sum c k4^a k6^eps kd^(d - d0) over kd^(-d0) = a3^(-d0 e3)
+    (a1^3 - 27 a3)^(-d0 e9), with d0 <= 0 the least power of Delta in m."""
+    d0 = min([0, *(d for _, _, d in m.terms)])
+    num = MultiPoly.zero()
     for (ca, eps, d), c in m.terms.items():
-        term = _cached_pow(k4, ca)
+        term = _cached_pow(k4, ca) * _cached_pow(kd, d - d0)
         if eps:
             term = term * _cached_pow(k6, 1)
-        if d >= 0:
-            term = term * _cached_pow(kd, d)
-        else:
-            term = term * _cached_pow(kdi, -d)
-        out = out + c * term
-    return out
+        num = num + c * term
+    return LocElem(num, -d0 * e3, -d0 * e9)
 
 
 def fstar(m: LevelOneForm) -> LocElem:
     """Pullback along forgetting the level structure."""
-    return _image(m, "F4", "F6", "FD", "FDi")
+    return _image(m, "F4", "F6", "FD", 3, 1)
 
 
 def qstar(m: LevelOneForm) -> LocElem:
     """Pullback along the degree-3 quotient."""
-    return _image(m, "Q4", "Q6", "QD", "QDi")
+    return _image(m, "Q4", "Q6", "QD", 1, 3)
 
 
 def hstar(m: LevelOneForm) -> LevelOneForm:

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .ring import monomial_text, power, terms_text
+from .ring import Ring, monomial_text, terms_text
 
 DEFAULT_VARS = ("a1", "a3")
 STANDARD_WEIGHTS = {"a1": 1, "a3": 3}
@@ -123,7 +123,7 @@ def _canonical(groups, den):
     return clean, den
 
 
-class MultiPoly:
+class MultiPoly(Ring):
     """Weight-graded polynomial: {key: list of ints} over ``den``."""
 
     __slots__ = ("vars", "weights", "groups", "den")
@@ -168,6 +168,9 @@ class MultiPoly:
     def const(cls, c, vars=DEFAULT_VARS, weights=None):
         n = len(vars)
         return cls({(0,) * n: c}, vars, weights)
+
+    def one(self):
+        return MultiPoly.const(1, self.vars, self.weights)
 
     @classmethod
     def gen(cls, name, vars=DEFAULT_VARS, weights=None):
@@ -243,16 +246,8 @@ class MultiPoly:
             g[key] = cs if old is None else _add_lists(old, cs)
         return MultiPoly._new(g, den, self.vars, self.weights)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return MultiPoly._new(_scale(self.groups, -1), self.den, self.vars, self.weights)
-
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -269,24 +264,15 @@ class MultiPoly:
                 out[key] = prod if old is None else _add_lists(old, prod)
         return MultiPoly._new(out, self.den * other.den, self.vars, self.weights)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        if len(self.groups) == 1:
+        if n >= 0 and len(self.groups) == 1:
             # every homogeneous polynomial in two variables
             (key, cs), = self.groups.items()
             z = _leading_zeros(cs)
             return MultiPoly._new({tuple(n * x for x in key):
                                    [0] * (z * n) + _power_list(cs[z:], n)},
                                   self.den ** n, self.vars, self.weights)
-        return power(self, n, MultiPoly.const(1, self.vars, self.weights))
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        return super().__pow__(n)
 
     # -- queries -----------------------------------------------------------
 
@@ -319,9 +305,6 @@ class MultiPoly:
         """Canonical text form: terms sorted by descending lex exponents."""
         return terms_text(self.vars, {e: Fraction(c, self.den)
                                       for e, c in self.terms.items()})
-
-    def __repr__(self):
-        return f"MultiPoly({self.to_text()})"
 
 
 # -- fixed polynomials in (a1, a3) ----------------------------------------
@@ -369,7 +352,7 @@ def divide_exact(p: MultiPoly):
 
 # -- mod 2 -------------------------------------------------------------------
 
-class GF2Poly:
+class GF2Poly(Ring):
     """Polynomial over F2: frozenset of exponent tuples."""
 
     __slots__ = ("vars", "monos")
@@ -395,6 +378,9 @@ class GF2Poly:
     def __hash__(self):
         return hash((self.vars, self.monos))
 
+    def one(self):
+        return GF2Poly([(0,) * len(self.vars)], self.vars)
+
     def __add__(self, other):
         return GF2Poly(self.monos ^ other.monos, self.vars)
 
@@ -406,15 +392,9 @@ class GF2Poly:
             acc ^= {tuple(map(add, e1, e2)) for e2 in other.monos}
         return GF2Poly(acc, self.vars)
 
-    def __pow__(self, n: int):
-        return power(self, n, GF2Poly([(0,) * len(self.vars)], self.vars))
-
     def to_text(self):
         return " + ".join(monomial_text(self.vars, e) or "1"
                           for e in sorted(self.monos, reverse=True)) or "0"
-
-    def __repr__(self):
-        return f"GF2Poly({self.to_text()})"
 
 
 def mod2(p: MultiPoly) -> GF2Poly:
@@ -449,7 +429,7 @@ def min_a1_term(p):
 
 # -- localization at Delta ---------------------------------------------------
 
-class LocElem:
+class LocElem(Ring):
     """num / (a3^e3 * (a1^3 - 27*a3)^e9), stored in canonical form."""
 
     __slots__ = ("num", "e3", "e9")
@@ -496,18 +476,10 @@ class LocElem:
         e9 = max(self.e9, other.e9)
         return LocElem(_lift(self, e3, e9) + _lift(other, e3, e9), e3, e9)
 
-    __radd__ = __add__
-
     # negation, a scalar and a power keep a numerator canonical: a3 and
     # a1^3 - 27*a3 are prime, so neither divides num^n unless it divides num
     def __neg__(self):
         return LocElem._from_canonical(-self.num, self.e3, self.e9)
-
-    def __sub__(self, other):
-        return self + (-LocElem.from_poly(other))
-
-    def __rsub__(self, other):
-        return LocElem.from_poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -515,12 +487,9 @@ class LocElem:
         other = LocElem.from_poly(other)
         return LocElem(self.num * other.num, self.e3 + other.e3, self.e9 + other.e9)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         if n < 0:
-            inv = self.inverse()
-            return inv ** (-n)
+            return self.inverse() ** -n
         return LocElem._from_canonical(self.num ** n, self.e3 * n, self.e9 * n)
 
     def inverse(self):
@@ -555,9 +524,6 @@ class LocElem:
         if den:
             return f"({s}) / ({' * '.join(den)})"
         return s
-
-    def __repr__(self):
-        return f"LocElem({self.to_text()})"
 
 
 def _lift(g, e3, e9):

@@ -1,12 +1,17 @@
-"""What every arithmetic class shares: powering by square-and-multiply, and
-printing a monomial as name^x factors.
+"""What every arithmetic class shares: the ``Ring`` base, powering by
+square-and-multiply, and printing a monomial as name^x factors.
 
-``MultiPoly``, ``GF2Poly``, ``LevelOneForm``, ``QSeries`` and ``FFElem``
-each keep their own ``__pow__`` for their own rule on negative exponents,
-and call ``power`` for the rest.
+``MultiPoly``, ``GF2Poly``, ``LocElem``, ``LevelOneForm``, ``QSeries`` and
+``FFElem`` are ``Ring``s. A subclass defines ``+`` and ``*`` (each also
+taking an int or Fraction where the class mixes with scalars), unary ``-``
+for subtraction, ``one()`` and ``to_text()``, and ``inverse()`` where
+elements can be inverted; ``Ring`` derives the reflected and mixed
+operators, ``-``, ``/``, ``**`` with its rule for n < 0, and ``repr``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def power(x, n: int, one):
@@ -22,6 +27,42 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return result
+
+
+class Ring:
+    """Operators derived from ``+``, unary ``-``, ``*``, ``one()``,
+    ``inverse()`` and ``to_text()``; every ring here is commutative."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (Fraction(1) / other)
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        return power(self if n >= 0 else self.inverse(), abs(n), self.one())
+
+    def inverse(self):
+        raise ValueError(f"{self!r} is not invertible")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_text()})"
 
 
 def monomial_text(names, exps) -> str:

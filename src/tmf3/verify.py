@@ -268,15 +268,19 @@ def item_eisenstein():
         exprs = {}
         for k in range(4, 41, 2):
             try:
-                expr = exprs[k] = eisenstein_in_c4c6(k)
+                exprs[k] = eisenstein_in_c4c6(k)
             except ValueError as exc:
                 return False, f"G_{k} has no expression in c4, c6, Delta: {exc}"
-            if k == 4 and expr != {(1, 0, 0): Fraction(1, 240)}:
-                return False, f"G_4 != c4/240: {expr}"
-            # independent re-check at a larger precision than the solver used
+        if exprs[4] != {(1, 0, 0): Fraction(1, 240)}:
+            return False, f"G_4 != c4/240: {exprs[4]}"
+        # independent re-check of each G_k to precision len(expr) + 30, larger
+        # than the solver used; one set of series serves every weight, as a
+        # comparison is to the lower of the two precisions
+        top = max(map(len, exprs.values())) + 30
+        c4s, c6s, ds = series_c4(top), series_c6(top), series_delta(top)
+        for k, expr in exprs.items():
             prec = len(expr) + 30
-            c4s, c6s, ds = series_c4(prec), series_c6(prec), series_delta(prec)
-            total = QSeries.zero(prec)
+            total = QSeries.zero(top)
             for (ca, eps, d), c in expr.items():
                 s = c4s ** ca
                 if eps:

@@ -201,9 +201,7 @@ class WTransform(Record):
         """Transform equal to applying self first, then other."""
         l1, r1, s1, t1 = self.lam, self.r, self.s, self.t
         l2, r2, s2, t2 = other.lam, other.r, other.s, other.t
-        inv1 = Fraction(1) / Fraction(l1) if not hasattr(l1, "terms") else None
-        if inv1 is None:
-            raise CurveError("composition needs invertible scalar lambda")
+        inv1 = 1 / Fraction(l1)
         return WTransform(
             l1 * l2,
             r1 + r2 * inv1 ** 2,

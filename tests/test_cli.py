@@ -107,11 +107,30 @@ def test_maps_round_trip_fails_on_a_wrong_output(capsys, monkeypatch, broken):
     assert json.loads(out)["checks"][0]["pass"] is False
 
 
+@pytest.mark.parametrize("expr, text", [("(2*Delta)^-1", "1/2*Delta^-1"),
+                                        ("(c4^3 - c6^2)^-1", "1/1728*Delta^-1"),
+                                        ("c4/Delta", "1*c4*Delta^-1"),
+                                        ("1/Delta", "1*Delta^-1")])
+def test_maps_inverts_the_units_of_level_one_forms(capsys, expr, text):
+    # the units of MF*[Delta^-1] are c*Delta^d
+    code, out, err = run(capsys, "maps", "--expr=" + expr, "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] == text
+    assert payload["checks"][0]["pass"] is True
+
+
 def test_maps_division_by_a_non_unit_is_a_domain_error(capsys):
     code, out, err = run(capsys, "maps", "--expr", "a3/a1")
     assert code == 1 and "not invertible" in err
     code, out, err = run(capsys, "maps", "--expr", "a1/(a3 - a3)")
     assert code == 1 and "not invertible" in err
+
+
+@pytest.mark.parametrize("expr", ["c4^-1", "c4/c6"])
+def test_maps_inverse_of_a_level_one_non_unit_is_a_domain_error(capsys, expr):
+    code, out, err = run(capsys, "maps", "--expr", expr)
+    assert code == 1 and err.startswith("error:") and "not a unit" in err
+    assert err.count("\n") == 1
 
 
 def test_maps_domain_error(capsys):
