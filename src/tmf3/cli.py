@@ -1,5 +1,5 @@
 """Command-line front end: expression parser, one subcommand per concern,
-text/JSON emitters, and the verification suite runner.
+one text/JSON emitter, and the verification suite runner.
 
 The tokens and AST nodes (``Token``, ``Num``, ``Ident``, ``Unary``,
 ``BinOp``, ``Call``) are frozen records (``tmf3.record``), so two parses of
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import re
 import sys
 from fractions import Fraction
 
@@ -41,57 +42,33 @@ KNOWN_FUNCS = ("fstar", "qstar", "hstar", "tstar", "delta")
 
 
 class Token(Record):
-    # kind: "int", "ident", "op", "lparen", "rparen", "comma" or "end"
-    __slots__ = ("kind", "text", "line", "col")
+    # kind: "int", "ident", "op", "lparen", "rparen", "comma" or "end";
+    # offset: the index of its first character in the text
+    __slots__ = ("kind", "text", "offset")
+
+
+# one group per token kind; a word is an identifier when it starts with a
+# letter or "_", and white space between tokens is skipped
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<ident>\w+)|(?P<op>[-+*/^])"
+                    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)|(?P<bad>\S)")
+
+
+def _syntax_error(message, text, offset):
+    """A CliSyntaxError at the line and column of text[offset]."""
+    line = text.count("\n", 0, offset) + 1
+    return CliSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def _tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and (text[j].isalpha() or text[j] == "."):
-                raise CliSyntaxError(f"malformed literal {text[i:j + 1]!r}",
-                                     line, col)
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, line, col))
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, line, col))
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, line, col))
-        elif ch == ",":
-            tokens.append(Token("comma", ch, line, col))
-        else:
-            raise CliSyntaxError(f"unexpected character {ch!r}", line, col)
-        col += 1
-        i += 1
-    tokens.append(Token("end", "", line, col))
+    for m in _TOKEN.finditer(text):
+        kind, at, end = m.lastgroup, m.start(), m.end()
+        if kind == "int" and (text[end:end + 1] == "." or text[end:end + 1].isalpha()):
+            raise _syntax_error(f"malformed literal {text[at:end + 1]!r}", text, at)
+        if kind == "bad" or (kind == "ident" and not (text[at].isalpha() or text[at] == "_")):
+            raise _syntax_error(f"unexpected character {text[at]!r}", text, at)
+        tokens.append(Token(kind, m[0], at))
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 
@@ -115,121 +92,77 @@ class Call(Record):
     __slots__ = ("func", "arg")
 
 
-# precedence: ^ (4, right) > unary - (3) > * / (2) > + - (1)
+# binary precedences; ^ is right-associative, and a prefix - or + takes
+# its operand at 3: -a^b = -(a^b), -a*b = (-a)*b, a^-b^c = a^(-(b^c))
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_RIGHT_ASSOC = {"^"}
+_PREFIX_PREC = 3
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind, what):
-        tok = self.peek()
-        if tok.kind != kind:
-            raise CliSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.col)
-        return self.advance()
+    def error(self, message, tok):
+        return _syntax_error(message, self.text, tok.offset)
 
     def parse(self):
-        node = self.expression(0)
-        tok = self.peek()
+        node = self.expression(1)
+        tok = self.advance()
         if tok.kind != "end":
-            raise CliSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unexpected {tok.text!r}", tok)
         return node
 
     def expression(self, min_prec):
-        node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind != "op" or tok.text not in _BINARY_PREC:
-                break
-            prec = _BINARY_PREC[tok.text]
-            if prec < min_prec:
-                break
-            self.advance()
-            nxt = prec if tok.text in _RIGHT_ASSOC else prec + 1
-            right = self.expression(nxt)
-            node = BinOp(tok.text, node, right)
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Unary("-", self.unary())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power_operand()
-
-    def power_operand(self):
-        # ^ binds tighter than unary minus, so the base cannot itself be
-        # a bare unary expression; atoms handle it.
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp = self.power_exponent()
-            return BinOp("^", node, exp)
-        return node
-
-    def power_exponent(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Unary("-", self.power_exponent())
-        node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return BinOp("^", node, self.power_exponent())
-        return node
-
-    def atom(self):
+        """Precedence climbing over the operators binding at min_prec or tighter."""
         tok = self.advance()
+        if tok.text in ("-", "+"):
+            node = self.expression(_PREFIX_PREC)
+            if tok.text == "-":
+                node = Unary("-", node)
+        else:
+            node = self.atom(tok)
+        while (prec := _BINARY_PREC.get(self.tokens[self.pos].text, 0)) >= min_prec:
+            op = self.advance().text
+            node = BinOp(op, node, self.expression(prec if op == "^" else prec + 1))
+        return node
+
+    def atom(self, tok):
         if tok.kind == "int":
             return Num(Fraction(int(tok.text)))
+        if tok.kind == "ident" and self.tokens[self.pos].kind == "lparen":
+            if tok.text not in KNOWN_FUNCS:
+                raise self.error(f"unknown function {tok.text!r}", tok)
+            self.pos += 1
+            return Call(tok.text, self.closed())
         if tok.kind == "ident":
-            if self.peek().kind == "lparen":
-                if tok.text not in KNOWN_FUNCS:
-                    raise CliSyntaxError(f"unknown function {tok.text!r}",
-                                         tok.line, tok.col)
-                self.advance()
-                arg = self.expression(0)
-                self.expect("rparen", "')'")
-                return Call(tok.text, arg)
             if tok.text not in KNOWN_IDENTS:
-                raise CliSyntaxError(f"unknown identifier {tok.text!r}",
-                                     tok.line, tok.col)
+                raise self.error(f"unknown identifier {tok.text!r}", tok)
             return Ident(tok.text)
         if tok.kind == "lparen":
-            node = self.expression(0)
-            self.expect("rparen", "')'")
-            return node
-        raise CliSyntaxError(f"unexpected {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            return self.closed()
+        raise self.error(f"unexpected {tok.text or 'end of input'!r}", tok)
+
+    def closed(self):
+        """An expression and the ')' that ends it."""
+        node = self.expression(1)
+        tok = self.advance()
+        if tok.kind != "rparen":
+            raise self.error(f"expected ')', found {tok.text or 'end of input'!r}", tok)
+        return node
 
 
 def parse(text: str):
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # -- evaluation --------------------------------------------------------------
-
-def _level1_const(c):
-    from .levelmaps import LevelOneForm
-    return LevelOneForm.const(c)
-
 
 def _as_int(value, what):
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -277,27 +210,21 @@ def evaluate(node, env):
             return -walk(n.operand)
         if isinstance(n, BinOp):
             return combine(n.op, walk(n.left), walk(n.right))
-        if isinstance(n, Call):
-            arg = walk(n.arg)
-            table = {"fstar": fstar, "qstar": qstar, "hstar": hstar,
-                     "delta": delta_map}
-            if n.func in table:
-                if isinstance(arg, Fraction):
-                    arg = _level1_const(arg)
-                if not isinstance(arg, LevelOneForm):
-                    raise DomainError(
-                        f"{n.func} expects a level-1 form, got {type(arg).__name__}")
-                return table[n.func](arg)
-            if n.func == "tstar":
-                if isinstance(arg, Fraction):
-                    from .multipoly import MultiPoly
-                    arg = LocElem(MultiPoly.const(arg))
-                if not isinstance(arg, LocElem):
-                    raise DomainError(
-                        f"tstar expects a level-3 element, got {type(arg).__name__}")
-                return _domain(tstar, arg)
-            raise DomainError(f"unknown function {n.func!r}")
-        raise DomainError(f"cannot evaluate node {n!r}")
+        arg = walk(n.arg)       # a Call
+        if n.func == "tstar":
+            if isinstance(arg, Fraction):
+                arg = LocElem.from_poly(arg)
+            if not isinstance(arg, LocElem):
+                raise DomainError(
+                    f"tstar expects a level-3 element, got {type(arg).__name__}")
+            return _domain(tstar, arg)
+        if isinstance(arg, Fraction):
+            arg = LevelOneForm.const(arg)
+        if not isinstance(arg, LevelOneForm):
+            raise DomainError(
+                f"{n.func} expects a level-1 form, got {type(arg).__name__}")
+        table = {"fstar": fstar, "qstar": qstar, "hstar": hstar, "delta": delta_map}
+        return table[n.func](arg)
 
     return walk(node)
 
@@ -370,7 +297,7 @@ def _parse_range(text):
         raise DomainError("--range wants A..B with integers A <= B") from exc
     if a > b:
         raise DomainError("--range wants A..B with integers A <= B")
-    return a, b
+    return range(a, b + 1)
 
 
 def _domain(fn, *args):
@@ -466,54 +393,39 @@ def cmd_maps(args):
 
 
 def cmd_delta(args):
-    from .levelmaps import (val2_delta_c4pow, val_delta_c4c6,
-                            delta_mod2_Delta_pow, delta_map, LevelOneForm)
-    checks = []
-    inputs = {}
-    if args.c4_pow is not None and args.val2:
-        inputs["c4_pow"] = args.c4_pow
-        if args.range:
-            a, b = _parse_range(args.range)
-            rows = []
-            for k in range(a, b + 1):
-                r = _domain(val2_delta_c4pow, k)
-                rows.append(f"k={k}: val2 = {r['valuation']}")
-                checks.append({"name": f"val2(content(delta(c4^{k})))",
-                               "pass": r["pass"],
-                               "detail": f"computed {r['valuation']}, expected {r['expected']}"})
-            result = "\n".join(rows)
-        else:
-            r = _domain(val2_delta_c4pow, args.c4_pow)
-            result = str(r["valuation"])
-            checks.append({"name": f"val2(content(delta(c4^{args.c4_pow})))",
-                           "pass": r["pass"],
-                           "detail": f"computed {r['valuation']}, expected {r['expected']}"})
-    elif args.c4_pow is not None:
-        inputs["c4_pow"] = args.c4_pow
+    from .levelmaps import (val2_delta_c4pow, delta_mod2_Delta_pow, delta_map,
+                            LevelOneForm)
+    if args.c4_pow is not None:
+        inputs = {"c4_pow": args.c4_pow}
+    elif args.delta_pow is not None:
+        inputs = {"delta_pow": args.delta_pow}
+    else:
+        raise DomainError("delta needs --c4-pow K [--val2] or --delta-pow N")
+    if args.range:
+        inputs["range"] = args.range
+    if args.c4_pow is not None and not args.val2:
         if args.c4_pow < 0:
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
-        result = g.to_text()
-    elif args.delta_pow is not None:
-        inputs["delta_pow"] = args.delta_pow
-        if args.range:
-            a, b = _parse_range(args.range)
-            rng = range(a, b + 1)
-        else:
-            rng = [args.delta_pow]
-        rows = []
-        for N in rng:
+        return _emit(args, "delta", inputs, g.to_text(), [])
+    span = _parse_range(args.range) if args.range else None
+    rows, checks = [], []
+    if args.c4_pow is not None:
+        for k in span or [args.c4_pow]:
+            r = _domain(val2_delta_c4pow, k)
+            rows.append(f"k={k}: val2 = {r['valuation']}" if args.range
+                        else str(r["valuation"]))
+            checks.append({"name": f"val2(content(delta(c4^{k})))",
+                           "pass": r["pass"],
+                           "detail": f"computed {r['valuation']}, expected {r['expected']}"})
+    else:
+        for N in span or [args.delta_pow]:
             r = _domain(delta_mod2_Delta_pow, N)
             rows.append(f"N={N}: min term {r['leading_term']}")
             checks.append({"name": f"min_a1_term(mod2(delta(Delta^{N})))",
                            "pass": r["pass"],
                            "detail": f"computed {r['leading_term']}, expected {r['expected']}"})
-        result = "\n".join(rows)
-    else:
-        raise DomainError("delta needs --c4-pow K [--val2] or --delta-pow N")
-    if args.range:
-        inputs["range"] = args.range
-    return _emit(args, "delta", inputs, result, checks)
+    return _emit(args, "delta", inputs, "\n".join(rows), checks)
 
 
 def cmd_qexp(args):
@@ -561,18 +473,10 @@ def cmd_chart(args):
     checks = [{"name": k, "pass": bool(v is True),
                "detail": "verified" if v is True else str(v)}
               for k, v in sorted(page.checks.items())]
-    if args.json:
-        payload = json.loads(chart_json(page))
-        print(json.dumps({"command": "chart",
-                          "inputs": {"page": args.page,
-                                     "window": list(win)},
-                          "result": payload, "checks": checks}, indent=2))
-        return 0 if all(c["pass"] for c in checks) else 3
-    print(chart_ascii(page, max_stem=min(win.W, 48)))
-    for c in checks:
-        if not c["pass"]:
-            print(f"[FAIL] {c['name']}: {c['detail']}", file=sys.stderr)
-    return 0 if all(c["pass"] for c in checks) else 3
+    result = (chart_json(page) if args.json
+              else chart_ascii(page, max_stem=min(win.W, 48)))
+    return _emit(args, "chart", {"page": args.page, "window": list(win)},
+                 result, checks)
 
 
 def cmd_verify(args):

@@ -129,15 +129,6 @@ class QSeries(Ring):
             out.append(-inv0 * sum(c[k] * out[n - k] for k in range(1, n + 1)))
         return QSeries(out, self.prec)
 
-    def shift(self, k: int):
-        """Multiply by q^k (k >= 0 keeps precision window at prec)."""
-        if k < 0:
-            if any(self.nums[:-k]):
-                raise ValueError("negative shift of a series with low-order terms")
-            return QSeries._make(self.nums[-k:] + [0] * min(-k, self.prec),
-                                 self.den, self.prec)
-        return QSeries._make(([0] * k + self.nums)[:self.prec], self.den, self.prec)
-
     def to_text(self, terms=8):
         parts = []
         for n, c in enumerate(self.coeffs[:terms]):
@@ -190,7 +181,7 @@ def series_delta(prec: int) -> QSeries:
     eta3 = QSeries(cube, prec)
     for _ in range(3):
         eta3 = eta3 * eta3
-    return eta3.shift(1)
+    return QSeries._make([0] + eta3.nums[:prec - 1], eta3.den, prec)
 
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------

@@ -31,7 +31,6 @@ together in one process (2-vCPU VM, Python 3.11.7).
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .multipoly import GF2Poly
@@ -174,16 +173,12 @@ def square_rule_check(pairs=((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))):
 
 class ChartPage:
     def __init__(self, r: int, window: Window, cells: dict,
-                 zero_index2: dict = None, loc: dict = None,
-                 checks: dict = None):
+                 loc: dict = None, checks: dict = None):
         self.r = r
         self.window = window
         # (s, t) -> ordered list of raw monomials (i, j); F2 basis for
         # s >= 1, free Z[1/3] basis for s = 0
         self.cells = cells
-        # t -> number of 0-line basis monomials replaced by twice themselves
-        # in the integral d3-kernel (index-2 bookkeeping)
-        self.zero_index2 = {} if zero_index2 is None else zero_index2
         # localization data, set by localize_stabilize
         self.loc = {} if loc is None else loc
         self.checks = {} if checks is None else checks
@@ -215,8 +210,8 @@ def build_E2(window: Window = DEFAULT_WINDOW) -> ChartPage:
 
 def apply_d3(page: ChartPage) -> ChartPage:
     """E4 = ker d3 / im d3, bidegree by bidegree, with d3 o d3 = 0 checked
-    as an exact matrix identity; 0-line sources reduced mod 2, integral
-    kernel tracked by index-2 bookkeeping."""
+    as an exact matrix identity; 0-line sources reduced mod 2, and the
+    integral kernel's index-2 count checked against the mod-2 kernel."""
     if page.r != 2:
         raise ValueError("apply_d3 expects the E2 page")
     win = page.window
@@ -259,7 +254,6 @@ def apply_d3(page: ChartPage) -> ChartPage:
                 raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
 
     cells = {}
-    zero_index2 = {}
     for (s, t), basis in page.cells.items():
         if s >= 3 and t - 2 > win.W + s - 3:
             continue        # incoming source beyond the window: untrusted
@@ -280,15 +274,15 @@ def apply_d3(page: ChartPage) -> ChartPage:
                      if not d3_coeff(s, i, j) and (i, j) not in hit]
         if s == 0:
             # integral kernel: c = 0 monomials plus 2 * (c = 1 monomials)
-            zero_index2[t] = sum(d3_coeff(0, i, j) for (i, j) in basis)
+            index2 = sum(d3_coeff(0, i, j) for (i, j) in basis)
             survivors = list(basis)      # free rank is unchanged
-            if len(kernel) != len(basis) - zero_index2[t]:
+            if len(kernel) != len(basis) - index2:
                 raise AssertionError("0-line mod-2 kernel mismatch")
         elif len(survivors) != dim:
             raise AssertionError(f"basis/rank mismatch at ({s},{t})")
         if survivors:
             cells[(s, t)] = survivors
-    return ChartPage(r=4, window=win, cells=cells, zero_index2=zero_index2)
+    return ChartPage(r=4, window=win, cells=cells)
 
 
 # -- localization ------------------------------------------------------------
@@ -345,8 +339,7 @@ def localize_stabilize(page: ChartPage, D: int = None) -> ChartPage:
                 first_stable -= 1
             loc[(s, t0)] = {"growth": stable,
                             "stable_from": ts[first_stable]}
-    out = ChartPage(r=7, window=page.window, cells=dict(page.cells),
-                    zero_index2=dict(page.zero_index2), loc=loc)
+    out = ChartPage(r=7, window=page.window, cells=dict(page.cells), loc=loc)
     # localized E4 is 24-periodic via Delta on s >= 1: in the stable range
     # every Delta-step is injective with constant cokernel
     out.checks["delta_periodic"] = all(
@@ -446,8 +439,7 @@ def e7_model_and_d7(page: ChartPage) -> ChartPage:
                     keep.remove(m)
             if keep:
                 cells[(s, t)] = keep
-    out = ChartPage(r=8, window=win, cells=cells,
-                    zero_index2=dict(page.zero_index2), loc=dict(page.loc),
+    out = ChartPage(r=8, window=win, cells=cells, loc=dict(page.loc),
                     checks=dict(checks))
 
     # x^7 = 0: every class on lines >= 7 has died
@@ -551,7 +543,7 @@ def compute_all(window: Window = DEFAULT_WINDOW):
 
 # -- output ------------------------------------------------------------------
 
-def chart_json(page: ChartPage) -> str:
+def chart_json(page: ChartPage) -> dict:
     cells = []
     for (s, t) in page.bidegrees():
         basis = [f"zeta^{s}*a1^{i}*a3^{j}" for (i, j) in page.cells[(s, t)]]
@@ -561,7 +553,7 @@ def chart_json(page: ChartPage) -> str:
                        for (i, j) in page.cells[(s, t)] if d3_coeff(s, i, j)]
             cell["differentials"] = targets
         cells.append(cell)
-    return json.dumps({"page": page.r, "cells": cells}, indent=1)
+    return {"page": page.r, "cells": cells}
 
 
 def chart_ascii(page: ChartPage, max_stem=48) -> str:

@@ -1,7 +1,15 @@
+import ast
 import json
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+from tmf3 import cli
 from tmf3.cli import (parse, CliSyntaxError, main, Num, Ident,
                       BinOp, Call, Unary)
 
@@ -66,9 +74,59 @@ def test_parse_fixed_cases():
                                  BinOp("^", c4, Num(3))),
         "2^3^2 - -4": BinOp("-", BinOp("^", Num(2), BinOp("^", Num(3), Num(2))),
                             Unary("-", Num(4))),
+        "c4^+2": BinOp("^", c4, Num(2)),
+        "a1^-a3^2": BinOp("^", a1, Unary("-", BinOp("^", a3, Num(2)))),
     }
-    for text, ast in cases.items():
-        assert parse(text) == ast, text
+    for text, tree in cases.items():
+        assert parse(text) == tree, text
+
+
+_PY_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+
+
+def _from_python(node):
+    """Python's expression tree as the CLI's AST; None for any other node."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Num(node.value)
+    if isinstance(node, ast.Name) and node.id in cli.KNOWN_IDENTS:
+        return Ident(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        operand = _from_python(node.operand)
+        if operand is None or isinstance(node.op, ast.UAdd):
+            return operand
+        return Unary("-", operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _PY_BINOPS:
+        left, right = _from_python(node.left), _from_python(node.right)
+        if left is not None and right is not None:
+            return BinOp(_PY_BINOPS[type(node.op)], left, right)
+    return None
+
+
+def _python_parse(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # e.g. "2 (3)": int is not callable
+        try:
+            tree = ast.parse(text.replace("^", "**"), mode="eval")
+        except SyntaxError:
+            return None
+    return _from_python(tree.body)
+
+
+def test_parse_agrees_with_python_expressions():
+    # Python's grammar with ** for ^ has the same precedences, associativity
+    # and prefix signs; a text is accepted by both or rejected by both
+    rng = random.Random(2009)
+    words = "a1 a3 c4 Delta q 0 2 17 b2 + - * / ^ ( )".split()
+    accepted = 0
+    for _ in range(20000):
+        text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 9)))
+        try:
+            mine = parse(text)
+        except CliSyntaxError:
+            mine = None
+        assert mine == _python_parse(text), text
+        accepted += mine is not None
+    assert accepted > 1000
 
 
 # -- subcommands --------------------------------------------------------------
@@ -142,6 +200,16 @@ def test_maps_syntax_error(capsys):
     code, out, err = run(capsys, "maps", "--expr", "c4^^2")
     assert code == 2
     assert "column 4" in err
+
+
+@pytest.mark.parametrize("expr", ["2²", "²", "٣"])
+def test_non_ascii_digits_are_syntax_errors(expr):
+    # literals are ASCII digits; int() would read "٣" as 3 and fail on "²"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "tmf3.cli", "maps", "--expr", expr],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "syntax error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_delta_val2_example(capsys):

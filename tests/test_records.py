@@ -13,7 +13,7 @@ from tmf3.weierstrass import WCurve, WPoint, WTransform
 
 # one instance of every record class, built positionally, with its fields
 RECORDS = [
-    (Token, ("int", "12", 1, 3)),
+    (Token, ("int", "12", 2)),
     (Num, (Fraction(2),)),
     (Ident, ("a1",)),
     (Unary, ("-", Ident("a3"))),
@@ -77,7 +77,7 @@ def test_record_repr():
     assert repr(WCurve(1, 0, Fraction(1, 3), 0, -2)) == \
         "WCurve(a1=1, a2=0, a3=Fraction(1, 3), a4=0, a6=-2)"
     assert repr(WTransform(2)) == "WTransform(lam=2, r=0, s=0, t=0)"
-    assert repr(Token("op", "+", 1, 4)) == "Token(kind='op', text='+', line=1, col=4)"
+    assert repr(Token("op", "+", 3)) == "Token(kind='op', text='+', offset=3)"
     assert repr(BinOp("^", Ident("a1"), Num(4))) == \
         "BinOp(op='^', left=Ident(name='a1'), right=Num(value=4))"
     # WPoint keeps its own repr
@@ -87,7 +87,7 @@ def test_record_repr():
 
 def test_chart_pages_get_their_own_dicts():
     p, q = ChartPage(2, DEFAULT_WINDOW, {}), ChartPage(r=2, window=DEFAULT_WINDOW, cells={})
-    for name in ("zero_index2", "loc", "checks"):
+    for name in ("loc", "checks"):
         assert getattr(p, name) == {}
         assert getattr(p, name) is not getattr(q, name)
     p.checks["x"] = True

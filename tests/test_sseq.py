@@ -123,8 +123,7 @@ def test_pi_table_matches_oracle(pages):
 
 
 def test_chart_outputs(pages):
-    import json
-    payload = json.loads(chart_json(pages["E2"]))
+    payload = chart_json(pages["E2"])
     assert payload["page"] == 2
     assert all({"s", "t", "dim", "basis"} <= set(c) for c in payload["cells"])
     art = chart_ascii(pages["Einf"], max_stem=24)
