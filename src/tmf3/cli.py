@@ -404,6 +404,8 @@ def cmd_delta(args):
     if args.range:
         inputs["range"] = args.range
     if args.c4_pow is not None and not args.val2:
+        if args.range:
+            args.parser.error("--range with --c4-pow needs --val2")
         if args.c4_pow < 0:
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
@@ -518,7 +520,7 @@ def build_parser():
         for flag, kw in flags.items():
             sp.add_argument(flag, **kw)
         sp.add_argument("--json", action="store_true")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=fn, parser=sp)
         return sp
 
     add("invariants", cmd_invariants,

@@ -170,10 +170,12 @@ def _image(m: LevelOneForm, k4, k6, kd, e3, e9) -> LocElem:
     d0 = min([0, *(d for _, _, d in m.terms)])
     num = MultiPoly.zero()
     for (ca, eps, d), c in m.terms.items():
-        term = _cached_pow(k4, ca) * _cached_pow(kd, d - d0)
-        if eps:
-            term = term * _cached_pow(k6, 1)
-        num = num + c * term
+        term = c
+        # a factor with exponent 0 is 1 and is left out
+        for which, n in ((k4, ca), (kd, d - d0), (k6, eps)):
+            if n:
+                term = term * _cached_pow(which, n)
+        num = num + term
     return LocElem(num, -d0 * e3, -d0 * e9)
 
 

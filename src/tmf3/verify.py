@@ -17,9 +17,14 @@ from .weierstrass import (WCurve, WPoint, O, WTransform, transform,
                           CurveError)
 
 
-def _timed(index, name, fn):
+def _timed(index, name, fn, errors=()):
+    """Run one item; an exception of the types ``errors`` fails it, with the
+    exception as its detail."""
     t0 = time.perf_counter()
-    ok, detail = fn()
+    try:
+        ok, detail = fn()
+    except errors as exc:
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
     return {"index": index, "name": name, "pass": bool(ok),
             "detail": detail, "seconds": round(time.perf_counter() - t0, 2)}
 
@@ -170,9 +175,10 @@ def item_flex():
                            _random_fraction(rng, 6))
             C = transform(C0, T)
             P = transform_point(T, WPoint(Fraction(0), Fraction(0)))
-            if is_flex(C, P) != _oracle_order3(C, P):
+            flex = is_flex(C, P)
+            if flex != _oracle_order3(C, P):
                 return False, f"positive disagreement on {C}, {P}"
-            if not is_flex(C, P):
+            if not flex:
                 return False, f"flex test misses an order-3 point on {C}"
             positives += 1
         # negative instances: 2-torsion points (vertical tangent) and
@@ -196,13 +202,15 @@ def item_flex():
         ]
         for C, P in two_torsion + non_torsion:
             C.check_point(P)
-            if is_flex(C, P) != _oracle_order3(C, P):
+            flex = is_flex(C, P)
+            if flex != _oracle_order3(C, P):
                 return False, f"negative disagreement on {C}, {P}"
-            if is_flex(C, P):
+            if flex:
                 return False, f"flex test accepts a non-order-3 point on {C}"
             negatives += 1
         return True, f"{positives} positive, {negatives} negative instances"
-    return _timed(5, "flex <=> order 3 against the group-law oracle", run)
+    return _timed(5, "flex <=> order 3 against the group-law oracle", run,
+                  CurveError)
 
 
 # -- item 6: normalization round-trip ---------------------------------------
@@ -227,7 +235,7 @@ def item_normalize():
                 return False, "normalized curve differs from the original"
             done += 1
         return True, f"{done} lambda = 1 round-trips"
-    return _timed(6, "normalization round-trip", run)
+    return _timed(6, "normalization round-trip", run, CurveError)
 
 
 # -- item 7: 2-adic valuations of delta -------------------------------------

@@ -3,7 +3,7 @@
 Coefficients live in any exact commutative ring whose elements support
 +, -, * and scalar integers (Fraction for numeric work, MultiPoly for
 symbolic work).  Operations needing division (group law, j, normalization)
-require Fraction coefficients.
+require rational (int or Fraction) coefficients and coordinates.
 
 Points (``WPoint``), curves (``WCurve``) and transforms (``WTransform``) are
 frozen records (``tmf3.record``): built positionally or by keyword, equal by
@@ -13,17 +13,72 @@ Transformation convention: ``WTransform(lam, r, s, t)`` substitutes
 x = x'/lam^2 + r, y = y'/lam^3 + s x'/lam^2 + t internally, so the new
 invariants scale as c4' = lam^4 c4, c6' = lam^6 c6, Delta' = lam^12 Delta,
 and a point (x, y) maps to (lam^2 (x - r), lam^3 (y - s x + s r - t)).
+
+Integral model (Silverman, AEC III.1).  Every formula here is weighted
+homogeneous: a1, a2, a3, a4, a6 have weights 1, 2, 3, 4, 6, a point's x and
+y weights 2 and 3, and a change of variables' r, s, t weights 2, 1, 3.  So
+for rational inputs v of weights w, with u the lcm of their denominators,
+the v * u^w are integers, and a formula of weight W on them is u^W times its
+value.  The invariants, the equation and ``transform`` are each written once,
+evaluated on those integers and divided by u^W once (``integral_model``).
+Inputs that are already integral (u = 1) or not all rational, such as the
+MultiPoly coefficients of the universal curves, are used as they are.
+
+Group law.  ``add``, ``neg`` and ``smul`` run on the integral model in
+Jacobian coordinates (X : Y : Z), x = X/Z^2, y = Y/Z^3, where addition needs
+no division and the point at infinity is (1 : 1 : 0).  The points enter
+once, as (u^2 x, u^3 y, 1), and the result leaves once, as
+(X / (uZ)^2, Y / (uZ)^3).  The inputs and every point the group law
+produces are checked on the integral Jacobian equation.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from math import lcm
 
 from .record import Record
 
 
 class CurveError(ValueError):
     pass
+
+
+# the weights of a1, a2, a3, a4, a6; of a point's x, y; of a change of
+# variables' r, s, t
+CURVE_WEIGHTS = (1, 2, 3, 4, 6)
+POINT_WEIGHTS = (2, 3)
+CHANGE_WEIGHTS = (2, 1, 3)
+
+
+def integral_model(values, weights):
+    """(u, [v * u^w]) for rational values v of weights w, with u > 1 the lcm
+    of their denominators, so that every entry is an int; (1, values)
+    unchanged when the values are integral already or not all rational."""
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return 1, values
+    u = lcm(*(v.denominator for v in values))
+    if u == 1:
+        return 1, values
+    return u, [v.numerator * (u ** w // v.denominator)
+               for v, w in zip(values, weights)]
+
+
+def _integral(weight):
+    """Decorate a WCurve method computing a polynomial of weight ``weight``
+    in the coefficients and, if it takes one, the point (x, y): it runs on
+    the integral model, and its value is divided by u^weight once."""
+    def decorate(formula):
+        @functools.wraps(formula)
+        def method(self, *point):
+            u, v = integral_model(self.coeffs() + point,
+                                  CURVE_WEIGHTS + POINT_WEIGHTS[:len(point)])
+            if u == 1:
+                return formula(self, *point)
+            return Fraction(formula(WCurve(*v[:5]), *v[5:]), u ** weight)
+        return method
+    return decorate
 
 
 class WPoint(Record):
@@ -50,28 +105,35 @@ class WCurve(Record):
 
     # -- invariants (Deligne / Silverman p. 46) ---------------------------
 
+    @_integral(2)
     def b2(self):
         return self.a1 * self.a1 + 4 * self.a2
 
+    @_integral(4)
     def b4(self):
         return 2 * self.a4 + self.a1 * self.a3
 
+    @_integral(6)
     def b6(self):
         return self.a3 * self.a3 + 4 * self.a6
 
+    @_integral(8)
     def b8(self):
         a1, a2, a3, a4, a6 = self.coeffs()
         return (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4
                 + a2 * a3 * a3 - a4 * a4)
 
+    @_integral(4)
     def c4(self):
         b2, b4 = self.b2(), self.b4()
         return b2 * b2 - 24 * b4
 
+    @_integral(6)
     def c6(self):
         b2, b4, b6 = self.b2(), self.b4(), self.b6()
         return -(b2 * b2 * b2) + 36 * b2 * b4 - 216 * b6
 
+    @_integral(12)
     def disc(self):
         b2, b4, b6, b8 = self.b2(), self.b4(), self.b6(), self.b8()
         return (-(b2 * b2) * b8 - 8 * (b4 * b4 * b4) - 27 * (b6 * b6)
@@ -89,6 +151,7 @@ class WCurve(Record):
 
     # -- membership -------------------------------------------------------
 
+    @_integral(6)
     def equation_at(self, x, y):
         """y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6."""
         a1, a2, a3, a4, a6 = self.coeffs()
@@ -104,48 +167,44 @@ class WCurve(Record):
         if not self.contains(P):
             raise CurveError(f"point {P} is not on the curve")
 
-    # -- group law (chord and tangent) ------------------------------------
+    # -- group law (Jacobian coordinates on the integral model) -----------
+
+    def _enter(self, *points):
+        """(u, integral coefficients, Jacobian points) for points on the
+        curve, each checked on it."""
+        affine = [P for P in points if not P.infinity]
+        u, v = integral_model(
+            self.coeffs() + tuple(c for P in affine for c in (P.x, P.y)),
+            CURVE_WEIGHTS + POINT_WEIGHTS * len(affine))
+        a, xy = v[:5], iter(v[5:])
+        jacobian = []
+        for P in points:
+            J = _JO if P.infinity else (next(xy), next(xy), 1)
+            if not _on_curve(a, J):
+                raise CurveError(f"point {P} is not on the curve")
+            jacobian.append(J)
+        return u, a, jacobian
 
     def neg(self, P: WPoint) -> WPoint:
-        self.check_point(P)
-        if P.infinity:
-            return P
-        return WPoint(P.x, -P.y - self.a1 * P.x - self.a3)
+        u, a, (J,) = self._enter(P)
+        return _affine(u, _produced(a, _jneg(a, J)))
 
     def add(self, P: WPoint, Q: WPoint) -> WPoint:
-        self.check_point(P)
-        self.check_point(Q)
-        if P.infinity:
-            return Q
-        if Q.infinity:
-            return P
-        a1, a2, a3, a4, a6 = self.coeffs()
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if x1 == x2:
-            if y1 + y2 + a1 * x2 + a3 == 0:
-                return O
-            den = 2 * y1 + a1 * x1 + a3
-            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-            nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / den
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-            nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        return WPoint(x3, y3)
+        u, a, (J, K) = self._enter(P, Q)
+        return _affine(u, _produced(a, _jadd(a, J, K)))
 
     def smul(self, n: int, P: WPoint) -> WPoint:
-        self.check_point(P)
+        u, a, (J,) = self._enter(P)
         if n < 0:
-            return self.smul(-n, self.neg(P))
-        R = O
-        Q = P
+            n, J = -n, _produced(a, _jneg(a, J))
+        R = _JO
         while n:
             if n & 1:
-                R = self.add(R, Q)
-            Q = self.add(Q, Q)
+                R = _produced(a, _jadd(a, R, J))
             n >>= 1
-        return R
+            if n:
+                J = _produced(a, _jadd(a, J, J))
+        return _affine(u, R)
 
     def tangent_slope(self, P: WPoint):
         """Slope of the tangent at an affine point; None when vertical."""
@@ -157,6 +216,75 @@ class WCurve(Record):
         if den == 0:
             return None
         return (3 * P.x * P.x + 2 * a2 * P.x + a4 - a1 * P.y) / den
+
+
+# -- the Jacobian group law on integral coefficients a = (a1, a2, a3, a4, a6)
+
+_JO = (1, 1, 0)
+
+
+def _on_curve(a, J):
+    """J = (X, Y, Z) satisfies the Jacobian equation: the affine equation
+    of the curve with coefficients a_i Z^i at (X, Y), which is Z^6 times
+    the equation at (X/Z^2, Y/Z^3)."""
+    X, Y, Z = J
+    Z2 = Z * Z
+    Z3 = Z2 * Z
+    C = WCurve(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
+    return not C.equation_at(X, Y)
+
+
+def _produced(a, J):
+    """J, a point the group law produced, after checking it on the curve."""
+    if not _on_curve(a, J):
+        raise CurveError(f"the group law produced {J}, which is not on the curve")
+    return J
+
+
+def _jneg(a, J):
+    """-J, the point (x, -y - a1 x - a3)."""
+    X, Y, Z = J
+    return X, -Y - a[0] * X * Z - a[2] * Z * Z * Z, Z
+
+
+def _jadd(a, J, K):
+    """J + K: minus the third point of the curve on the line through J and
+    K (the tangent when they are equal)."""
+    if not J[2]:
+        return K
+    if not K[2]:
+        return J
+    a1, a2, a3, a4, a6 = a
+    X1, Y1, Z1 = J
+    X2, Y2, Z2 = K
+    # both points over the common Z0: x_i = U_i / Z0^2, y_i = S_i / Z0^3
+    Z0, Z1s, Z2s = Z1 * Z2, Z1 * Z1, Z2 * Z2
+    U1, U2 = X1 * Z2s, X2 * Z1s
+    S1, S2 = Y1 * Z2s * Z2, Y2 * Z1s * Z1
+    if U1 != U2:
+        H, L = U2 - U1, S2 - S1
+    else:
+        # K = -J when y1 + y2 + a1 x + a3 = 0; otherwise K = J and H is the
+        # tangent's denominator 2 y1 + a1 x1 + a3, times Z0^3
+        H = S1 + S2 + a1 * U1 * Z0 + a3 * Z0 * Z0 * Z0
+        if not H:
+            return _JO
+        Z02 = Z0 * Z0
+        L = 3 * U1 * U1 + 2 * a2 * U1 * Z02 + a4 * Z02 * Z02 - a1 * S1 * Z0
+    # the slope is L / Z3; x1 = U1 H^2 / Z3^2 and y1 = S1 H^3 / Z3^3
+    Z3 = Z0 * H
+    H2 = H * H
+    X3 = L * L + a1 * L * Z3 - a2 * Z3 * Z3 - (U1 + U2) * H2
+    return _jneg(a, (X3, L * (X3 - U1 * H2) + S1 * H2 * H, Z3))
+
+
+def _affine(u, J):
+    """The affine point of J on the curve whose integral model is scaled by u."""
+    X, Y, Z = J
+    if not Z:
+        return O
+    uZ = u * Z
+    return WPoint(Fraction(X, uZ * uZ), Fraction(Y, uZ * uZ * uZ))
 
 
 # -- flex test ---------------------------------------------------------------
@@ -214,21 +342,30 @@ class WTransform(Record):
         return WTransform(1 / l, -r * l * l, -s * l, l ** 3 * (s * r - t))
 
 
+def _translated(a1, a2, a3, a4, a6, r, s, t):
+    """The coefficients after x = x' + r, y = y' + s x' + t, of weights
+    1, 2, 3, 4, 6."""
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
+
+
 def transform(C: WCurve, T: WTransform) -> WCurve:
     """New curve under T; invariants scale by lam^4, lam^6, lam^12."""
-    lam, r, s, t = T.lam, T.r, T.s, T.t
+    lam = T.lam
     if lam == 0:
         raise CurveError("transform requires lambda != 0")
-    a1, a2, a3, a4, a6 = C.coeffs()
-    return WCurve(
-        lam * (a1 + 2 * s),
-        lam ** 2 * (a2 - s * a1 + 3 * r - s * s),
-        lam ** 3 * (a3 + r * a1 + 2 * t),
-        lam ** 4 * (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1
-                    + 3 * r * r - 2 * s * t),
-        lam ** 6 * (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3
-                    - t * t - r * t * a1),
-    )
+    u, v = integral_model(C.coeffs() + (T.r, T.s, T.t),
+                          CURVE_WEIGHTS + CHANGE_WEIGHTS)
+    if u == 1:
+        return WCurve(*(lam ** w * c
+                        for w, c in zip(CURVE_WEIGHTS, _translated(*v))))
+    # a weight-w coefficient is lam^w times its integral value over u^w
+    p, q = lam.numerator, lam.denominator * u
+    return WCurve(*(Fraction(c * p ** w, q ** w)
+                    for w, c in zip(CURVE_WEIGHTS, _translated(*v))))
 
 
 def transform_point(T: WTransform, P: WPoint) -> WPoint:

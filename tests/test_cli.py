@@ -225,6 +225,17 @@ def test_delta_range(capsys):
     assert "k=4: val2 = 6" in out
 
 
+@pytest.mark.parametrize("rng", ["1..4", "nonsense"])
+def test_delta_range_of_c4_powers_needs_val2(capsys, rng):
+    # only --val2 reads a range of c4-powers; without it the range is a
+    # usage error, not a value echoed and never parsed
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", "--c4-pow", "2", "--range", rng, "--json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: tmf3 delta") and "needs --val2" in err
+
+
 def test_invariants_identity(capsys):
     code, out, err = run(capsys, "invariants", "--curve", "0,0,1,-1,0",
                          "--json")

@@ -67,6 +67,25 @@ def test_item5_fails_when_the_flex_test_accepts_every_point(monkeypatch):
     assert r["pass"] is False and "negative disagreement" in r["detail"]
 
 
+def test_item5_fails_when_the_jacobian_sum_leaves_the_curve(monkeypatch):
+    # the sum's Y3 = -Y' - a1 X3 Z3 - a3 Z3^3 is the negation of the chord's
+    # third point; without a1 X3 Z3 the sums leave the curve, and the check
+    # of every produced point turns that into a failed item
+    monkeypatch.setattr(weierstrass, "_jneg",
+                        lambda a, J: (J[0], -J[1] - a[2] * J[2] ** 3, J[2]))
+    r = verify.item_flex()
+    assert r["pass"] is False
+    assert r["detail"].startswith("CurveError: the group law produced ")
+
+
+def test_item6_fails_with_a_wrong_weight_of_t(monkeypatch):
+    # t has weight 3; scaled by u^2 instead of u^3, transform gives wrong
+    # curves, and the normalization built on it raises a CurveError
+    monkeypatch.setattr(weierstrass, "CHANGE_WEIGHTS", (2, 1, 2))
+    r = verify.item_normalize()
+    assert r["pass"] is False and r["detail"].startswith("CurveError: ")
+
+
 def test_item6_fails_with_a_wrong_normal_form(monkeypatch):
     real = verify.gamma1_normalize
 

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tmf3 import weierstrass
 from tmf3.multipoly import MultiPoly, a1, a3, disc_factor
 from tmf3.weierstrass import (WCurve, WPoint, O, WTransform, CurveError,
                               transform, transform_point, gamma1_normalize,
-                              is_flex)
+                              is_flex, integral_model)
 
 
 def frac(n, d=1):
@@ -123,3 +125,226 @@ def test_gamma1_normalize_rejects_non_torsion():
     C = WCurve(0, 0, 1, -1, 0)
     with pytest.raises(CurveError):
         gamma1_normalize(C, WPoint(frac(0), frac(0)))
+
+
+# -- the integral model and the Jacobian group law against Fraction references
+
+def _ref_b(a1, a2, a3, a4, a6):
+    return (a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6,
+            a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4)
+
+
+def _ref_c4(a):
+    b2, b4, _, _ = _ref_b(*a)
+    return b2 * b2 - 24 * b4
+
+
+def _ref_c6(a):
+    b2, b4, b6, _ = _ref_b(*a)
+    return -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+def _ref_disc(a):
+    b2, b4, b6, b8 = _ref_b(*a)
+    return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+
+def _ref_equation(a, x, y):
+    a1, a2, a3, a4, a6 = a
+    return y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6
+
+
+def _ref_transform(a, lam, r, s, t):
+    a1, a2, a3, a4, a6 = a
+    return (lam * (a1 + 2 * s),
+            lam ** 2 * (a2 - s * a1 + 3 * r - s * s),
+            lam ** 3 * (a3 + r * a1 + 2 * t),
+            lam ** 4 * (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1
+                        + 3 * r * r - 2 * s * t),
+            lam ** 6 * (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3
+                        - t * t - r * t * a1))
+
+
+def _ref_neg(C, P):
+    if P.infinity:
+        return P
+    return WPoint(P.x, -P.y - C.a1 * P.x - C.a3)
+
+
+def _ref_add(C, P, Q):
+    """The affine chord-and-tangent law in Fractions."""
+    if P.infinity:
+        return Q
+    if Q.infinity:
+        return P
+    a1, a2, a3, a4, a6 = (Fraction(c) for c in C.coeffs())
+    x1, y1, x2, y2 = (Fraction(c) for c in (P.x, P.y, Q.x, Q.y))
+    if x1 == x2:
+        if y1 + y2 + a1 * x2 + a3 == 0:
+            return O
+        den = 2 * y1 + a1 * x1 + a3
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
+        nu = (-x1 ** 3 + a4 * x1 + 2 * a6 - a3 * y1) / den
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    return WPoint(x3, -(lam + a1) * x3 - nu - a3)
+
+
+def _ref_smul(C, n, P):
+    R = O
+    for _ in range(abs(n)):
+        R = _ref_add(C, R, P if n > 0 else _ref_neg(C, P))
+    return R
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+integers = st.integers(-20, 20)
+curve_coeffs = st.tuples(*[rationals] * 5)
+
+
+def _through(a1, a2, a3, a4, x, y):
+    """The curve with a1 .. a4 through (x, y)."""
+    return WCurve(a1, a2, a3, a4,
+                  y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x)
+
+
+@st.composite
+def curves_with_points(draw):
+    """A smooth curve through two points P, Q with distinct x."""
+    a1, a2, a3, x1, y1, x2, y2 = (draw(rationals) for _ in range(7))
+    assume(x1 != x2)
+    # a4 x + a6 = y^2 + a1 x y + a3 y - x^3 - a2 x^2 at both points
+    g1, g2 = (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x
+              for x, y in ((x1, y1), (x2, y2)))
+    C = _through(a1, a2, a3, (g1 - g2) / (x1 - x2), x1, y1)
+    assume(C.is_smooth())
+    return C, WPoint(x1, y1), WPoint(x2, y2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves_with_points(), st.integers(-6, 6))
+def test_group_law_agrees_with_the_affine_reference(CPQ, n):
+    C, P, Q = CPQ
+    assert C.contains(P) and C.contains(Q)
+    assert C.add(P, Q) == _ref_add(C, P, Q)
+    assert C.add(P, P) == _ref_add(C, P, P)
+    assert C.add(P, O) == P and C.add(O, P) == P
+    assert C.neg(P) == _ref_neg(C, P)
+    assert C.add(P, C.neg(P)) == O
+    assert C.add(P, Q) == C.add(Q, P)
+    assert C.smul(n, P) == _ref_smul(C, n, P)
+    R = C.add(P, P)
+    assert C.add(C.add(P, Q), R) == C.add(P, C.add(Q, R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[integers] * 6), st.integers(-6, 6))
+def test_group_law_on_int_curves(v, n):
+    a1, a2, a3, a4, x, y = v
+    C = _through(a1, a2, a3, a4, x, y)
+    assume(C.is_smooth())
+    P = WPoint(x, y)
+    assert C.smul(n, P) == _ref_smul(C, n, P)
+    Q = _ref_add(C, P, P)
+    assert C.add(P, Q) == _ref_add(C, P, Q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rationals, rationals, rationals, rationals, rationals)
+def test_doubling_a_two_torsion_point_gives_O(a1, a2, a3, a4, x):
+    # 2y + a1 x + a3 = 0: the tangent at (x, y) is vertical
+    y = -(a1 * x + a3) / 2
+    C = _through(a1, a2, a3, a4, x, y)
+    assume(C.is_smooth())
+    P = WPoint(x, y)
+    assert C.neg(P) == P
+    assert C.add(P, P) == O == _ref_add(C, P, P)
+    assert C.smul(-6, P) == O and C.smul(3, P) == P
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(curve_coeffs, st.tuples(*[integers] * 5)),
+       rationals, rationals)
+def test_invariants_and_equation_against_fraction_evaluation(a, x, y):
+    C = WCurve(*a)
+    exact = tuple(Fraction(c) for c in a)
+    assert (C.b2(), C.b4(), C.b6(), C.b8()) == _ref_b(*exact)
+    assert C.c4() == _ref_c4(exact)
+    assert C.c6() == _ref_c6(exact)
+    assert C.disc() == _ref_disc(exact)
+    assert C.equation_at(x, y) == _ref_equation(exact, x, y)
+    assert C.c4() ** 3 - C.c6() ** 2 == 1728 * C.disc()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(curve_coeffs, st.tuples(*[integers] * 5)),
+       rationals.filter(bool), rationals, rationals, rationals)
+def test_transform_against_fraction_evaluation(a, lam, r, s, t):
+    T = WTransform(lam, r, s, t)
+    exact = tuple(Fraction(c) for c in a)
+    assert transform(WCurve(*a), T).coeffs() == _ref_transform(exact, lam, r, s, t)
+
+
+def test_integral_model_clears_denominators_by_weight():
+    u, v = integral_model((frac(1, 2), frac(1, 3), 5), (1, 2, 3))
+    assert u == 6 and v == [3, 12, 5 * 216]
+    assert all(type(c) is int for c in v)
+    same = (frac(2), 3)
+    assert integral_model(same, (1, 2)) == (1, same)
+    symbolic = (a1(), frac(1, 2))
+    assert integral_model(symbolic, (1, 2)) == (1, symbolic)
+
+
+def test_multipoly_curves_keep_their_results_and_types():
+    zero = MultiPoly.zero()
+    coeffs = (a1(), zero, 3 * a3(), -6 * a1() * a3(),
+              -(9 * a3() ** 2 + a1() ** 3 * a3()))
+    C = WCurve(*coeffs)
+    got = (C.b2(), C.b4(), C.b6(), C.b8(), C.c4(), C.c6(), C.disc(),
+           C.equation_at(a1(), a3()))
+    want = (*_ref_b(*coeffs), _ref_c4(coeffs), _ref_c6(coeffs),
+            _ref_disc(coeffs), _ref_equation(coeffs, a1(), a3()))
+    for g, w in zip(got, want):
+        assert type(g) is MultiPoly and (g - w).is_zero()
+    T = WTransform(frac(2, 3), frac(1, 2), frac(-1), frac(3, 4))
+    for g, w in zip(transform(C, T).coeffs(),
+                    _ref_transform(coeffs, T.lam, T.r, T.s, T.t)):
+        assert type(g) is MultiPoly and (g - w).is_zero()
+
+
+def test_every_point_the_group_law_produces_is_checked(monkeypatch):
+    C = WCurve(0, 0, 1, -1, 0)
+    P = WPoint(frac(2), frac(2))
+    # a negation that forgets a3 Z^3 leaves the curve
+    monkeypatch.setattr(weierstrass, "_jneg",
+                        lambda a, J: (J[0], -J[1] - a[0] * J[0] * J[2], J[2]))
+    for run in (lambda: C.neg(P), lambda: C.add(P, P), lambda: C.smul(2, P)):
+        with pytest.raises(CurveError, match="not on the curve"):
+            run()
+
+
+def test_group_law_rejects_points_off_the_curve():
+    C = WCurve(0, 0, 1, -1, 0)
+    off = WPoint(frac(5), frac(5))
+    for run in (lambda: C.neg(off), lambda: C.add(O, off),
+                lambda: C.smul(0, off)):
+        with pytest.raises(CurveError, match=r"point \(5, 5\) is not on the curve"):
+            run()
+
+
+def test_smul_does_not_double_after_the_last_bit(monkeypatch):
+    calls = []
+    real = weierstrass._jadd
+
+    def counted(a, J, K):
+        calls.append(J == K)
+        return real(a, J, K)
+
+    monkeypatch.setattr(weierstrass, "_jadd", counted)
+    C = WCurve(0, 0, 1, -1, 0)
+    P = WPoint(frac(0), frac(0))
+    assert C.smul(6, P) == _ref_smul(C, 6, P)
+    # 6 = 0b110: two doublings, and the additions O + 2P and 2P + 4P
+    assert calls.count(True) == 2 and len(calls) == 4
