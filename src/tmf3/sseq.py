@@ -533,7 +533,16 @@ def pi_table(einf: ChartPage, stems=None):
 
 
 def compute_all(window: Window = DEFAULT_WINDOW):
-    """E2 -> E4 -> localized E7 -> E-infinity, returned as a dict of pages."""
+    """E2 -> E4 -> localized E7 -> E-infinity, returned as a dict of pages.
+
+    A window with positive bounds holds every bidegree the page checks read
+    iff S >= 7 and W >= 24: the E7 checks read x^7 Delta^-4 at (7, 30),
+    which apply_d3 keeps only when 30 - 2 <= W + 7 - 3.  A smaller window
+    is a ValueError; an AssertionError is a page check that failed."""
+    # non-positive bounds are build_E2's ValueError
+    if min(window) > 0 and (window.S < 7 or window.W < 24):
+        raise ValueError(f"window {tuple(window)} is too small for the page "
+                         f"checks: they need S >= 7 and W >= 24")
     e2 = build_E2(window)
     e4 = apply_d3(e2)
     e7 = localize_stabilize(e4)

@@ -30,6 +30,13 @@ no division and the point at infinity is (1 : 1 : 0).  The points enter
 once, as (u^2 x, u^3 y, 1), and the result leaves once, as
 (X / (uZ)^2, Y / (uZ)^3).  The inputs and every point the group law
 produces are checked on the integral Jacobian equation.
+
+Tangent frame (Silverman, AEC III.1).  x = x' + x0, y = y' + y0 moves a
+point P = (x0, y0) to the origin: then a6 = 0 iff P is on the curve, and the
+tangent at P is a3 y = a4 x, vertical iff a3 = 0.  The shear s = a4/a3 lays
+it on y' = 0, which meets the curve in x'^3 + a2 x'^2 + a4 x' + a6.  So P is
+a flex iff a2 = a4 = a6 = 0 in this frame, and the frame of an order-3 point
+is the Gamma_1(3) normal form y^2 + a1 xy + a3 y = x^3.
 """
 
 from __future__ import annotations
@@ -163,10 +170,6 @@ class WCurve(Record):
             return True
         return not self.equation_at(P.x, P.y)
 
-    def check_point(self, P: WPoint):
-        if not self.contains(P):
-            raise CurveError(f"point {P} is not on the curve")
-
     # -- group law (Jacobian coordinates on the integral model) -----------
 
     def _enter(self, *points):
@@ -205,17 +208,6 @@ class WCurve(Record):
             if n:
                 J = _produced(a, _jadd(a, J, J))
         return _affine(u, R)
-
-    def tangent_slope(self, P: WPoint):
-        """Slope of the tangent at an affine point; None when vertical."""
-        self.check_point(P)
-        if P.infinity:
-            raise CurveError("tangent at the point at infinity")
-        a1, a2, a3, a4, a6 = self.coeffs()
-        den = 2 * P.y + a1 * P.x + a3
-        if den == 0:
-            return None
-        return (3 * P.x * P.x + 2 * a2 * P.x + a4 - a1 * P.y) / den
 
 
 # -- the Jacobian group law on integral coefficients a = (a1, a2, a3, a4, a6)
@@ -287,55 +279,11 @@ def _affine(u, J):
     return WPoint(Fraction(X, uZ * uZ), Fraction(Y, uZ * uZ * uZ))
 
 
-# -- flex test ---------------------------------------------------------------
-
-def is_flex(C: WCurve, P: WPoint):
-    """True iff the tangent at P meets C with multiplicity 3 at P.
-
-    Computed by restricting the curve to the tangent line and checking that
-    the resulting cubic in x is exactly (x - x0)^3.  Vertical tangents
-    (2-torsion points) are reported as not-flex.
-    """
-    if P.infinity:
-        raise CurveError("flex test needs an affine point")
-    C.check_point(P)
-    if not C.is_smooth():
-        raise CurveError("flex test on a singular curve")
-    m = C.tangent_slope(P)
-    if m is None:
-        return False
-    a1, a2, a3, a4, a6 = C.coeffs()
-    x0, y0 = P.x, P.y
-    # line y = y0 + m (x - x0); cubic G(x) = x^3 + ... - (line substituted)
-    # G has roots at the three intersection x's; triple root <=> (x - x0)^3.
-    b = y0 - m * x0
-    # G(x) = x^3 + (a2 - m^2 - a1 m) x^2 + (a4 - 2mb - a1 b - a3 m) x
-    #        + (a6 - b^2 - a3 b)   [sign: curve minus line-substitution]
-    c2 = a2 - m * m - a1 * m
-    c1 = a4 - 2 * m * b - a1 * b - a3 * m
-    c0 = a6 - b * b - a3 * b
-    # want x^3 + c2 x^2 + c1 x + c0 == (x - x0)^3
-    ok = (c2 == -3 * x0) and (c1 == 3 * x0 * x0) and (c0 == -(x0 * x0 * x0))
-    return ok
-
-
 # -- coordinate transformations ----------------------------------------------
 
 class WTransform(Record):
     __slots__ = ("lam", "r", "s", "t")
     _defaults = {"r": 0, "s": 0, "t": 0}
-
-    def compose(self, other: "WTransform") -> "WTransform":
-        """Transform equal to applying self first, then other."""
-        l1, r1, s1, t1 = self.lam, self.r, self.s, self.t
-        l2, r2, s2, t2 = other.lam, other.r, other.s, other.t
-        inv1 = 1 / Fraction(l1)
-        return WTransform(
-            l1 * l2,
-            r1 + r2 * inv1 ** 2,
-            s1 + s2 * inv1,
-            t1 + t2 * inv1 ** 3 + s1 * r2 * inv1 ** 2,
-        )
 
     def inverse(self) -> "WTransform":
         l, r, s, t = Fraction(self.lam), self.r, self.s, self.t
@@ -376,7 +324,33 @@ def transform_point(T: WTransform, P: WPoint) -> WPoint:
     return WPoint(lam ** 2 * (x - r), lam ** 3 * (y - s * x + s * r - t))
 
 
-# -- Gamma_1(3) normalization ------------------------------------------------
+# -- the tangent frame: the flex test and the Gamma_1(3) normal form --------
+
+def _tangent_frame(C: WCurve, P: WPoint):
+    """(T, transform(C, T)) for the tangent frame T = (1, x0, s, y0) at P,
+    or None when the tangent is vertical; CurveError when P is off C."""
+    D = transform(C, WTransform(Fraction(1), P.x, 0, P.y))
+    if D.a6:
+        raise CurveError(f"point {P} is not on the curve")
+    if not D.a3:
+        return None
+    T = WTransform(Fraction(1), P.x, D.a4 / D.a3, P.y)
+    return T, transform(C, T)
+
+
+def is_flex(C: WCurve, P: WPoint):
+    """True iff the tangent at P meets C with multiplicity 3 at P; False at
+    a vertical tangent (a 2-torsion point)."""
+    if P.infinity:
+        raise CurveError("flex test needs an affine point")
+    frame = _tangent_frame(C, P)
+    if not C.is_smooth():
+        raise CurveError("flex test on a singular curve")
+    if frame is None:
+        return False
+    F = frame[1]
+    return not (F.a2 or F.a4 or F.a6)
+
 
 def gamma1_normalize(C: WCurve, P: WPoint):
     """Move an order-3 point to the origin with tangent the x-axis.
@@ -388,23 +362,15 @@ def gamma1_normalize(C: WCurve, P: WPoint):
     """
     if P.infinity:
         raise CurveError("normalization needs an affine point of order 3")
-    C.check_point(P)
     if not C.is_smooth():
         raise CurveError("normalization needs a smooth curve")
     if not C.smul(3, P).infinity:
         raise CurveError("point is not 3-torsion")
-    # step 1: translate P to the origin
-    T1 = WTransform(Fraction(1), P.x, Fraction(0), P.y)
-    C1 = transform(C, T1)
-    if C1.a6 != 0:
-        raise CurveError("translation failed to put P on the curve origin")
-    # step 2: shear the tangent line a3 y = a4 x onto the x-axis
-    if C1.a3 == 0:
+    frame = _tangent_frame(C, P)
+    if frame is None:
         # tangent vertical: P would be 2-torsion, contradicting order 3
         raise CurveError("vertical tangent at an order-3 point")
-    T2 = WTransform(Fraction(1), Fraction(0), C1.a4 / C1.a3, Fraction(0))
-    C2 = transform(C1, T2)
-    if C2.a2 != 0 or C2.a4 != 0 or C2.a6 != 0:
+    T, F = frame
+    if F.a2 or F.a4 or F.a6:
         raise CurveError("point is not a flex: normal form not reached")
-    T = T1.compose(T2)
-    return C2.a1, C2.a3, T
+    return F.a1, F.a3, T

@@ -5,13 +5,15 @@ import random
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tmf3 import cli
+from tmf3 import cli, sseq
 from tmf3.cli import (parse, CliSyntaxError, main, Num, Ident,
                       BinOp, Call, Unary)
+from tmf3.weierstrass import WCurve, WPoint, WTransform, transform, transform_point
 
 
 def run(capsys, *argv):
@@ -344,3 +346,96 @@ def test_invariants_j_placeholder(capsys):
     assert code == 0 and json.loads(out)["result"]["j"] == "undefined (Delta = 0)"
     code, out, err = run(capsys, "invariants", "--curve", "0,0,1,-1,0", "--json")
     assert json.loads(out)["result"]["j"] == "110592/37"
+
+
+# -- chart: a too-small window is a domain error, a failed page check exit 3
+
+def test_chart_exits_3_when_a_page_check_fails(monkeypatch, capsys):
+    real = sseq.d3_coeff
+    # d3 flipped at one monomial, zeta a1 a3^0: d3 o d3 no longer vanishes
+    monkeypatch.setattr(sseq, "d3_coeff",
+                        lambda s, i, j: real(s, i, j) ^ ((s, i, j) == (1, 1, 0)))
+    code, out, err = run(capsys, "chart", "--page", "E4")
+    assert (code, out) == (3, "")
+    assert err == "[FAIL] page checks: d3^2 != 0 at (s,t)=(1,2)\n"
+
+
+def test_chart_window_errors_are_domain_errors(capsys):
+    for window, message in (
+            ("6,100,8", "error: window (6, 100, 8) is too small for the page "
+                        "checks: they need S >= 7 and W >= 24\n"),
+            ("12,23,8", "error: window (12, 23, 8) is too small for the page "
+                        "checks: they need S >= 7 and W >= 24\n"),
+            ("0,100,8", "error: window bounds must be positive\n"),
+            ("12,100", "error: --window wants S,W,D integers\n")):
+        assert run(capsys, "chart", "--window", window) == (1, "", message)
+
+
+# -- a seeded fuzz of normalize and invariants ---------------------------------
+
+def _fuzz_argv(rng):
+    """One argv for normalize or invariants: an order-3 point of a normal
+    form moved by a random transform, a 2-torsion point, a singular curve,
+    a point off its curve, or one of these with a malformed field."""
+    def q(span=9):
+        return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+
+    kind = rng.choice(["order3", "two_torsion", "singular", "off_curve"])
+    T = WTransform(q() or Fraction(1), q(), q(), q())
+    if kind == "order3":
+        C = transform(WCurve(q(), 0, q(), 0, 0), T)
+        P = transform_point(T, WPoint(Fraction(0), Fraction(0)))
+    elif kind == "singular":
+        C = transform(WCurve(0, q(), 0, 0, 0), T)
+        P = transform_point(T, rng.choice([WPoint(Fraction(0), Fraction(0)),
+                                           WPoint(q(), q())]))
+    else:
+        a1, a2, a3, a4, x = q(), q(), q(), q(), q()
+        y = -(a1 * x + a3) / 2 if kind == "two_torsion" else q()
+        a6 = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x
+        C = WCurve(a1, a2, a3, a4, a6 + (q() if kind == "off_curve" else 0))
+        P = WPoint(x, y)
+    curve = [str(c) for c in C.coeffs()]
+    point = [str(P.x), str(P.y)]
+    if rng.random() < 0.3:
+        fields = rng.choice([curve, point])
+        bad = rng.choice(["4 or 6 fields", "1/0", "", "1e3"])
+        if bad == "4 or 6 fields":
+            fields.pop() if rng.random() < 0.5 else fields.append("1")
+        else:
+            fields[rng.randrange(len(fields))] = bad
+    if rng.random() < 0.5:
+        argv = ["normalize", "--curve=" + ",".join(curve),
+                "--point=" + ",".join(point)]
+    else:
+        argv = ["invariants", "--curve=" + ",".join(curve)]
+    return argv + ["--json"] * rng.randint(0, 1)
+
+
+def test_fuzz_normalize_and_invariants(capsys):
+    rng = random.Random(12)
+    codes = []
+    for _ in range(600):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, (argv, err)
+        codes.append((argv[0], code))
+        if code in (0, 3):
+            payload = json.loads(out)
+            result = payload["result"] if "--json" in argv else payload
+        else:
+            assert out == "", argv
+        if argv[0] == "normalize" and code == 0:
+            C = WCurve(*(Fraction(c) for c in argv[1][len("--curve="):].split(",")))
+            T = WTransform(*(Fraction(result["transform"][k])
+                             for k in ("lam", "r", "s", "t")))
+            A1, A3 = Fraction(result["A1"]), Fraction(result["A3"])
+            assert transform(C, T).coeffs() == (A1, 0, A3, 0, 0), argv
+    # every command reaches both its result and its domain errors
+    for outcome in (("normalize", 0), ("normalize", 1), ("invariants", 0),
+                    ("invariants", 1)):
+        assert outcome in codes

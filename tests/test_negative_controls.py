@@ -78,6 +78,28 @@ def test_item5_fails_when_the_jacobian_sum_leaves_the_curve(monkeypatch):
     assert r["detail"].startswith("CurveError: the group law produced ")
 
 
+def _frame_without_shear(C, P):
+    """The tangent frame with s = 0: P moves to the origin, but its tangent
+    a3 y = a4 x stays where it is."""
+    T = weierstrass.WTransform(Fraction(1), P.x, 0, P.y)
+    return T, weierstrass.transform(C, T)
+
+
+def test_item5_fails_when_the_tangent_frame_is_not_sheared(monkeypatch):
+    monkeypatch.setattr(weierstrass, "_tangent_frame", _frame_without_shear)
+    r = verify.item_flex()
+    assert r["pass"] is False
+    assert r["detail"].startswith("flex test misses an order-3 point")
+
+
+def test_item6_fails_when_the_tangent_frame_is_not_sheared(monkeypatch):
+    monkeypatch.setattr(weierstrass, "_tangent_frame", _frame_without_shear)
+    r = verify.item_normalize()
+    assert r["pass"] is False
+    assert r["detail"] == ("CurveError: point is not a flex: "
+                           "normal form not reached")
+
+
 def test_item6_fails_with_a_wrong_weight_of_t(monkeypatch):
     # t has weight 3; scaled by u^2 instead of u^3, transform gives wrong
     # curves, and the normalization built on it raises a CurveError

@@ -139,6 +139,32 @@ def test_window_edge_cells_are_not_read(S, W):
     assert all(row["ok"] for row in table), [r["stem"] for r in table if not r["ok"]]
 
 
+def _page_checks_pass(window):
+    """The verdict of the page checks themselves, without compute_all's
+    window rule."""
+    try:
+        e7_model_and_d7(localize_stabilize(apply_d3(build_E2(window))))
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("S", [1, 5, 6, 7, 8, 14])
+def test_window_rule_is_the_verdict_of_the_page_checks(S):
+    # the rule S >= 7 and W >= 24 rejects exactly the windows on which a
+    # page check would fail, across its edge W = 24 and for every D
+    for W in [2, 18, *range(19, 28), 30, 62]:
+        for D in (1, 2, 4, 8):
+            window = Window(S, W, D)
+            small = S < 7 or W < 24
+            assert _page_checks_pass(window) is not small, window
+            if small:
+                with pytest.raises(ValueError, match="is too small for the page checks"):
+                    compute_all(window)
+            else:
+                compute_all(window)
+
+
 # -- F2 linear algebra against a dense reference -------------------------------
 
 def _ref_rank(vectors, ncols):

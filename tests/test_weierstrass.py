@@ -90,13 +90,12 @@ def test_transform_scales_invariants():
 
 
 def test_transform_compose_and_inverse():
+    # transform by T, then by its inverse, is the identity
     rng = random.Random(11)
     for _ in range(20):
         T = WTransform(Fraction(rng.randint(1, 5), rng.randint(1, 3)),
                        frac(rng.randint(-4, 4)), frac(rng.randint(-4, 4)),
                        frac(rng.randint(-4, 4)))
-        U = T.compose(T.inverse())
-        assert (U.lam, U.r, U.s, U.t) == (1, 0, 0, 0)
         C = WCurve(frac(1), 0, frac(2), 0, 0)
         assert transform(transform(C, T), T.inverse()).coeffs() == C.coeffs()
 
@@ -348,3 +347,141 @@ def test_smul_does_not_double_after_the_last_bit(monkeypatch):
     assert C.smul(6, P) == _ref_smul(C, 6, P)
     # 6 = 0b110: two doublings, and the additions O + 2P and 2P + 4P
     assert calls.count(True) == 2 and len(calls) == 4
+
+
+# -- the tangent frame against the Fraction construction it replaced: the
+# tangent's slope, the restriction of the curve to the tangent line as a
+# cubic in x, and a translation and a shear composed into one transform
+
+def _ref_check_point(C, P):
+    if not C.contains(P):
+        raise CurveError(f"point {P} is not on the curve")
+
+
+def _ref_tangent_slope(C, P):
+    _ref_check_point(C, P)
+    if P.infinity:
+        raise CurveError("tangent at the point at infinity")
+    a1, a2, a3, a4, a6 = (Fraction(c) for c in C.coeffs())
+    den = 2 * P.y + a1 * P.x + a3
+    if den == 0:
+        return None
+    return (3 * P.x * P.x + 2 * a2 * P.x + a4 - a1 * P.y) / den
+
+
+def _ref_is_flex(C, P):
+    if P.infinity:
+        raise CurveError("flex test needs an affine point")
+    _ref_check_point(C, P)
+    if not C.is_smooth():
+        raise CurveError("flex test on a singular curve")
+    m = _ref_tangent_slope(C, P)
+    if m is None:
+        return False
+    a1, a2, a3, a4, a6 = (Fraction(c) for c in C.coeffs())
+    x0, y0 = P.x, P.y
+    # the curve minus the line y = y0 + m (x - x0) is a cubic in x with a
+    # triple root at x0 exactly when P is a flex
+    b = y0 - m * x0
+    c2 = a2 - m * m - a1 * m
+    c1 = a4 - 2 * m * b - a1 * b - a3 * m
+    c0 = a6 - b * b - a3 * b
+    return (c2 == -3 * x0) and (c1 == 3 * x0 * x0) and (c0 == -(x0 * x0 * x0))
+
+
+def _ref_compose(first, then):
+    """The transform equal to applying ``first``, then ``then``."""
+    l1, r1, s1, t1 = first.lam, first.r, first.s, first.t
+    l2, r2, s2, t2 = then.lam, then.r, then.s, then.t
+    inv1 = 1 / Fraction(l1)
+    return WTransform(l1 * l2, r1 + r2 * inv1 ** 2, s1 + s2 * inv1,
+                      t1 + t2 * inv1 ** 3 + s1 * r2 * inv1 ** 2)
+
+
+def _ref_gamma1_normalize(C, P):
+    if P.infinity:
+        raise CurveError("normalization needs an affine point of order 3")
+    _ref_check_point(C, P)
+    if not C.is_smooth():
+        raise CurveError("normalization needs a smooth curve")
+    if not C.smul(3, P).infinity:
+        raise CurveError("point is not 3-torsion")
+    T1 = WTransform(Fraction(1), P.x, Fraction(0), P.y)
+    C1 = transform(C, T1)
+    if C1.a6 != 0:
+        raise CurveError("translation failed to put P on the curve origin")
+    if C1.a3 == 0:
+        raise CurveError("vertical tangent at an order-3 point")
+    T2 = WTransform(Fraction(1), Fraction(0), C1.a4 / C1.a3, Fraction(0))
+    C2 = transform(C1, T2)
+    if C2.a2 != 0 or C2.a4 != 0 or C2.a6 != 0:
+        raise CurveError("point is not a flex: normal form not reached")
+    return C2.a1, C2.a3, _ref_compose(T1, T2)
+
+
+def _outcome(fn, C, P):
+    """fn(C, P), or the type and message of the exception it raises."""
+    try:
+        return fn(C, P)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def flex_cases(draw):
+    """A curve and a point: an order-3 point of a normal form (smooth or
+    not) moved by a random transform, a 2-torsion point, a point on a
+    curve, a point most likely off it, O, or a point on a singular curve;
+    with rational or with int coefficients and coordinates."""
+    numbers = draw(st.sampled_from([rationals, integers]))
+    a1, a2, a3, a4, a6, x, y = (draw(numbers) for _ in range(7))
+    T = WTransform(draw(numbers.filter(bool)), *(draw(numbers) for _ in range(3)))
+    kind = draw(st.sampled_from(
+        ["order3", "two_torsion", "on_curve", "off_curve", "O", "singular"]))
+    if kind == "order3":
+        return (transform(WCurve(a1, 0, a3 or 1, 0, 0), T),
+                transform_point(T, WPoint(0, 0)))
+    if kind == "two_torsion":
+        y = -(a1 * x + a3) / Fraction(2)
+    if kind in ("two_torsion", "on_curve"):
+        return _through(a1, a2, a3, a4, x, y), WPoint(x, y)
+    if kind in ("off_curve", "O"):
+        return WCurve(a1, a2, a3, a4, a6), O if kind == "O" else WPoint(x, y)
+    # y^2 = x^3 + a2 x^2, singular at (0, 0), through (x^2 - a2, x (x^2 - a2))
+    # or not, moved by a random transform
+    P = draw(st.sampled_from([WPoint(0, 0), WPoint(x * x - a2, x * (x * x - a2)),
+                              WPoint(x, y)]))
+    return transform(WCurve(0, a2, 0, 0, 0), T), transform_point(T, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flex_cases())
+def test_flex_and_normal_form_agree_with_the_fraction_reference(case):
+    C, P = case
+    assert _outcome(is_flex, C, P) == _outcome(_ref_is_flex, C, P)
+    want = _outcome(_ref_gamma1_normalize, C, P)
+    if not (P.infinity or C.is_smooth() or C.contains(P)):
+        # a singular curve and a point off it: smoothness is checked first
+        want = (CurveError, "normalization needs a smooth curve")
+    assert _outcome(gamma1_normalize, C, P) == want
+
+
+def test_flex_and_normal_form_check_in_order():
+    smooth, singular = WCurve(0, 0, 1, -1, 0), WCurve(0, 1, 0, 0, 0)
+    off = WPoint(frac(5), frac(5))
+    cases = [
+        (is_flex, smooth, O, "flex test needs an affine point"),
+        (is_flex, smooth, off, r"point \(5, 5\) is not on the curve"),
+        (is_flex, singular, off, r"point \(5, 5\) is not on the curve"),
+        (is_flex, singular, WPoint(frac(0), frac(0)),
+         "flex test on a singular curve"),
+        (gamma1_normalize, smooth, O,
+         "normalization needs an affine point of order 3"),
+        (gamma1_normalize, smooth, off, r"point \(5, 5\) is not on the curve"),
+        (gamma1_normalize, singular, off, "normalization needs a smooth curve"),
+        (gamma1_normalize, smooth, WPoint(frac(0), frac(0)),
+         "point is not 3-torsion"),
+    ]
+    for fn, C, P, message in cases:
+        with pytest.raises(CurveError, match=f"^{message}$"):
+            fn(C, P)
