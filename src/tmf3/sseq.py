@@ -14,13 +14,14 @@ h_{2,0} -> h1 h_{2,0} zeta^2) and squares to zero because the coefficient
 alternates along each (s+3, i+1)-tower.
 
 After localizing at Delta the s >= 3 lines are F_2[Delta^{+-1}, x] with
-x^s Delta^d represented by zeta^s a3^(3s+4d); d7(x^a Delta^k) =
-k x^(a+7) Delta^(k-5) then gives E_8 = E_infinity, which pi_table compares
-against a hand-encoded form of the answer: bo- and bsp-patterns on lines
-s <= 2 plus the torsion block F_2[Delta^{+-2}]{nu, nu^2, x, eta x, kbar,
-x^2, nu x^2}.  (bo_* = (Z, Z/2, Z/2, 0, Z, 0, 0, 0) and bsp_* =
-(Z, 0, 0, 0, Z, Z/2, Z/2, 0), period 8, are standard external facts used
-only inside the oracle.)
+x^s Delta^d represented by zeta^s a3^(3s+4d) (model_cell).  d7 has one
+input, d7(Delta) = x^7 Delta^-4 = h20^4 nu (D7_DELTA); with d7(x) = 0 the
+Leibniz rule gives d7(x^a Delta^k) = k x^(a+7) Delta^(k-5) (d7).  Then
+E_8 = E_infinity, which pi_table compares against a hand-encoded form of
+the answer: bo- and bsp-patterns on lines s <= 2 plus the torsion block
+F_2[Delta^{+-2}]{nu, nu^2, x, eta x, kbar, x^2, nu x^2}.  (bo_* = (Z, Z/2,
+Z/2, 0, Z, 0, 0, 0) and bsp_* = (Z, 0, 0, 0, Z, Z/2, Z/2, 0), period 8, are
+standard external facts used only inside the oracle.)
 
 Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
 all from one pivot-table elimination (row_space_f2, in_span_f2, kernel_f2);
@@ -158,15 +159,11 @@ def d3_presentation_checks():
     return checks
 
 
-def square_rule_check(pairs=((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))):
+def square_rule_check():
     """d3(c^2) = h1 (zeta c)^2 for odd-weight monomials c = a1^p a3^q."""
-    for (p, q) in pairs:
-        if (p + q) % 2 == 0:
-            raise ValueError("square rule needs odd weight")
-        c = _raw((p, 0, q))
-        if _raw_d3(c ** 2) != RAW_H1 * (RAW_ZETA * c) ** 2:
-            return False
-    return True
+    return all(_raw_d3(c ** 2) == RAW_H1 * (RAW_ZETA * c) ** 2
+               for (p, q) in ((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))
+               for c in [_raw((p, 0, q))])
 
 
 # -- chart pages -------------------------------------------------------------
@@ -303,14 +300,14 @@ def _delta_mult_matrix(page, s, t):
     return rows
 
 
-def localize_stabilize(page: ChartPage, D: int = None) -> ChartPage:
+def localize_stabilize(page: ChartPage) -> ChartPage:
     """Invert Delta by the filtration colimit: on each line s >= 1 and
     t-residue mod 24, multiplication by Delta is checked injective and the
-    cokernel dimensions of successive steps must stabilize within D steps.
+    cokernel dimensions of successive steps must stabilize within the
+    window's D steps.
     Returns the localized page (= E7; no differentials intervene)."""
     if page.r != 4:
         raise ValueError("localize_stabilize expects the E4 page")
-    D = D if D is not None else page.window.D
     loc = {}
     for s in range(1, page.window.S + 1):
         for t0 in range(0, 24, 2):
@@ -328,7 +325,7 @@ def localize_stabilize(page: ChartPage, D: int = None) -> ChartPage:
                     raise AssertionError(
                         f"Delta-multiplication not injective at ({s},{t})")
                 cokers.append(page.dim(s, t + 24) - rk)
-            tail = cokers[-D:] if len(cokers) >= D else cokers
+            tail = cokers[-page.window.D:]
             stable = tail[-1]
             if any(c != stable for c in tail[-max(2, len(tail) // 2):]):
                 raise AssertionError(
@@ -349,17 +346,29 @@ def localize_stabilize(page: ChartPage, D: int = None) -> ChartPage:
 
 # -- the E7 model, d7, and E_infinity ----------------------------------------
 
-def model_monomial(s, d):
-    """The raw monomial representing x^s Delta^d, or None if it needs a
-    deeper Delta-denominator than a3-exponents allow."""
+# d7(Delta) = x^7 Delta^-4, as the exponents of x and Delta
+D7_DELTA = (7, -4)
+
+
+def model_cell(s, t):
+    """The model basis at (s, t): the raw monomial zeta^s a3^(3s+4d) of
+    x^s Delta^d when t = 18s + 24d, none otherwise or when 3s + 4d < 0 (a
+    Delta-denominator deeper than a3-exponents allow)."""
+    d, r = divmod(t - 18 * s, 24)
     j = 3 * s + 4 * d
-    return (0, j) if j >= 0 else None
+    return [(0, j)] if r == 0 and j >= 0 else []
+
+
+def d7(a, k):
+    """d7(x^a Delta^k) as the exponents of x and Delta, or None for 0: by
+    Leibniz with d7(x) = 0 it is k x^a Delta^(k-1) d7(Delta)."""
+    return (a + D7_DELTA[0], k - 1 + D7_DELTA[1]) if k % 2 else None
 
 
 def e7_model_and_d7(page: ChartPage) -> ChartPage:
     """Checks the s >= 3 window of E7 against F_2[Delta^{+-1}, x], locates
-    h20^4 as a model class, applies d7(x^a Delta^k) = k x^(a+7) Delta^(k-5)
-    and returns E8 = E_infinity on s >= 1."""
+    h20^4 and d7(Delta) as model classes, applies d7 and returns
+    E8 = E_infinity."""
     if page.r != 7:
         raise ValueError("e7_model_and_d7 expects the localized page")
     win = page.window
@@ -367,78 +376,46 @@ def e7_model_and_d7(page: ChartPage) -> ChartPage:
 
     # lines s >= 3 are exactly the model: one class x^s Delta^d per
     # bidegree (s, 18s + 24d), nothing else
-    ok = True
-    for s in range(3, win.S + 1):
-        for t in range(0, win.W + s, 2):
-            dim = page.dim(s, t)
-            if (t - 18 * s) % 24 == 0:
-                d = (t - 18 * s) // 24
-                expect = 1 if model_monomial(s, d) else 0
-                ok &= dim == expect
-                if expect:
-                    ok &= page.cells[(s, t)] == [model_monomial(s, d)]
-            else:
-                ok &= dim == 0
-    checks["model_s_ge_3"] = ok
+    checks["model_s_ge_3"] = all(
+        page.cells.get((s, t), []) == model_cell(s, t)
+        for s in range(3, win.S + 1) for t in range(0, win.W + s, 2))
 
-    # x-multiplication realizes the model: x * (x^s Delta^d) = x^(s+1) Delta^d
-    ok = True
-    for s in range(3, win.S):
-        for d in range(-win.D, win.D + 1):
-            m = model_monomial(s, d)
-            t = 18 * s + 24 * d
-            if m is None or (s + 1, t + 18) not in page.cells:
-                continue
-            i, j = m
-            ok &= [(i, j + 3)] == page.cells[(s + 1, t + 18)]
-    checks["x_multiplication"] = ok
+    # x-multiplication realizes the model: x * (x^s Delta^d) = x^(s+1) Delta^d,
+    # the raw monomial times zeta a3^3
+    checks["x_multiplication"] = all(
+        page.cells[(s + 1, t + 18)] == [(i, j + 3) for (i, j) in model_cell(s, t)]
+        for s in range(3, win.S) for d in range(-win.D, win.D + 1)
+        for t in [18 * s + 24 * d]
+        if model_cell(s, t) and (s + 1, t + 18) in page.cells)
 
-    # h20^4 = zeta^4 a3^4 sits at (4, 24) = (4, 18*4 + 24*d) with d = -2;
-    # it coincides with the model class x^4 Delta^-2
-    d = (24 - 18 * 4) // 24
+    # h20^4 = zeta^4 a3^4 at (4, 24) is the model class x^4 Delta^-2
     checks["h20_4_is_x4_delta_power"] = (
-        d == -2 and page.cells.get((4, 24)) == [model_monomial(4, d)])
+        page.cells.get((4, 24)) == model_cell(4, 24) == [(0, 4)])
 
-    # d7 on the localized model (0-line Delta-powers included):
-    # x^a Delta^k -> k x^(a+7) Delta^(k-5); sources with any k in Z exist
-    # after localization, so a model class x^s Delta^d survives to E8 iff
-    # d is even (kernel) and s - 7 < 0 (no incoming hit: the incoming
-    # source x^(s-7) Delta^(d+5) has d + 5 odd, a non-cycle... precisely
-    # when d is odd; for even d the source exists and kills the class)
-    checks["d7_x_zero"] = True          # a = 1, k = 0: coefficient 0
+    # d7 on the named classes; d7(Delta) is h20^4 nu, the class at (7, 30)
+    target = d7(0, 1)
+    checks["d7_x_zero"] = d7(1, 0) is None
     checks["d7_delta_hits_h20_4_nu"] = (
-        model_monomial(7, -4) is not None
-        and (7, 18 * 7 + 24 * -4) in page.cells)   # x^7 Delta^-4 at (7, 30)
-    checks["d7_delta_sq_zero"] = (2 % 2 == 0)      # Leibniz coefficient
-    # kbar^6 = 0 forces d7(x^17 Delta^-7) = (h20^4)^6 = x^24 Delta^-12:
-    # check the bidegrees line up under the d7 rule
-    checks["d7_kbar6"] = (17 + 7 == 24) and (-7 - 5 == -12) and (-7 % 2 == 1)
+        target is not None and target[0] == 7
+        and 18 * target[0] + 24 * target[1] == 30
+        and page.cells.get((7, 30)) == model_cell(7, 30))
+    checks["d7_delta_sq_zero"] = d7(0, 2) is None
+    # kbar^6 = 0 forces d7(x^17 Delta^-7) = (h20^4)^6 = x^24 Delta^-12
+    checks["d7_kbar6"] = d7(17, -7) == (24, -12)
 
+    # E8 on lines s >= 1: the model class x^s Delta^d dies iff it is not a
+    # d7-cycle or it is d7 of x^(s-7) Delta^(d+5), a source that exists
+    # after localization; every other class is h1-divisible and permanent.
+    # The 0-line persists (d7 on Delta-powers only adds index-2
+    # bookkeeping; nothing maps into filtration 0).
     cells = {}
     for (s, t), basis in page.cells.items():
-        if s == 0:
-            # the 0-line persists (d7 on Delta-powers only adds index-2
-            # bookkeeping; nothing maps into filtration 0)
-            cells[(s, t)] = list(basis)
-            continue
-        if s >= 7:
-            continue       # model classes: odd d dies by its own d7,
-            # even d is hit from x^(s-7) Delta^(d+5) (odd, exists localized)
-        if s >= 3:
-            d = (t - 18 * s) // 24
-            if d % 2 == 0:
-                cells[(s, t)] = list(basis)
-        else:
-            # lines 1, 2: remove the model class x^s Delta^d with d odd
-            # (not a d7-cycle); everything else is h1-divisible and permanent
-            keep = list(basis)
-            if (t - 18 * s) % 24 == 0:
-                d = (t - 18 * s) // 24
-                m = model_monomial(s, d)
-                if d % 2 == 1 and m in keep:
-                    keep.remove(m)
-            if keep:
-                cells[(s, t)] = keep
+        d = (t - 18 * s) // 24
+        dead = model_cell(s, t) if s >= 1 and (
+            d7(s, d) is not None or s >= 7 and d7(s - 7, d + 5) == (s, d)) else []
+        keep = [m for m in basis if m not in dead]
+        if keep:
+            cells[(s, t)] = keep
     out = ChartPage(r=8, window=win, cells=cells, loc=dict(page.loc),
                     checks=dict(checks))
 
@@ -450,11 +427,8 @@ def e7_model_and_d7(page: ChartPage) -> ChartPage:
         for (s, t) in cells for r in range(8, win.S + 8))
     # 48-periodicity on s >= 1 within the Delta^2-stable range, short of
     # the cell at t = W + s that apply_d3 drops on lines s >= 3
-    ok = True
-    for (s, t) in cells:
-        if t + 48 < win.W + s and s >= 3:
-            ok &= (s, t + 48) in cells
-    out.checks["periodic_48"] = ok
+    out.checks["periodic_48"] = all(
+        (s, t + 48) in cells for (s, t) in cells if s >= 3 and t + 48 < win.W + s)
     if not all(out.checks.values()):
         bad = [k for k, v in out.checks.items() if not v]
         raise AssertionError(f"E7/E-infinity model checks failed: {bad}")
@@ -512,16 +486,15 @@ def torsion_description(n: int) -> str:
     return " + ".join(parts) if parts else "-"
 
 
-def pi_table(einf: ChartPage, stems=None):
+def pi_table(einf: ChartPage):
     """Per-stem comparison of the computed E-infinity column (F_2 dims at
-    filtration s >= 1, free rank at s = 0) with the hand-encoded answer."""
+    filtration s >= 1, free rank at s = 0) with the hand-encoded answer,
+    for stems 0 to 96."""
     if einf.r != 8:
         raise ValueError("pi_table expects the E-infinity page")
-    if stems is None:
-        stems = range(0, 97)
     smax = min(einf.window.S, 6)
     rows = []
-    for n in stems:
+    for n in range(97):
         computed = {0: einf.dim(0, n)}
         for s in range(1, smax + 1):
             computed[s] = einf.dim(s, n + s)

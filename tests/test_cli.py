@@ -360,6 +360,40 @@ def test_chart_exits_3_when_a_page_check_fails(monkeypatch, capsys):
     assert err == "[FAIL] page checks: d3^2 != 0 at (s,t)=(1,2)\n"
 
 
+def _zero_first_delta_row(monkeypatch):
+    real = sseq._delta_mult_matrix
+    monkeypatch.setattr(sseq, "_delta_mult_matrix",
+                        lambda page, s, t: [0] + real(page, s, t)[1:])
+
+
+@pytest.mark.parametrize("argv", [("--item", "9"), ("--all",)])
+def test_verify_exits_3_when_a_page_check_fails(monkeypatch, capsys, argv):
+    # the same failing page check that chart reports as exit 3 fails item 9,
+    # with the check's message as its detail and no traceback
+    _zero_first_delta_row(monkeypatch)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (3, "")
+    assert ("[FAIL] item 9 " in out and "fixed-point spectral sequence and "
+            "homotopy table: AssertionError: Delta-multiplication not "
+            "injective at (1,2)\n" in out)
+    assert out.endswith(f"{9 if argv == ('--all',) else 1} items, 1 failures\n")
+
+
+def test_chart_pages_are_the_pages_compute_all_returns():
+    assert cli.CHART_PAGES == tuple(sseq.compute_all(sseq.DEFAULT_WINDOW))
+
+
+def test_chart_rejects_an_unknown_page_before_any_work(monkeypatch, capsys):
+    def no_work(window):
+        raise RuntimeError("compute_all called")
+    monkeypatch.setattr(sseq, "compute_all", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["chart", "--window", "12,300,8", "--page", "E9"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: tmf3 chart") and "invalid choice: 'E9'" in err
+
+
 def test_chart_window_errors_are_domain_errors(capsys):
     for window, message in (
             ("6,100,8", "error: window (6, 100, 8) is too small for the page "

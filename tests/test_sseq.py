@@ -1,3 +1,5 @@
+import ast
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -292,3 +294,83 @@ def test_stabilization_check_fails_on_a_growing_cokernel(e4):
     e4.cells[(s, t + 24)] = e4.cells.get((s, t + 24), []) + [(999, 999)]
     with pytest.raises(AssertionError, match="no stabilization within budget"):
         localize_stabilize(e4)
+
+
+# -- E8 from d7(Delta) by Leibniz, against the parity rule it replaced --------
+
+def _ref_e8_cells(e7):
+    """E8 by the parity rule: on lines s >= 7 every class dies, on lines
+    3..6 the class x^s Delta^d survives iff d is even, on lines 1 and 2 the
+    model class x^s Delta^d is removed iff d is odd, and the 0-line stays."""
+    cells = {}
+    for (s, t), basis in e7.cells.items():
+        if s == 0:
+            cells[(s, t)] = list(basis)
+            continue
+        if s >= 7:
+            continue
+        if s >= 3:
+            d = (t - 18 * s) // 24
+            if d % 2 == 0:
+                cells[(s, t)] = list(basis)
+        else:
+            keep = list(basis)
+            if (t - 18 * s) % 24 == 0:
+                d = (t - 18 * s) // 24
+                m = (0, 3 * s + 4 * d) if 3 * s + 4 * d >= 0 else None
+                if d % 2 == 1 and m in keep:
+                    keep.remove(m)
+            if keep:
+                cells[(s, t)] = keep
+    return cells
+
+
+_E8_GRID = [Window(S, W, D) for S in (7, 8, 9, 12, 14)
+            for W in (24, 26, 30, 46, 48, 50, 72, 98, 100, 138)
+            for D in (1, 8)]
+_BENCHMARK_WINDOWS = [Window(12, 200, 8), Window(12, 250, 8),
+                      Window(8, 300, 12), Window(12, 300, 8)]
+
+
+def test_e8_cells_match_the_parity_rule():
+    for window in _E8_GRID + _BENCHMARK_WINDOWS:
+        e7 = localize_stabilize(apply_d3(build_E2(window)))
+        assert e7_model_and_d7(e7).cells == _ref_e8_cells(e7), window
+
+
+def test_model_cell_and_d7():
+    assert sseq.model_cell(7, 30) == [(0, 5)]          # x^7 Delta^-4
+    assert sseq.model_cell(4, 24) == [(0, 4)]          # h20^4 = x^4 Delta^-2
+    assert sseq.model_cell(3, 32) == []                # not 18s + 24d
+    assert sseq.model_cell(1, -6) == []                # x Delta^-1: a3^-1
+    assert sseq.d7(0, 1) == (7, -4)
+    assert sseq.d7(3, -3) == (10, -8)
+    assert sseq.d7(5, 4) is None
+
+
+def _failed_e7_checks(monkeypatch, name, value):
+    """The E7/E-infinity checks that fail with sseq.<name> set to value."""
+    monkeypatch.setattr(sseq, name, value)
+    with pytest.raises(AssertionError, match="E7/E-infinity model checks failed") as exc:
+        compute_all(Window(*DEFAULT_WINDOW))
+    return ast.literal_eval(str(exc.value).split(": ", 1)[1])
+
+
+def test_e7_checks_fail_with_a_wrong_d7_of_delta(monkeypatch):
+    # d7(Delta) = x^7 Delta^-3 lands at (7, 54), and the even-d classes on
+    # lines s >= 7 are no longer hit
+    assert _failed_e7_checks(monkeypatch, "D7_DELTA", (7, -3)) == [
+        "d7_delta_hits_h20_4_nu", "d7_kbar6", "x7_zero",
+        "no_further_differentials"]
+
+
+def test_e7_checks_fail_with_a_d7_that_ignores_parity(monkeypatch):
+    assert _failed_e7_checks(monkeypatch, "d7", lambda a, k: (a + 7, k - 5)) == [
+        "d7_x_zero", "d7_delta_sq_zero"]
+
+
+def test_e7_checks_fail_with_a_zero_d7(monkeypatch):
+    # d7(Delta) = 0 is a failed check, not a TypeError
+    assert _failed_e7_checks(monkeypatch, "d7", lambda a, k: None) == [
+        "d7_delta_hits_h20_4_nu", "d7_kbar6", "x7_zero",
+        "no_further_differentials"]
