@@ -313,13 +313,12 @@ def _domain(fn, *args):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_invariants(args):
-    from .weierstrass import WCurve
-    from .multipoly import a1, a3, MultiPoly
+    from .weierstrass import WCurve, gamma1_curves
+    from .multipoly import a1, a3
     if args.curve:
         C = WCurve(*_parse_curve(args.curve))
     else:
-        zero = MultiPoly.zero()
-        C = WCurve(a1(), zero, a3(), zero, zero)
+        C = gamma1_curves(a1(), a3())[0]
     vals = {"b2": C.b2(), "b4": C.b4(), "b6": C.b6(), "b8": C.b8(),
             "c4": C.c4(), "c6": C.c6(), "Delta": C.disc()}
     result = {k: value_text(v) for k, v in vals.items()}

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .multipoly import MultiPoly
 from .ring import Ring, monomial_text
-from .weierstrass import WCurve
+from .weierstrass import WCurve, gamma1_curves
 
 VARS = ("a1", "a3", "x")
 WEIGHTS = (1, 3, 2)
@@ -151,14 +151,12 @@ def sigma_pullback(e: FFElem) -> FFElem:
 def velu3():
     """Quotient data for the degree-3 isogeny with kernel {O, P0, -P0}.
 
-    Returns (Cprime, X, Y): the quotient Weierstrass curve
-    y^2 + a1 xy + 3 a3 y = x^3 - 6 a1 a3 x - (9 a3^2 + a1^3 a3)
-    and the trace coordinates X = x + s*x + s*s*x, Y likewise.
+    Returns (Cprime, X, Y): the quotient curve of ``gamma1_curves`` and the
+    trace coordinates X = x + s*x + s*s*x, Y likewise.
     """
     X, Y = (t + sigma_pullback(t) + sigma_pullback(sigma_pullback(t))
             for t in (FFElem.x(), FFElem.y()))
-    Cprime = WCurve(_A1, 0, 3 * _A3, -6 * _A1 * _A3, -(9 * _A3 ** 2 + _A1 ** 3 * _A3))
-    return Cprime, X, Y
+    return gamma1_curves(_A1, _A3)[1], X, Y
 
 
 def velu3_closed_form():
@@ -180,9 +178,8 @@ def verify_isogeny(Cprime=None, X=None, Y=None):
     report = {}
 
     # (i) the image satisfies the Weierstrass equation of Cprime
-    a1p, a2p, a3p, a4p, a6p = map(FFElem, Cprime.coeffs())
-    lhs = Y * Y + a1p * X * Y + a3p * Y - X ** 3 - a2p * X * X - a4p * X - a6p
-    report["equation"] = lhs.is_zero()
+    report["equation"] = (WCurve(*map(FFElem, Cprime.coeffs()))
+                          .equation_at(X, Y).is_zero())
 
     # (ii) phi* eta' = eta, without division: the derivation
     # (2y + a1 x + a3) d/dx + (3x^2 - a1 y) d/dy of the function field

@@ -6,10 +6,9 @@ forms are LocElems in the even subring of Z[1/3][a1, a3] localized at Delta.
 
 The maps:
 
-* fstar -- forget the subgroup: c_i evaluated on the universal curve
-  (a1, 0, a3, 0, 0);
-* qstar -- quotient by the subgroup: c_i evaluated on the quotient curve
-  (a1, 0, 3a3, -6a1a3, -(9a3^2 + a1^3 a3));
+* fstar -- forget the subgroup: c_i evaluated on the universal curve E of
+  ``weierstrass.gamma1_curves``;
+* qstar -- quotient by the subgroup: c_i evaluated on its quotient E';
 * hstar -- quotient by the full 3-torsion: multiplication by 3^weight;
 * tstar -- residual-subgroup swap: the substitution a1 -> s a1,
   a3 -> (a1^3 - 27 a3) / (3 s) with s^2 = -3, which takes the generators
@@ -31,14 +30,11 @@ from operator import add, mul
 from .multipoly import MultiPoly, LocElem, a1, a3, mod2, min_a1_term
 from .rationals import val_p_int
 from .ring import Ring, terms_text
-from .weierstrass import WCurve
+from .weierstrass import gamma1_curves
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
 # invariant polynomials of the two universal curves
-_ZERO = MultiPoly.zero()
-_CURVE_F = WCurve(a1(), _ZERO, a3(), _ZERO, _ZERO)
-_CURVE_Q = WCurve(a1(), _ZERO, 3 * a3(), -6 * a1() * a3(),
-                  -(9 * a3() ** 2 + a1() ** 3 * a3()))
+_CURVE_F, _CURVE_Q = gamma1_curves(a1(), a3())
 
 F4, F6, FDELTA = _CURVE_F.c4(), _CURVE_F.c6(), _CURVE_F.disc()
 Q4, Q6, QDELTA = _CURVE_Q.c4(), _CURVE_Q.c6(), _CURVE_Q.disc()
@@ -56,14 +52,7 @@ class LevelOneForm(Ring):
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (ca, eps, d), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    key = (ca, eps, d)
-                    clean[key] = clean.get(key, Fraction(0)) + c
-        self.terms = {k: c for k, c in clean.items() if c != 0}
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
 
     # -- constructors -----------------------------------------------------
 
@@ -286,31 +275,30 @@ def basis_monomials(max_weight: int, d_range=(-4, 4)):
 
 # -- 2-adic valuation analyses (the building-complex theorems) ---------------
 
+def _content_check(label: str, p: MultiPoly, expected: int) -> dict:
+    """nu_2 of the content of p, checked against ``expected``, with
+    p / 2^expected checked odd on a1^(w-3) a3, w the weight of p."""
+    v = p.content_val2()
+    i = p.weight_of() - 3
+    lead = p.coeff((i, 1)) / Fraction(2) ** expected
+    ok = (v == expected and lead.denominator == 1 and lead.numerator % 2 == 1)
+    return {"input": label, "valuation": v, "expected": expected,
+            "leading_term": f"{lead}*a1^{i}*a3", "pass": ok}
+
+
 def val2_delta_c4pow(k: int) -> dict:
-    """nu_2 of the content of delta(c4^k), checked against 4 + nu_2(k),
-    with the reduced coefficient on a1^(4k-3) a3 checked odd."""
+    """The content of delta(c4^k) has nu_2 = 4 + nu_2(k)."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    p = Q4 ** k - F4 ** k
-    v = p.content_val2()
-    expected = 4 + val_p_int(k, 2)
-    lead = p.coeff((4 * k - 3, 1)) / Fraction(2) ** expected
-    ok = (v == expected and lead.denominator == 1 and lead.numerator % 2 == 1)
-    return {"input": f"delta(c4^{k})", "valuation": v, "expected": expected,
-            "leading_term": f"{lead}*a1^{4 * k - 3}*a3", "pass": ok}
+    return _content_check(f"delta(c4^{k})", Q4 ** k - F4 ** k,
+                          4 + val_p_int(k, 2))
 
 
 def val_delta_c4c6(k: int) -> dict:
-    """Content valuation of delta(c4^k c6) is 3, odd coefficient on
-    a1^(4k+3) a3."""
+    """The content of delta(c4^k c6) has nu_2 = 3."""
     if k < 0:
         raise ValueError("k >= 0 required")
-    p = Q4 ** k * Q6 - F4 ** k * F6
-    v = p.content_val2()
-    lead = p.coeff((4 * k + 3, 1)) / 8
-    ok = (v == 3 and lead.denominator == 1 and lead.numerator % 2 == 1)
-    return {"input": f"delta(c4^{k}*c6)", "valuation": v, "expected": 3,
-            "leading_term": f"{lead}*a1^{4 * k + 3}*a3", "pass": ok}
+    return _content_check(f"delta(c4^{k}*c6)", Q4 ** k * Q6 - F4 ** k * F6, 3)
 
 
 def delta_mod2_Delta_pow(N: int) -> dict:

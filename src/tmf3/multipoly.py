@@ -134,11 +134,7 @@ class MultiPoly(Ring):
         if len(self.vars) < 2 or self.weights[0] != 1:
             raise ValueError("a MultiPoly needs two or more variables, "
                              "the first of weight 1")
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                e = tuple(exps)
-                clean[e] = clean.get(e, 0) + Fraction(c)
+        clean = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
         den = lcm(*(c.denominator for c in clean.values()))
         self.groups, self.den = _canonical(_group(
             {e: c.numerator * (den // c.denominator) for e, c in clean.items()},

@@ -337,11 +337,17 @@ def localize_stabilize(page: ChartPage) -> ChartPage:
             loc[(s, t0)] = {"growth": stable,
                             "stable_from": ts[first_stable]}
     out = ChartPage(r=7, window=page.window, cells=dict(page.cells), loc=loc)
-    # localized E4 is 24-periodic via Delta on s >= 1: in the stable range
-    # every Delta-step is injective with constant cokernel
-    out.checks["delta_periodic"] = all(
-        v["growth"] >= 0 for v in loc.values())
+    out.checks["delta_periodic"] = delta_periodic(out)
     return out
+
+
+def delta_periodic(page: ChartPage) -> bool:
+    """The localized page is 24-periodic via Delta on s >= 1: from
+    stable_from on, each Delta-step on line s grows the cell by the
+    recorded growth."""
+    return all(page.dim(s, t + 24) - page.dim(s, t) == v["growth"]
+               for (s, _), v in page.loc.items()
+               for t in range(v["stable_from"], page.window.W + s - 24, 24))
 
 
 # -- the E7 model, d7, and E_infinity ----------------------------------------
@@ -473,19 +479,6 @@ def oracle_dims(n: int, smax: int) -> dict:
     return dims
 
 
-def torsion_description(n: int) -> str:
-    parts = []
-    for (base, filt), (nm, period) in sorted(TORSION_BLOCK.items()):
-        if n % period == base % period and n >= base:
-            parts.append(f"{nm}*Delta^{(n - base) // 24}" if n != base else nm)
-    eta = sum(oracle_dims(n, 2)[s] for s in (1, 2)) - sum(
-        1 for (b, f), (nm, p) in TORSION_BLOCK.items()
-        if f <= 2 and n % p == b % p and n >= b)
-    if eta > 0:
-        parts.append(f"(Z/2)^{eta}")
-    return " + ".join(parts) if parts else "-"
-
-
 def pi_table(einf: ChartPage):
     """Per-stem comparison of the computed E-infinity column (F_2 dims at
     filtration s >= 1, free rank at s = 0) with the hand-encoded answer,
@@ -500,7 +493,6 @@ def pi_table(einf: ChartPage):
             computed[s] = einf.dim(s, n + s)
         expected = oracle_dims(n, smax)
         rows.append({"stem": n, "computed": computed, "expected": expected,
-                     "torsion": torsion_description(n),
                      "ok": computed == expected})
     return rows
 

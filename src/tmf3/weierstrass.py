@@ -324,6 +324,17 @@ def transform_point(T: WTransform, P: WPoint) -> WPoint:
     return WPoint(lam ** 2 * (x - r), lam ** 3 * (y - s * x + s * r - t))
 
 
+# -- the Gamma_1(3) curves ---------------------------------------------------
+
+def gamma1_curves(a1, a3):
+    """(E, E') for the normal form E: y^2 + a1 xy + a3 y = x^3, where (0, 0)
+    has order 3, and its quotient E' = E/<(0, 0)> (Velu):
+    y^2 + a1 xy + 3 a3 y = x^3 - 6 a1 a3 x - (9 a3^2 + a1^3 a3).
+    a1 and a3 may lie in any ring that holds the integers."""
+    return (WCurve(a1, 0, a3, 0, 0),
+            WCurve(a1, 0, 3 * a3, -6 * a1 * a3, -(9 * a3 * a3 + a1 ** 3 * a3)))
+
+
 # -- the tangent frame: the flex test and the Gamma_1(3) normal form --------
 
 def _tangent_frame(C: WCurve, P: WPoint):

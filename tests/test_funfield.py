@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tmf3 import funfield
+from tmf3 import funfield, weierstrass
 from tmf3.funfield import (FFElem, sigma_pullback, velu3, velu3_closed_form,
                            verify_isogeny)
 from tmf3.multipoly import MultiPoly
@@ -64,6 +64,22 @@ def test_wrong_a6_fails_equation():
     a1, a2, a3, a4, a6 = Cprime.coeffs()
     report = verify_isogeny(WCurve(a1, a2, a3, a4, a6 + gen("a3") ** 2), X, Y)
     assert report["equation"] is False
+
+
+def test_wrong_a4_from_gamma1_curves_fails_equation(monkeypatch):
+    # velu3 takes its E' from gamma1_curves, the curve q* is built from; a
+    # wrong a4 there moves E' off the image (X, Y) and fails that check alone.
+    # funfield imported the name, so it is patched there too
+    real = weierstrass.gamma1_curves
+
+    def wrong(a1, a3):
+        E, Ep = real(a1, a3)
+        return E, WCurve(Ep.a1, Ep.a2, Ep.a3, Ep.a4 + a1 * a3, Ep.a6)
+
+    monkeypatch.setattr(weierstrass, "gamma1_curves", wrong)
+    monkeypatch.setattr(funfield, "gamma1_curves", wrong)
+    report = verify_isogeny()
+    assert [k for k, v in report.items() if not v] == ["equation"]
 
 
 def test_shifted_X_fails_differential():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmf3 import levelmaps
 from tmf3.multipoly import LocElem, MultiPoly, a1, a3, disc_factor
 from tmf3.levelmaps import (LevelOneForm, F4, F6, FDELTA, Q4, Q6, QDELTA,
                             T_A, T_B, T_C, fstar, qstar, hstar, tstar,
                             delta_map, is_gamma03, cochain_D0, cochain_D1,
                             basis_monomials, val2_delta_c4pow, val_delta_c4c6,
                             delta_mod2_Delta_pow, lemma_binomial_check)
+from tmf3.weierstrass import gamma1_curves
 
 
 C4 = LevelOneForm.c4()
@@ -40,6 +42,10 @@ def test_qstar_formulas():
     assert (Q6 - (-a1() ** 6 + 540 * a1() ** 3 * a3()
                   + 5832 * a3() ** 2)).is_zero()
     assert (QDELTA - a3() * disc_factor() ** 3).is_zero()
+
+
+def test_the_map_curves_are_the_gamma1_curves():
+    assert (levelmaps._CURVE_F, levelmaps._CURVE_Q) == gamma1_curves(a1(), a3())
 
 
 def test_tstar_generator_formulas():

@@ -8,7 +8,7 @@ from tmf3.sseq import (Window, DEFAULT_WINDOW, ChartPage, build_E2, apply_d3,
                        localize_stabilize, e7_model_and_d7, compute_all,
                        pi_table, d3_presentation_checks, square_rule_check,
                        d3_coeff, chart_json, chart_ascii, oracle_dims,
-                       row_space_f2, in_span_f2, kernel_f2)
+                       row_space_f2, in_span_f2, kernel_f2, delta_periodic)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +81,14 @@ def test_localized_page_is_periodic(pages):
         assert steps, (s, t0)
         for t in steps:
             assert e7.dim(s, t + 24) - e7.dim(s, t) == v["growth"], (s, t)
+
+
+def test_delta_periodic_fails_on_a_wrong_growth(pages):
+    e7 = pages["E7"]
+    assert e7.checks["delta_periodic"] is True
+    for key, v in e7.loc.items():
+        loc = {**e7.loc, key: {**v, "growth": v["growth"] + 1}}
+        assert not delta_periodic(ChartPage(7, e7.window, e7.cells, loc)), key
 
 
 def test_einf_model_checks(pages):
