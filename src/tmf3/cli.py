@@ -2,8 +2,9 @@
 one text/JSON emitter, and the verification suite runner.
 
 The tokens and AST nodes (``Token``, ``Num``, ``Ident``, ``Unary``,
-``BinOp``, ``Call``) are frozen records (``tmf3.record``), so two parses of
-the same text compare equal.
+``BinOp``, ``Call``) are records (``tmf3.record``): namedtuples that equal
+only their own type, so two parses of the same text compare equal and a
+node never equals a plain tuple or a node of another type.
 
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
 3 verification failure. A domain error (``DomainError``) is raised where
@@ -19,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .record import Record
+from .record import record
 
 
 class CliSyntaxError(Exception):
@@ -43,10 +44,9 @@ KNOWN_FUNCS = ("fstar", "qstar", "hstar", "tstar", "delta")
 CHART_PAGES = ("E2", "E4", "E7", "Einf")
 
 
-class Token(Record):
-    # kind: "int", "ident", "op", "lparen", "rparen", "comma" or "end";
-    # offset: the index of its first character in the text
-    __slots__ = ("kind", "text", "offset")
+# kind: "int", "ident", "op", "lparen", "rparen", "comma" or "end";
+# offset: the index of its first character in the text
+Token = record("Token", "kind text offset")
 
 
 # one group per token kind; a word is an identifier when it starts with a
@@ -74,24 +74,11 @@ def _tokenize(text: str):
     return tokens
 
 
-class Num(Record):
-    __slots__ = ("value",)
-
-
-class Ident(Record):
-    __slots__ = ("name",)
-
-
-class Unary(Record):
-    __slots__ = ("op", "operand")
-
-
-class BinOp(Record):
-    __slots__ = ("op", "left", "right")
-
-
-class Call(Record):
-    __slots__ = ("func", "arg")
+Num = record("Num", "value")
+Ident = record("Ident", "name")
+Unary = record("Unary", "op operand")
+BinOp = record("BinOp", "op left right")
+Call = record("Call", "func arg")
 
 
 # binary precedences; ^ is right-associative, and a prefix - or + takes
@@ -462,7 +449,7 @@ def cmd_chart(args):
             raise DomainError("--window wants S,W,D integers") from exc
         win = Window(S, W, D)
     else:
-        win = Window(*DEFAULT_WINDOW)
+        win = DEFAULT_WINDOW
     try:
         pages = _domain(compute_all, win)
     except AssertionError as exc:

@@ -41,9 +41,10 @@ def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
 
 
 def _euler(p: MultiPoly, i: int) -> MultiPoly:
-    """x * dp/dx - i * p."""
-    return MultiPoly._from_terms({e: c * (e[2] - i) for e, c in p.terms.items()},
-                                 p.den, VARS, WEIGHTS)
+    """x * dp/dx - i * p: each group's list runs over the power k of x."""
+    return MultiPoly._new({key: [c * (k - i) for k, c in enumerate(cs)]
+                           for key, cs in p.groups.items()},
+                          p.den, VARS, WEIGHTS)
 
 
 class FFElem(Ring):

@@ -152,11 +152,6 @@ class MultiPoly(Ring):
         return self
 
     @classmethod
-    def _from_terms(cls, terms, den, vars, weights):
-        """Internal: build from {exponent tuple: int} over a positive den."""
-        return cls._new(_group(terms, weights), den, vars, weights)
-
-    @classmethod
     def zero(cls, vars=DEFAULT_VARS, weights=None):
         return cls({}, vars, weights)
 

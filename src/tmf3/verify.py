@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from .multipoly import LocElem, MultiPoly, a1, a3, disc_factor
-from .weierstrass import (WCurve, WPoint, O, WTransform, transform,
+from .weierstrass import (WCurve, WPoint, WTransform, transform,
                           transform_point, gamma1_curves, gamma1_normalize,
                           is_flex, CurveError)
 
@@ -60,14 +60,9 @@ def item_invariants():
             if C.c4() ** 3 - C.c6() ** 2 != 1728 * C.disc():
                 return False, f"identity fails on {C}"
         # the two symbolic universal curves
-        Cf, Cq = gamma1_curves(a1(), a3())
-        for C in (Cf, Cq):
+        for C in gamma1_curves(a1(), a3()):
             if not (C.c4() ** 3 - C.c6() ** 2 - 1728 * C.disc()).is_zero():
                 return False, "symbolic identity fails"
-        if not (Cf.disc() - a3() ** 3 * disc_factor()).is_zero():
-            return False, "Delta(normal form) wrong"
-        if not (Cq.disc() - a3() * disc_factor() ** 3).is_zero():
-            return False, "Delta(quotient) wrong"
         return True, "100 random + 2 symbolic curves"
     return _timed(1, "invariant identities c4^3 - c6^2 = 1728*Delta", run)
 
@@ -210,7 +205,7 @@ def item_normalize():
             if (A1, A3) != (C0.a1, C0.a3):
                 return False, f"recovered ({A1}, {A3}), expected ({C0.a1}, {C0.a3})"
             Tinv = T.inverse()
-            if (Tn.lam, Tn.r, Tn.s, Tn.t) != (Tinv.lam, Tinv.r, Tinv.s, Tinv.t):
+            if Tn != Tinv:
                 return False, f"transform {Tn} is not the inverse of {T}"
             if transform(C, Tn).coeffs() != C0.coeffs():
                 return False, "normalized curve differs from the original"
@@ -299,7 +294,7 @@ def item_eisenstein():
 
 def item_sseq():
     def run():
-        from .sseq import (Window, DEFAULT_WINDOW, compute_all, pi_table,
+        from .sseq import (DEFAULT_WINDOW, compute_all, pi_table,
                            d3_presentation_checks, square_rule_check)
         pres = d3_presentation_checks()
         bad = [k for k, v in pres.items() if not v]
@@ -307,7 +302,7 @@ def item_sseq():
             return False, f"d3 presentation checks failed: {bad}"
         if not square_rule_check():
             return False, "square rule d3(c^2) = h1 (zeta c)^2 failed"
-        pages = compute_all(Window(*DEFAULT_WINDOW))
+        pages = compute_all(DEFAULT_WINDOW)
         table = pi_table(pages["Einf"])
         mism = [row["stem"] for row in table if not row["ok"]]
         if mism:

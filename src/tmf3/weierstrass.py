@@ -6,8 +6,9 @@ symbolic work).  Operations needing division (group law, j, normalization)
 require rational (int or Fraction) coefficients and coordinates.
 
 Points (``WPoint``), curves (``WCurve``) and transforms (``WTransform``) are
-frozen records (``tmf3.record``): built positionally or by keyword, equal by
-type and fields, hashable and immutable.
+records (``tmf3.record``): namedtuples, built positionally or by keyword,
+hashable and immutable, that equal only their own type.  A curve unpacks to
+its coefficients (a1, a2, a3, a4, a6).
 
 Transformation convention: ``WTransform(lam, r, s, t)`` substitutes
 x = x'/lam^2 + r, y = y'/lam^3 + s x'/lam^2 + t internally, so the new
@@ -45,7 +46,7 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-from .record import Record
+from .record import record
 
 
 class CurveError(ValueError):
@@ -88,10 +89,9 @@ def _integral(weight):
     return decorate
 
 
-class WPoint(Record):
+class WPoint(record("WPoint", "x y infinity", defaults=(None, None, False))):
     """Affine point (x, y) or the point at infinity O."""
-    __slots__ = ("x", "y", "infinity")
-    _defaults = {"x": None, "y": None, "infinity": False}
+    __slots__ = ()
 
     @classmethod
     def O(cls):
@@ -104,11 +104,11 @@ class WPoint(Record):
 O = WPoint.O()
 
 
-class WCurve(Record):
-    __slots__ = ("a1", "a2", "a3", "a4", "a6")
+class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
+    __slots__ = ()
 
     def coeffs(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     # -- invariants (Deligne / Silverman p. 46) ---------------------------
 
@@ -281,9 +281,8 @@ def _affine(u, J):
 
 # -- coordinate transformations ----------------------------------------------
 
-class WTransform(Record):
-    __slots__ = ("lam", "r", "s", "t")
-    _defaults = {"r": 0, "s": 0, "t": 0}
+class WTransform(record("WTransform", "lam r s t", defaults=(0, 0, 0))):
+    __slots__ = ()
 
     def inverse(self) -> "WTransform":
         l, r, s, t = Fraction(self.lam), self.r, self.s, self.t

@@ -25,6 +25,13 @@ def test_item2_fails_with_a_wrong_qstar_c4(monkeypatch):
     assert r["pass"] is False and r["detail"].startswith("qstar(c4) = ")
 
 
+def test_item2_fails_with_a_wrong_qstar_Delta(monkeypatch):
+    # q*(Delta) = a3 (a1^3 - 27 a3)^3, here with + 27 a3
+    monkeypatch.setattr(levelmaps, "QDELTA", a3() * (a1() ** 3 + 27 * a3()) ** 3)
+    r = verify.item_map_formulas()
+    assert r["pass"] is False and r["detail"].startswith("qstar(Delta) = ")
+
+
 def _wrong_disc_powers(j):
     """The coefficients of (a1^3 + 27 a3)^j: the substitution for t* with
     the wrong sign in a1^3 - 27 a3."""

@@ -28,13 +28,13 @@ RECORDS = [
 @pytest.mark.parametrize("cls, values", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
 def test_record_equality_hash_and_frozenness(cls, values):
     a = cls(*values)
-    b = cls(**dict(zip(cls.__slots__, values)))
+    b = cls(**dict(zip(cls._fields, values)))
     assert a == b and not a != b and hash(a) == hash(b) == hash(values)
-    assert tuple(getattr(a, f) for f in cls.__slots__) == values
+    assert tuple(getattr(a, f) for f in cls._fields) == values
     assert len({a, b}) == 1
     other = cls(*values[:-1], "other")
     assert a != other
-    for name in cls.__slots__:
+    for name in cls._fields:
         with pytest.raises(AttributeError):
             setattr(a, name, values[0])
         with pytest.raises(AttributeError):
@@ -44,7 +44,7 @@ def test_record_equality_hash_and_frozenness(cls, values):
     with pytest.raises(TypeError):
         cls(*values, 0)
     with pytest.raises(TypeError):
-        cls(*values, **{cls.__slots__[0]: values[0]})
+        cls(*values, **{cls._fields[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values[:-1], unknown=1)
 
@@ -57,6 +57,17 @@ def test_records_equal_only_records_of_their_own_type():
     assert (1, 0, 1, 0, 0) != WCurve(1, 0, 1, 0, 0)
     assert WPoint(1, 2) != WCurve(1, 2, False, 0, 0)
     assert Num(2) == Num(Fraction(2)) and hash(Num(2)) == hash(Num(Fraction(2)))
+    assert Token("op", "+", 0) != BinOp("op", "+", 0)
+    assert BinOp("op", "+", 0) != Token("op", "+", 0)
+    # a set or dict compares the stored key with the one looked up
+    assert (2,) not in {Num(2)} and Num(2) not in {(2,)}
+    assert {Num(2): 1}.get((2,)) is None
+
+
+def test_a_curve_unpacks_to_its_coefficients():
+    C = WCurve(1, 0, Fraction(1, 3), 0, -2)
+    a1, a2, a3, a4, a6 = C
+    assert (a1, a2, a3, a4, a6) == C.coeffs() == (1, 0, Fraction(1, 3), 0, -2)
 
 
 def test_record_defaults():
