@@ -24,10 +24,13 @@ Z/2, 0, Z, 0, 0, 0) and bsp_* = (Z, 0, 0, 0, Z, Z/2, Z/2, 0), period 8, are
 standard external facts used only inside the oracle.)
 
 Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
-all from one pivot-table elimination (row_space_f2, in_span_f2, kernel_f2);
-apply_d3 builds each cell's d3 matrix once and reduces each kernel once. The
-four windows 12,200,8 / 12,250,8 / 8,300,12 / 12,300,8 take about 0.3 s
-together in one process (2-vCPU VM, Python 3.11.7).
+all from one pivot loop: row_space_f2 builds the pivot table, kernel_f2 runs
+it on rows augmented by the identity and in_span_f2 reduces against it.
+apply_d3 evaluates d3_coeff once per monomial and builds each cell's d3
+matrix once.  On the four windows 12,200,8 / 12,250,8 / 8,300,12 / 12,300,8,
+build_E2 and apply_d3 take 0.071 s together under the benchmark's tracer, and
+the benchmark's chart workload, one fresh process per window, 0.57 s
+(BENCH_16.json; 2-vCPU VM, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -46,30 +49,29 @@ DEFAULT_WINDOW = Window(S=12, W=100, D=8)
 # reduced by XOR-ing only the pivot its current leading bit hits, so reducing
 # a vector costs one dict lookup per pivot hit, not one step per basis vector.
 
-def _reduce(v, pivots):
-    """v with pivots XOR-ed in until its leading bit owns no pivot."""
-    while v:
-        b = pivots.get(v.bit_length())
-        if b is None:
-            break
-        v ^= b
-    return v
-
-
 def row_space_f2(vectors):
     """Echelon basis of the span, as its pivot table {leading bit: vector}:
     len() is the rank, .values() the basis."""
     pivots = {}
     for v in vectors:
-        v = _reduce(v, pivots)
-        if v:
-            pivots[v.bit_length()] = v
+        while v:
+            k = v.bit_length()
+            b = pivots.get(k)
+            if b is None:
+                pivots[k] = v
+                break
+            v ^= b
     return pivots
 
 
 def in_span_f2(v, pivots):
     """Whether v lies in the span whose pivot table row_space_f2 returned."""
-    return not _reduce(v, pivots)
+    while v:
+        b = pivots.get(v.bit_length())
+        if b is None:
+            return False
+        v ^= b
+    return True
 
 
 def kernel_f2(rows, ncols_src):
@@ -79,12 +81,10 @@ def kernel_f2(rows, ncols_src):
     # the same elimination on rows augmented by the identity, row_i << n |
     # 1 << i: the low n bits carry each vector's source combination, and a
     # vector whose image bits cancel is a kernel vector (its leading bit i
-    # owns no pivot, since earlier combinations only have lower bits)
+    # owns no pivot, since earlier combinations only have lower bits).  The
+    # augmented rows are independent, so each one adds a pivot.
     n = ncols_src
-    pivots = {}
-    for i in range(n):
-        v = _reduce(rows[i] << n | 1 << i, pivots)
-        pivots[v.bit_length()] = v
+    pivots = row_space_f2([rows[i] << n | 1 << i for i in range(n)])
     return [v for v in pivots.values() if not v >> n]
 
 
@@ -192,16 +192,13 @@ def build_E2(window: Window = DEFAULT_WINDOW) -> ChartPage:
     0 <= s <= S, 0 <= t <= s + W."""
     if min(window) <= 0:
         raise ValueError("window bounds must be positive")
+    # t = 2i + 6j makes i + j + s = t/2 - 2j + s, whose parity does not
+    # depend on j: a cell holds every a3-exponent 0..t//6 when t = 2s mod 4
+    # and nothing otherwise.  The basis is in increasing a1-exponent.
     cells = {}
     for s in range(window.S + 1):
-        for t in range(0, s + window.W + 1, 2):
-            basis = [(i, j) for j in range(t // 6 + 1)
-                     if (t - 6 * j) % 2 == 0
-                     for i in [(t - 6 * j) // 2]
-                     if (i + j + s) % 2 == 0]
-            basis = sorted(basis)
-            if basis:
-                cells[(s, t)] = basis
+        for t in range(2 * s % 4, s + window.W + 1, 4):
+            cells[(s, t)] = [(t // 2 - 3 * j, j) for j in range(t // 6, -1, -1)]
     return ChartPage(r=2, window=window, cells=cells)
 
 
@@ -213,21 +210,17 @@ def apply_d3(page: ChartPage) -> ChartPage:
         raise ValueError("apply_d3 expects the E2 page")
     win = page.window
 
+    # the d3 coefficient of every monomial, evaluated once
+    coeffs = {(s, t): [d3_coeff(s, i, j) for (i, j) in basis]
+              for (s, t), basis in page.cells.items()}
+
     def matrix(s, t):
-        src = page.cells.get((s, t), [])
         tgt = page.cells.get((s + 3, t + 2), [])
         pos = {m: k for k, m in enumerate(tgt)}
-        rows = []
-        for (i, j) in src:
-            if d3_coeff(s, i, j):
-                # targets beyond the window edge still exist in the ring:
-                # give them virtual coordinates so kernels stay honest
-                if (i + 1, j) not in pos:
-                    pos[(i + 1, j)] = len(pos)
-                rows.append(1 << pos[(i + 1, j)])
-            else:
-                rows.append(0)
-        return rows
+        # targets beyond the window edge still exist in the ring: give them
+        # virtual coordinates so kernels stay honest
+        return [1 << pos.setdefault((i + 1, j), len(pos)) if c else 0
+                for (i, j), c in zip(page.cells[(s, t)], coeffs[(s, t)])]
 
     # each cell's matrix is built once; cells outside the page have none
     mats = {st: matrix(*st) for st in page.cells}
@@ -246,8 +239,8 @@ def apply_d3(page: ChartPage) -> ChartPage:
             if composed:
                 raise AssertionError(f"d3^2 != 0 at (s,t)=({s},{t})")
         # coefficient-level check covers targets beyond the window edge
-        for (i, j) in page.cells[(s, t)]:
-            if d3_coeff(s, i, j) and d3_coeff(s + 3, i + 1, j):
+        for (i, j), c in zip(page.cells[(s, t)], coeffs[(s, t)]):
+            if c and d3_coeff(s + 3, i + 1, j):
                 raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
 
     cells = {}
@@ -264,19 +257,19 @@ def apply_d3(page: ChartPage) -> ChartPage:
             raise AssertionError("image not contained in kernel")
         # ... and the matching monomial description: d3 is monomial-to-
         # monomial, so kernel and image are coordinate subspaces
-        hit = {m for (i, j) in page.cells.get((s - 3, t - 2), [])
-               if d3_coeff(s - 3, i, j)
-               for m in [(i + 1, j)]} if s >= 3 else set()
-        survivors = [(i, j) for (i, j) in basis
-                     if not d3_coeff(s, i, j) and (i, j) not in hit]
         if s == 0:
             # integral kernel: c = 0 monomials plus 2 * (c = 1 monomials)
-            index2 = sum(d3_coeff(0, i, j) for (i, j) in basis)
             survivors = list(basis)      # free rank is unchanged
-            if len(kernel) != len(basis) - index2:
+            if len(kernel) != len(basis) - sum(coeffs[(s, t)]):
                 raise AssertionError("0-line mod-2 kernel mismatch")
-        elif len(survivors) != dim:
-            raise AssertionError(f"basis/rank mismatch at ({s},{t})")
+        else:
+            src = (s - 3, t - 2)
+            hit = {(i + 1, j) for (i, j), c in zip(page.cells.get(src, []),
+                                                   coeffs.get(src, [])) if c}
+            survivors = [m for m, c in zip(basis, coeffs[(s, t)])
+                         if not c and m not in hit]
+            if len(survivors) != dim:
+                raise AssertionError(f"basis/rank mismatch at ({s},{t})")
         if survivors:
             cells[(s, t)] = survivors
     return ChartPage(r=4, window=win, cells=cells)

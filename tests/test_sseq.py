@@ -338,12 +338,85 @@ _E8_GRID = [Window(S, W, D) for S in (7, 8, 9, 12, 14)
             for D in (1, 8)]
 _BENCHMARK_WINDOWS = [Window(12, 200, 8), Window(12, 250, 8),
                       Window(8, 300, 12), Window(12, 300, 8)]
+# the one window grid of the tests that compare pages with a reference
+_WINDOWS = _E8_GRID + _BENCHMARK_WINDOWS + [
+    Window(S, W, DEFAULT_WINDOW.D) for S in (7, 8, 12) for W in range(24, 331, 7)]
 
 
 def test_e8_cells_match_the_parity_rule():
-    for window in _E8_GRID + _BENCHMARK_WINDOWS:
+    for window in _WINDOWS:
         e7 = localize_stabilize(apply_d3(build_E2(window)))
         assert e7_model_and_d7(e7).cells == _ref_e8_cells(e7), window
+
+
+# -- E2 and E4 against the filter-and-sort form they replaced -----------------
+
+def _ref_e2_cells(window):
+    """E2 by filtering: every a3-exponent j with t - 6j even and
+    i + j + s even, sorted by monomial."""
+    cells = {}
+    for s in range(window.S + 1):
+        for t in range(0, s + window.W + 1, 2):
+            basis = sorted((i, j) for j in range(t // 6 + 1)
+                           if (t - 6 * j) % 2 == 0
+                           for i in [(t - 6 * j) // 2]
+                           if (i + j + s) % 2 == 0)
+            if basis:
+                cells[(s, t)] = basis
+    return cells
+
+
+def _ref_e4_cells(e2_cells, window):
+    """E4 by the monomial survivor rule, with d3_coeff evaluated afresh at
+    every use: the 0-line keeps its free basis, the cell at t = W + s on
+    lines s >= 3 is dropped, and elsewhere a monomial survives iff d3 is 0
+    on it and it is not d3 of a monomial in the cell below."""
+    cells = {}
+    for (s, t), basis in e2_cells.items():
+        if s >= 3 and t - 2 > window.W + s - 3:
+            continue
+        hit = {(i + 1, j) for (i, j) in e2_cells.get((s - 3, t - 2), [])
+               if d3_coeff(s - 3, i, j)}
+        survivors = list(basis) if s == 0 else [
+            (i, j) for (i, j) in basis
+            if not d3_coeff(s, i, j) and (i, j) not in hit]
+        if survivors:
+            cells[(s, t)] = survivors
+    return cells
+
+
+def test_e2_and_e4_cells_match_the_reference():
+    # the same cells, in the same order, each with the same basis order
+    for window in _WINDOWS:
+        ref = _ref_e2_cells(window)
+        e2 = build_E2(window)
+        assert list(e2.cells.items()) == list(ref.items()), window
+        e4 = apply_d3(e2)
+        assert list(e4.cells.items()) == list(_ref_e4_cells(ref, window).items()), window
+
+
+def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
+    # one d3_coeff call per monomial, one more for the d3^2 coefficient check
+    # where the coefficient is 1, and one kernel_f2 call per cell kept: all
+    # but the cell at t = W + s on lines s >= 3
+    window = _BENCHMARK_WINDOWS[-1]        # 12,300,8
+    e2 = build_E2(window)
+    coeffs = [d3_coeff(s, i, j) for (s, t), basis in e2.cells.items()
+              for (i, j) in basis]
+    kept = [(s, t) for (s, t) in e2.cells if s < 3 or t < window.W + s]
+    calls = {"d3_coeff": 0, "kernel_f2": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sseq, "d3_coeff", counted(d3_coeff))
+    monkeypatch.setattr(sseq, "kernel_f2", counted(kernel_f2))
+    apply_d3(e2)
+    assert calls == {"d3_coeff": len(coeffs) + sum(coeffs),
+                     "kernel_f2": len(kept)}
 
 
 def test_model_cell_and_d7():
