@@ -86,12 +86,19 @@ Call = record("Call", "func arg")
 _BINARY_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _PREFIX_PREC = 3
 
+# the deepest nesting of subexpressions parse accepts: each group, call
+# argument and operand opens a level inside the one that holds it, so that
+# as in Python's parser 200 nested parentheses parse and 201 do not; the
+# limit bounds the recursion of parse and of evaluate
+MAX_NESTING = 200
+
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -111,6 +118,9 @@ class _Parser:
     def expression(self, min_prec):
         """Precedence climbing over the operators binding at min_prec or tighter."""
         tok = self.advance()
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
         if tok.text in ("-", "+"):
             node = self.expression(_PREFIX_PREC)
             if tok.text == "-":
@@ -120,6 +130,7 @@ class _Parser:
         while (prec := _BINARY_PREC.get(self.tokens[self.pos].text, 0)) >= min_prec:
             op = self.advance().text
             node = BinOp(op, node, self.expression(prec if op == "^" else prec + 1))
+        self.depth -= 1
         return node
 
     def atom(self, tok):
@@ -188,32 +199,39 @@ def evaluate(node, env):
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
 
+    # a call: (map, domain, its name, coercion of a scalar); tstar's
+    # ValueError, on an element that is not sigma-invariant, is user input
+    level1 = (LevelOneForm, "a level-1 form", LevelOneForm.const)
+    calls = {"tstar": (lambda g: _domain(tstar, g), LocElem,
+                       "a level-3 element", LocElem.from_poly),
+             "fstar": (fstar, *level1), "qstar": (qstar, *level1),
+             "hstar": (hstar, *level1), "delta": (delta_map, *level1)}
+
     def walk(n):
+        chain = []      # a left-deep chain a + b - c ..., folded in a loop
+        while isinstance(n, BinOp):
+            chain.append(n)
+            n = n.left
         if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Ident):
+            value = n.value
+        elif isinstance(n, Ident):
             if n.name not in env:
                 raise DomainError(f"identifier {n.name!r} has no value in this command")
-            return env[n.name]
-        if isinstance(n, Unary):
-            return -walk(n.operand)
-        if isinstance(n, BinOp):
-            return combine(n.op, walk(n.left), walk(n.right))
-        arg = walk(n.arg)       # a Call
-        if n.func == "tstar":
-            if isinstance(arg, Fraction):
-                arg = LocElem.from_poly(arg)
-            if not isinstance(arg, LocElem):
+            value = env[n.name]
+        elif isinstance(n, Unary):
+            value = -walk(n.operand)
+        else:                   # a Call
+            fn, domain, what, coerce = calls[n.func]
+            value = walk(n.arg)
+            if isinstance(value, Fraction):
+                value = coerce(value)
+            if not isinstance(value, domain):
                 raise DomainError(
-                    f"tstar expects a level-3 element, got {type(arg).__name__}")
-            return _domain(tstar, arg)
-        if isinstance(arg, Fraction):
-            arg = LevelOneForm.const(arg)
-        if not isinstance(arg, LevelOneForm):
-            raise DomainError(
-                f"{n.func} expects a level-1 form, got {type(arg).__name__}")
-        table = {"fstar": fstar, "qstar": qstar, "hstar": hstar, "delta": delta_map}
-        return table[n.func](arg)
+                    f"{n.func} expects {what}, got {type(value).__name__}")
+            value = fn(value)
+        for b in reversed(chain):
+            value = combine(b.op, value, walk(b.right))
+        return value
 
     return walk(node)
 
@@ -258,24 +276,21 @@ def _emit(args, command, inputs, result, checks):
     return 0 if all(c["pass"] for c in checks) else 3
 
 
-def _parse_curve(text):
+# the comma-separated options: flag -> (entries, usage, what an entry is)
+_LISTS = {"--curve": (5, "five comma-separated rationals a1,a2,a3,a4,a6",
+                      "curve coefficient"),
+          "--point": (2, "two comma-separated rationals x,y", "point coordinate")}
+
+
+def _parse_list(flag, text):
+    count, usage, what = _LISTS[flag]
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 5:
-        raise DomainError("--curve wants five comma-separated rationals a1,a2,a3,a4,a6")
+    if len(parts) != count:
+        raise DomainError(f"{flag} wants {usage}")
     try:
         return [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad curve coefficient: {exc}") from exc
-
-
-def _parse_point(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise DomainError("--point wants two comma-separated rationals x,y")
-    try:
-        return Fraction(parts[0]), Fraction(parts[1])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad point coordinate: {exc}") from exc
+        raise DomainError(f"bad {what}: {exc}") from exc
 
 
 def _parse_range(text):
@@ -303,7 +318,7 @@ def cmd_invariants(args):
     from .weierstrass import WCurve, gamma1_curves
     from .multipoly import a1, a3
     if args.curve:
-        C = WCurve(*_parse_curve(args.curve))
+        C = WCurve(*_parse_list("--curve", args.curve))
     else:
         C = gamma1_curves(a1(), a3())[0]
     vals = {"b2": C.b2(), "b4": C.b4(), "b6": C.b6(), "b8": C.b8(),
@@ -323,16 +338,12 @@ def cmd_invariants(args):
 
 
 def cmd_normalize(args):
-    from .weierstrass import (CurveError, WCurve, WPoint, gamma1_normalize,
-                              transform)
+    from .weierstrass import WCurve, WPoint, gamma1_normalize, transform
     if not args.curve or not args.point:
         raise DomainError("normalize needs --curve and --point")
-    C = WCurve(*_parse_curve(args.curve))
-    P = WPoint(*_parse_point(args.point))
-    try:
-        A1, A3, T = gamma1_normalize(C, P)
-    except CurveError as exc:
-        raise DomainError(str(exc)) from exc
+    C = WCurve(*_parse_list("--curve", args.curve))
+    P = WPoint(*_parse_list("--point", args.point))
+    A1, A3, T = _domain(gamma1_normalize, C, P)
     Cn = transform(C, T)
     result = {"A1": str(A1), "A3": str(A3),
               "transform": {"lam": str(T.lam), "r": str(T.r),
@@ -457,8 +468,8 @@ def cmd_chart(args):
         print(f"[FAIL] page checks: {exc}", file=sys.stderr)
         return 3
     page = pages[args.page]
-    checks = [{"name": k, "pass": bool(v is True),
-               "detail": "verified" if v is True else str(v)}
+    # every page check is a bool, and a false one has raised above
+    checks = [{"name": k, "pass": v, "detail": "verified"}
               for k, v in sorted(page.checks.items())]
     result = (chart_json(page) if args.json
               else chart_ascii(page, max_stem=min(win.W, 48)))

@@ -398,24 +398,15 @@ def mod2(p: MultiPoly) -> GF2Poly:
     return GF2Poly([e for e, c in terms.items() if c % 2], p.vars)
 
 
-def min_a1_term(p):
-    """The unique term of minimal a1-exponent of a nonzero (GF2)poly.
-
-    For a MultiPoly, returns (exponent tuple, coefficient); for a GF2Poly,
-    returns the exponent tuple.  Ties broken by minimal full exponent tuple
+def min_a1_term(p: GF2Poly):
+    """The exponent tuple of the unique term of minimal a1-exponent of a
+    nonzero GF2Poly.  Ties broken by minimal full exponent tuple
     (impossible for homogeneous input).
     """
-    if isinstance(p, GF2Poly):
-        if not p.monos:
-            raise ValueError("min_a1_term of zero polynomial")
-        i = p.vars.index("a1")
-        return min(p.monos, key=lambda e: (e[i], e))
-    terms = p.terms
-    if not terms:
+    if not p.monos:
         raise ValueError("min_a1_term of zero polynomial")
     i = p.vars.index("a1")
-    e = min(terms, key=lambda t: (t[i], t))
-    return e, Fraction(terms[e], p.den)
+    return min(p.monos, key=lambda e: (e[i], e))
 
 
 # -- localization at Delta ---------------------------------------------------
@@ -488,15 +479,14 @@ class LocElem(Ring):
         i.e. a scalar times a3^i * (a1^3-27*a3)^j."""
         if self.is_zero():
             raise ValueError("element is not invertible in the localization")
-        i = min(map(_leading_zeros, self.num.groups.values()))
-        num, j = self.num._shift((0, -i)), 0
-        while (q := divide_exact(num)) is not None:
-            num, j = q, j + 1
+        # neither factor divides num to a power above num's top weight
+        top = max(self.num.groups)[0]
+        num, e3, e9 = _loc_reduce(self.num, top, top)
         if list(num.groups) != [(0,)]:
             raise ValueError("element is not invertible in the localization")
         c = Fraction(num.groups[(0,)][0], num.den)
         inv_num = (_A3 ** self.e3) * (_DISC ** self.e9) * (1 / c)
-        return LocElem(inv_num, i, j)
+        return LocElem(inv_num, top - e3, top - e9)
 
     def weight_of(self) -> int:
         return self.num.weight_of() - 3 * self.e3 - 3 * self.e9

@@ -252,7 +252,8 @@ def apply_d3(page: ChartPage) -> ChartPage:
         img = row_space_f2(mats.get((s - 3, t - 2), []))
         # honest dimension count ...
         dim = len(kernel) - len(img)
-        kernel_span = row_space_f2(kernel)
+        # kernel_f2's vectors have distinct leading bits: a pivot table
+        kernel_span = {v.bit_length(): v for v in kernel}
         if not all(in_span_f2(v, kernel_span) for v in img.values()):
             raise AssertionError("image not contained in kernel")
         # ... and the matching monomial description: d3 is monomial-to-
@@ -278,15 +279,15 @@ def apply_d3(page: ChartPage) -> ChartPage:
 # -- localization ------------------------------------------------------------
 
 def _delta_mult_matrix(page, s, t):
-    """Multiplication by Delta = a1^3 a3^3 - 27 a3^4 (mod 2 on s >= 1),
-    from cell (s, t) to (s, t + 24), reduced to the page basis."""
+    """Multiplication by RAW_DELTA, Delta mod 2 on s >= 1, from cell (s, t)
+    to (s, t + 24), reduced to the page basis."""
     src = page.cells.get((s, t), [])
     tgt = page.cells.get((s, t + 24), [])
     pos = {m: k for k, m in enumerate(tgt)}
     rows = []
     for (i, j) in src:
         row = 0
-        for m in ((i + 3, j + 3), (i, j + 4)):
+        for m in ((i + di, j + dj) for (di, _, dj) in RAW_DELTA.monos):
             if m in pos:
                 row ^= 1 << pos[m]
         rows.append(row)

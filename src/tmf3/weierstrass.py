@@ -25,11 +25,11 @@ evaluated on those integers and divided by u^W once (``integral_model``).
 Inputs that are already integral (u = 1) or not all rational, such as the
 MultiPoly coefficients of the universal curves, are used as they are.
 
-Group law.  ``add``, ``neg`` and ``smul`` run on the integral model in
-Jacobian coordinates (X : Y : Z), x = X/Z^2, y = Y/Z^3, where addition needs
-no division and the point at infinity is (1 : 1 : 0).  The points enter
-once, as (u^2 x, u^3 y, 1), and the result leaves once, as
-(X / (uZ)^2, Y / (uZ)^3).  The inputs and every point the group law
+Group law.  The public group law is ``smul``, n * P for any integer n.
+It runs on the integral model in Jacobian coordinates (X : Y : Z),
+x = X/Z^2, y = Y/Z^3, where addition needs no division and the point at
+infinity is (1 : 1 : 0).  The point enters once, as (u^2 x, u^3 y, 1), and the result leaves once, as
+(X / (uZ)^2, Y / (uZ)^3).  The input and every point the group law
 produces are checked on the integral Jacobian equation.
 
 Tangent frame (Silverman, AEC III.1).  x = x' + x0, y = y' + y0 moves a
@@ -165,39 +165,22 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         return (y * y + a1 * x * y + a3 * y
                 - x * x * x - a2 * x * x - a4 * x - a6)
 
-    def contains(self, P: WPoint):
-        if P.infinity:
-            return True
-        return not self.equation_at(P.x, P.y)
-
     # -- group law (Jacobian coordinates on the integral model) -----------
 
-    def _enter(self, *points):
-        """(u, integral coefficients, Jacobian points) for points on the
-        curve, each checked on it."""
-        affine = [P for P in points if not P.infinity]
-        u, v = integral_model(
-            self.coeffs() + tuple(c for P in affine for c in (P.x, P.y)),
-            CURVE_WEIGHTS + POINT_WEIGHTS * len(affine))
-        a, xy = v[:5], iter(v[5:])
-        jacobian = []
-        for P in points:
-            J = _JO if P.infinity else (next(xy), next(xy), 1)
-            if not _on_curve(a, J):
-                raise CurveError(f"point {P} is not on the curve")
-            jacobian.append(J)
-        return u, a, jacobian
-
-    def neg(self, P: WPoint) -> WPoint:
-        u, a, (J,) = self._enter(P)
-        return _affine(u, _produced(a, _jneg(a, J)))
-
-    def add(self, P: WPoint, Q: WPoint) -> WPoint:
-        u, a, (J, K) = self._enter(P, Q)
-        return _affine(u, _produced(a, _jadd(a, J, K)))
+    def _enter(self, P: WPoint):
+        """(u, integral coefficients, Jacobian point) for a point on the
+        curve, checked on it."""
+        affine = () if P.infinity else (P.x, P.y)
+        u, v = integral_model(self.coeffs() + affine,
+                              CURVE_WEIGHTS + POINT_WEIGHTS[:len(affine)])
+        a = v[:5]
+        J = (*v[5:], 1) if affine else _JO
+        if not _on_curve(a, J):
+            raise CurveError(f"point {P} is not on the curve")
+        return u, a, J
 
     def smul(self, n: int, P: WPoint) -> WPoint:
-        u, a, (J,) = self._enter(P)
+        u, a, J = self._enter(P)
         if n < 0:
             n, J = -n, _produced(a, _jneg(a, J))
         R = _JO

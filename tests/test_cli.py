@@ -62,6 +62,23 @@ def test_unbalanced_parens():
         parse("(c4 + 1")
 
 
+def test_a_long_sum_evaluates_in_a_loop():
+    # a left-deep chain of 3,000 terms, as long outputs of maps print
+    env = cli.level3_env()
+    value = cli.evaluate(parse("+".join(["a1"] * 3000)), env)
+    assert value == 3000 * env["a1"]
+
+
+def test_nesting_deeper_than_the_limit_is_a_syntax_error(capsys):
+    assert run(capsys, "maps", "--expr=" + "(" * 200 + "a1" + ")" * 200)[0] == 0
+    for expr in ("(" * 1000 + "a1" + ")" * 1000, "(" * 201 + "a1" + ")" * 201,
+                 "-" * 1000 + "a1", "^".join(["2"] * 1000),
+                 "fstar(" * 1000 + "c4" + ")" * 1000):
+        code, out, err = run(capsys, "maps", "--expr=" + expr)
+        assert code == 2 and out == "", expr[:10]
+        assert "nested deeper than 200 levels" in err and "Traceback" not in err
+
+
 def test_parse_fixed_cases():
     a1, a3, c4, c6 = Ident("a1"), Ident("a3"), Ident("c4"), Ident("c6")
     cases = {

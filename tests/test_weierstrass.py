@@ -49,12 +49,14 @@ def test_symbolic_quotient_discriminant():
 def test_group_law_basics():
     C = WCurve(0, 0, 1, -1, 0)  # rank-1 curve, P = (0,0) of infinite order
     P = WPoint(frac(0), frac(0))
-    assert C.contains(P)
-    assert C.add(P, C.neg(P)).infinity
-    assert C.add(P, O) == P
+    assert not C.equation_at(P.x, P.y)
+    assert C.smul(0, P) == O and C.smul(1, P) == P
+    negP = C.smul(-1, P)
+    assert C.smul(-1, negP) == P
     twoP = C.smul(2, P)
-    assert C.add(P, P) == twoP
-    assert C.add(twoP, C.neg(P)) == P
+    assert C.smul(-1, twoP) == C.smul(2, negP) == C.smul(-2, P)
+    # m (n P) = (m n) P regroups the ladder's sums
+    assert C.smul(3, twoP) == C.smul(2, C.smul(3, P)) == C.smul(6, P)
     assert not C.smul(3, P).infinity
 
 
@@ -105,7 +107,7 @@ def test_transform_point_follows_curve():
     P = WPoint(frac(0), frac(0))
     T = WTransform(frac(3, 2), frac(1), frac(2), frac(-1))
     C2, P2 = transform(C, T), transform_point(T, P)
-    assert C2.contains(P2)
+    assert not C2.equation_at(P2.x, P2.y)
     assert C2.smul(3, P2).infinity
 
 
@@ -226,16 +228,13 @@ def curves_with_points(draw):
 @given(curves_with_points(), st.integers(-6, 6))
 def test_group_law_agrees_with_the_affine_reference(CPQ, n):
     C, P, Q = CPQ
-    assert C.contains(P) and C.contains(Q)
-    assert C.add(P, Q) == _ref_add(C, P, Q)
-    assert C.add(P, P) == _ref_add(C, P, P)
-    assert C.add(P, O) == P and C.add(O, P) == P
-    assert C.neg(P) == _ref_neg(C, P)
-    assert C.add(P, C.neg(P)) == O
-    assert C.add(P, Q) == C.add(Q, P)
-    assert C.smul(n, P) == _ref_smul(C, n, P)
-    R = C.add(P, P)
-    assert C.add(C.add(P, Q), R) == C.add(P, C.add(Q, R))
+    for R in (P, Q):
+        assert not C.equation_at(R.x, R.y)
+        assert C.smul(n, R) == _ref_smul(C, n, R)
+        assert C.smul(2, R) == _ref_add(C, R, R)
+        assert C.smul(-1, R) == _ref_neg(C, R)
+        assert C.smul(n, C.smul(-1, R)) == C.smul(-n, R)
+    assert C.smul(3, C.smul(n, P)) == C.smul(3 * n, P)
 
 
 @settings(max_examples=40, deadline=None)
@@ -246,8 +245,8 @@ def test_group_law_on_int_curves(v, n):
     assume(C.is_smooth())
     P = WPoint(x, y)
     assert C.smul(n, P) == _ref_smul(C, n, P)
-    Q = _ref_add(C, P, P)
-    assert C.add(P, Q) == _ref_add(C, P, Q)
+    # 3P = P + 2P, the chord through P and 2P
+    assert C.smul(3, P) == _ref_add(C, P, _ref_add(C, P, P))
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,8 +257,8 @@ def test_doubling_a_two_torsion_point_gives_O(a1, a2, a3, a4, x):
     C = _through(a1, a2, a3, a4, x, y)
     assume(C.is_smooth())
     P = WPoint(x, y)
-    assert C.neg(P) == P
-    assert C.add(P, P) == O == _ref_add(C, P, P)
+    assert C.smul(-1, P) == P
+    assert C.smul(2, P) == O == _ref_add(C, P, P)
     assert C.smul(-6, P) == O and C.smul(3, P) == P
 
 
@@ -319,7 +318,7 @@ def test_every_point_the_group_law_produces_is_checked(monkeypatch):
     # a negation that forgets a3 Z^3 leaves the curve
     monkeypatch.setattr(weierstrass, "_jneg",
                         lambda a, J: (J[0], -J[1] - a[0] * J[0] * J[2], J[2]))
-    for run in (lambda: C.neg(P), lambda: C.add(P, P), lambda: C.smul(2, P)):
+    for run in (lambda: C.smul(-1, P), lambda: C.smul(2, P)):
         with pytest.raises(CurveError, match="not on the curve"):
             run()
 
@@ -327,7 +326,7 @@ def test_every_point_the_group_law_produces_is_checked(monkeypatch):
 def test_group_law_rejects_points_off_the_curve():
     C = WCurve(0, 0, 1, -1, 0)
     off = WPoint(frac(5), frac(5))
-    for run in (lambda: C.neg(off), lambda: C.add(O, off),
+    for run in (lambda: C.smul(-1, off), lambda: C.smul(1, off),
                 lambda: C.smul(0, off)):
         with pytest.raises(CurveError, match=r"point \(5, 5\) is not on the curve"):
             run()
@@ -354,7 +353,7 @@ def test_smul_does_not_double_after_the_last_bit(monkeypatch):
 # cubic in x, and a translation and a shear composed into one transform
 
 def _ref_check_point(C, P):
-    if not C.contains(P):
+    if not P.infinity and C.equation_at(P.x, P.y):
         raise CurveError(f"point {P} is not on the curve")
 
 
@@ -460,7 +459,7 @@ def test_flex_and_normal_form_agree_with_the_fraction_reference(case):
     C, P = case
     assert _outcome(is_flex, C, P) == _outcome(_ref_is_flex, C, P)
     want = _outcome(_ref_gamma1_normalize, C, P)
-    if not (P.infinity or C.is_smooth() or C.contains(P)):
+    if not (P.infinity or C.is_smooth() or not C.equation_at(P.x, P.y)):
         # a singular curve and a point off it: smoothness is checked first
         want = (CurveError, "normalization needs a smooth curve")
     assert _outcome(gamma1_normalize, C, P) == want
