@@ -431,13 +431,12 @@ def cmd_delta(args):
 
 def cmd_qexp(args):
     from .qexp import eisenstein_in_c4c6
-    from .ring import terms_text
     prec = args.precision
     if prec < 1:
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        result = terms_text(("c4", "c6", "Delta"), _domain(eisenstein_in_c4c6, k))
+        result = _domain(eisenstein_in_c4c6, k).to_text()
         return _emit(args, "qexp", {"eisenstein": k}, result, [])
     if not args.expr:
         raise DomainError("qexp needs --expr or --eisenstein K")

@@ -22,17 +22,16 @@ from .ring import Ring, monomial_text
 from .weierstrass import WCurve, gamma1_curves
 
 VARS = ("a1", "a3", "x")
-WEIGHTS = (1, 3, 2)
 
-_A1 = MultiPoly.gen("a1", VARS, WEIGHTS)
-_A3 = MultiPoly.gen("a3", VARS, WEIGHTS)
-_X = MultiPoly.gen("x", VARS, WEIGHTS)
+_A1 = MultiPoly.gen("a1", VARS)
+_A3 = MultiPoly.gen("a3", VARS)
+_X = MultiPoly.gen("x", VARS)
 _X3 = _X ** 3
 _S = _A1 * _X + _A3     # y + ybar = -(a1 x + a3)
 
 
 def _poly(c) -> MultiPoly:
-    return c if isinstance(c, MultiPoly) else MultiPoly.const(c, VARS, WEIGHTS)
+    return c if isinstance(c, MultiPoly) else MultiPoly.const(c, VARS)
 
 
 def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
@@ -44,7 +43,7 @@ def _euler(p: MultiPoly, i: int) -> MultiPoly:
     """x * dp/dx - i * p: each group's list runs over the power k of x."""
     return MultiPoly._new({key: [c * (k - i) for k, c in enumerate(cs)]
                            for key, cs in p.groups.items()},
-                          p.den, VARS, WEIGHTS)
+                          p.den, p.vars, p.weights)
 
 
 class FFElem(Ring):
@@ -144,7 +143,7 @@ def sigma_pullback(e: FFElem) -> FFElem:
     result = FFElem(0)
     for p, sy in ((e.u, FFElem(1)), (e.v, _SIGMA_Y)):
         for (e1, e3, ex), c in p.terms.items():
-            coeff = MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS, WEIGHTS)
+            coeff = MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS)
             result = result + FFElem(coeff, 0, (0, j)) * sy * _SIGMA_X ** (ex - i)
     return result
 
@@ -171,11 +170,10 @@ def velu3_closed_form():
     return X, Y
 
 
-def verify_isogeny(Cprime=None, X=None, Y=None):
+def verify_isogeny(Cprime, X, Y):
     """Exact checks that (X, Y) maps the universal curve onto Cprime
-    with phi* eta' = eta.  Returns a dict of named boolean results."""
-    if Cprime is None:
-        Cprime, X, Y = velu3()
+    with phi* eta' = eta, as for ``verify_isogeny(*velu3())``.  Returns a
+    dict of named boolean results."""
     report = {}
 
     # (i) the image satisfies the Weierstrass equation of Cprime

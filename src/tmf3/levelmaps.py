@@ -46,6 +46,11 @@ T_C = (Fraction(-1, 27) * a1() ** 6 + 2 * a1() ** 3 * a3()  # t*(a3^2)
        - 27 * a3() ** 2)
 
 
+def weight(a: int, eps: int, d: int) -> int:
+    """The weight of c4^a c6^eps Delta^d."""
+    return 4 * a + 6 * eps + 12 * d
+
+
 class LevelOneForm(Ring):
     """Element of MF* in the basis c4^a c6^eps Delta^d, eps in {0,1}."""
 
@@ -97,7 +102,7 @@ class LevelOneForm(Ring):
     def weight_of(self):
         if not self.terms:
             raise ValueError("weight of zero form is undefined")
-        ws = {4 * ca + 6 * eps + 12 * d for (ca, eps, d) in self.terms}
+        ws = {weight(*k) for k in self.terms}
         if len(ws) != 1:
             raise ValueError(f"inhomogeneous form, weights {sorted(ws)}")
         return ws.pop()
@@ -140,6 +145,18 @@ class LevelOneForm(Ring):
         ((_, _, d), c), = self.terms.items()
         return LevelOneForm.monomial(0, 0, -d, 1 / c)
 
+    def evaluate(self, c4, c6, delta):
+        """The image under the ring map sending c4, c6, Delta to elements of
+        a Ring that mixes with Fraction scalars; Delta^d with d < 0 goes
+        through the inverse of ``delta``, and a factor x^0 is left out."""
+        total = 0 * c4
+        for (ca, eps, d), c in self.terms.items():
+            for x, n in ((c4, ca), (c6, eps), (delta, d)):
+                if n:
+                    c = c * x ** n
+            total = total + c
+        return total
+
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
 
@@ -180,8 +197,7 @@ def qstar(m: LevelOneForm) -> LocElem:
 
 def hstar(m: LevelOneForm) -> LevelOneForm:
     """Quotient by the full 3-torsion: 3^weight on weight-w parts."""
-    return LevelOneForm({(ca, eps, d): c * Fraction(3) ** (4 * ca + 6 * eps + 12 * d)
-                         for (ca, eps, d), c in m.terms.items()})
+    return LevelOneForm({k: c * Fraction(3) ** weight(*k) for k, c in m.terms.items()})
 
 
 def is_gamma03(g: LocElem) -> bool:
@@ -256,20 +272,15 @@ def cochain_D1(u: LocElem, v: LevelOneForm) -> LocElem:
     return tstar(u) + u - fstar(v)
 
 
-def basis_monomials(max_weight: int, d_range=(-4, 4)):
+def basis_monomials(max_weight: int):
     """All basis monomials c4^a c6^eps Delta^d with 0 <= weight <= max_weight
-    and d in the given window."""
+    and -4 <= d <= 4, ordered by d, then eps, then a."""
     out = []
-    for d in range(d_range[0], d_range[1] + 1):
+    for d in range(-4, 5):
         for eps in (0, 1):
-            ca = 0
-            while True:
-                w = 4 * ca + 6 * eps + 12 * d
-                if w > max_weight:
-                    break
-                if w >= 0:
-                    out.append(LevelOneForm.monomial(ca, eps, d))
-                ca += 1
+            w0 = weight(0, eps, d)      # each power of c4 adds 4
+            out += [LevelOneForm.monomial(ca, eps, d)
+                    for ca in range(max(0, -(w0 // 4)), (max_weight - w0) // 4 + 1)]
     return out
 
 

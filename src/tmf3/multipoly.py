@@ -13,9 +13,9 @@ are dropped, gcd(den, numerators) = 1 and ``den == 1`` for zero, so equal
 polynomials have equal fields. Products are list convolutions, one per pair
 of groups; ``terms`` is a read-only view {exponent tuple: int}.
 
-The default variable set is (a1, a3) carrying modular-form weights (1, 3);
-other variables default to weight 1 unless weights are given, so ad-hoc sets
-like (u, v) serve the binomial lemma checks.
+A variable's weight follows from its name, by the one table ``WEIGHTS``: the
+default set (a1, a3) carries modular-form weights (1, 3), the function field
+adds x of weight 2, and the binomial lemma checks use (u, v) of weight 1.
 
 Also provides:
 
@@ -39,11 +39,8 @@ from operator import add, mul
 from .ring import Ring, monomial_text, terms_text
 
 DEFAULT_VARS = ("a1", "a3")
-STANDARD_WEIGHTS = {"a1": 1, "a3": 3}
-
-
-def _weights_for(vars):
-    return tuple(STANDARD_WEIGHTS.get(v, 1) for v in vars)
+# the weight of every variable a MultiPoly may use
+WEIGHTS = {"a1": 1, "a3": 3, "x": 2, "u": 1, "v": 1}
 
 
 # -- int lists ---------------------------------------------------------------
@@ -128,12 +125,12 @@ class MultiPoly(Ring):
 
     __slots__ = ("vars", "weights", "groups", "den")
 
-    def __init__(self, terms=None, vars=DEFAULT_VARS, weights=None):
+    def __init__(self, terms=None, vars=DEFAULT_VARS):
         self.vars = tuple(vars)
-        self.weights = tuple(weights) if weights is not None else _weights_for(self.vars)
-        if len(self.vars) < 2 or self.weights[0] != 1:
-            raise ValueError("a MultiPoly needs two or more variables, "
-                             "the first of weight 1")
+        self.weights = tuple(WEIGHTS.get(v, 0) for v in self.vars)
+        if len(self.vars) < 2 or self.weights[0] != 1 or 0 in self.weights:
+            raise ValueError(f"a MultiPoly needs two or more variables of {WEIGHTS}, "
+                             f"the first of weight 1, not {self.vars}")
         clean = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
         den = lcm(*(c.denominator for c in clean.values()))
         self.groups, self.den = _canonical(_group(
@@ -152,23 +149,23 @@ class MultiPoly(Ring):
         return self
 
     @classmethod
-    def zero(cls, vars=DEFAULT_VARS, weights=None):
-        return cls({}, vars, weights)
+    def zero(cls, vars=DEFAULT_VARS):
+        return cls({}, vars)
 
     @classmethod
-    def const(cls, c, vars=DEFAULT_VARS, weights=None):
+    def const(cls, c, vars=DEFAULT_VARS):
         n = len(vars)
-        return cls({(0,) * n: c}, vars, weights)
+        return cls({(0,) * n: c}, vars)
 
     def one(self):
-        return MultiPoly.const(1, self.vars, self.weights)
+        return MultiPoly.const(1, self.vars)
 
     @classmethod
-    def gen(cls, name, vars=DEFAULT_VARS, weights=None):
+    def gen(cls, name, vars=DEFAULT_VARS):
         i = tuple(vars).index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls({tuple(e): 1}, vars, weights)
+        return cls({tuple(e): 1}, vars)
 
     # -- basic structure ---------------------------------------------------
 
@@ -193,7 +190,7 @@ class MultiPoly(Ring):
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.vars, self.weights)
+            other = MultiPoly.const(other, self.vars)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (self.vars == other.vars and self.den == other.den
@@ -210,7 +207,7 @@ class MultiPoly(Ring):
     def _wrap(self, x):
         if isinstance(x, MultiPoly):
             return x
-        return MultiPoly.const(x, self.vars, self.weights)
+        return MultiPoly.const(x, self.vars)
 
     def _shift(self, exps):
         """self times the monomial with exponents ``exps``, whose negative

@@ -7,8 +7,8 @@ so that gcd(den, numerators) = 1, and products are computed on the ints.
 Arithmetic truncates to the minimum precision of the operands, so precision
 tracking is automatic and pessimistic.
 
-Provides c4, c6, Delta, the Eisenstein series G_2k, and exact expression of
-G_2k in the c4/c6/Delta monomial basis by back-substitution: that basis is
+Provides c4, c6, Delta, the Eisenstein series G_2k, and G_2k as a
+``LevelOneForm`` by back-substitution: the c4/c6/Delta monomial basis is
 unitriangular in q, since c4^a c6^eps Delta^d = q^d + O(q^(d+1)).
 """
 
@@ -19,6 +19,7 @@ from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
 
+from .levelmaps import LevelOneForm, delta_map
 from .rationals import bernoulli, sigma_pow
 from .ring import Ring
 
@@ -186,46 +187,38 @@ def series_delta(prec: int) -> QSeries:
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------
 
-def eisenstein_in_c4c6(k: int) -> dict:
-    """Exact expression of G_k as a polynomial in c4, c6, Delta.
+def eisenstein_in_c4c6(k: int):
+    """G_k as a LevelOneForm in c4, c6, Delta, in ascending power of c4.
 
-    Returns {(a, eps, d): coefficient} with G_k = sum c * c4^a c6^eps Delta^d,
-    in ascending a. The weight-k monomials have eps = 1 exactly when
-    k = 2 mod 4, and c4^a c6^eps Delta^d = q^d + O(q^(d+1)); so for
-    d = 0, 1, ... the coefficient of Delta^d is the q^d coefficient of what is
-    left of G_k after the lower powers of Delta are subtracted. What is left
-    at the end must vanish to precision (number of monomials) + 10.
+    The weight-k monomials have eps = 1 exactly when k = 2 mod 4, and
+    c4^a c6^eps Delta^d = q^d + O(q^(d+1)); so for d = 0, 1, ... the
+    coefficient of Delta^d is the q^d coefficient of what is left of G_k
+    after the lower powers of Delta are subtracted. What is left at the end
+    must vanish to precision (number of monomials) + 10.
     """
     eps = 1 if k % 4 == 2 else 0
     if k % 2 or k < 6 * eps:
         raise ValueError(f"no holomorphic forms of weight {k}")
     n = (k - 6 * eps) // 12 + 1
     prec = n + 10
-    c4s, c6s, ds = series_c4(prec), series_c6(prec), series_delta(prec)
+    series = series_c4(prec), series_c6(prec), series_delta(prec)
     rest = eisenstein_G(k, prec)
-    expr = {}
+    expr = LevelOneForm()
     for d in range(n):
         c = rest[d]
         if c:
-            a = (k - 6 * eps - 12 * d) // 4
-            s = c4s ** a
-            if eps:
-                s = s * c6s
-            rest = rest - c * (s * ds ** d)
-            expr[(a, eps, d)] = c
+            m = LevelOneForm.monomial((k - 6 * eps - 12 * d) // 4, eps, d, c)
+            rest = rest - m.evaluate(*series)
+            expr = m + expr     # the new term first: ascending power of c4
     if not rest.is_zero():
         raise ValueError("inconsistent system")
-    return dict(reversed(expr.items()))
+    return expr
 
 
-def e_alpha(expr: dict):
-    """The explicit building 1-cocycle on G_k, from its expression
-    ``expr = eisenstein_in_c4c6(k)``: the pair
-    (u (q* - f*) G_k, u (3^k - 1) G_k) with u = 1 for k = 0 mod 4 and
-    u = 2 for k = 2 mod 4, returned as (LocElem, LevelOneForm)."""
-    from .levelmaps import LevelOneForm, delta_map
-
-    G = LevelOneForm(expr)
+def e_alpha(G):
+    """The explicit building 1-cocycle on G_k = ``eisenstein_in_c4c6(k)``:
+    the pair (u (q* - f*) G_k, u (3^k - 1) G_k) with u = 1 for k = 0 mod 4
+    and u = 2 for k = 2 mod 4, returned as (LocElem, LevelOneForm)."""
     k = G.weight_of()
     u = 1 if k % 4 == 0 else 2
     return u * delta_map(G), (u * (3 ** k - 1)) * G

@@ -27,10 +27,7 @@ Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
 all from one pivot loop: row_space_f2 builds the pivot table, kernel_f2 runs
 it on rows augmented by the identity and in_span_f2 reduces against it.
 apply_d3 evaluates d3_coeff once per monomial and builds each cell's d3
-matrix once.  On the four windows 12,200,8 / 12,250,8 / 8,300,12 / 12,300,8,
-build_E2 and apply_d3 take 0.071 s together under the benchmark's tracer, and
-the benchmark's chart workload, one fresh process per window, 0.57 s
-(BENCH_16.json; 2-vCPU VM, Python 3.11.7).
+matrix once.
 """
 
 from __future__ import annotations

@@ -138,8 +138,8 @@ def item_cosimplicial():
 
 @_item("degree-3 isogeny verification")
 def item_isogeny():
-    from .funfield import verify_isogeny
-    report = verify_isogeny()
+    from .funfield import velu3, verify_isogeny
+    report = verify_isogeny(*velu3())
     bad = [k for k, v in report.items() if not v]
     if bad:
         return False, f"failed checks: {bad}"
@@ -250,8 +250,8 @@ def item_valuations():
 
 @_item("Eisenstein expressions and building cocycles")
 def item_eisenstein():
-    from .qexp import (QSeries, eisenstein_G, eisenstein_in_c4c6,
-                       series_c4, series_c6, series_delta, e_alpha)
+    from .qexp import (eisenstein_G, eisenstein_in_c4c6, series_c4,
+                       series_c6, series_delta, e_alpha)
     from .levelmaps import LevelOneForm, cochain_D1
 
     exprs = {}
@@ -260,22 +260,15 @@ def item_eisenstein():
             exprs[k] = eisenstein_in_c4c6(k)
         except ValueError as exc:
             return False, f"G_{k} has no expression in c4, c6, Delta: {exc}"
-    if exprs[4] != {(1, 0, 0): Fraction(1, 240)}:
-        return False, f"G_4 != c4/240: {exprs[4]}"
-    # independent re-check of each G_k to precision len(expr) + 30, larger
-    # than the solver used; one set of series serves every weight, as a
-    # comparison is to the lower of the two precisions
-    top = max(map(len, exprs.values())) + 30
-    c4s, c6s, ds = series_c4(top), series_c6(top), series_delta(top)
-    for k, expr in exprs.items():
-        prec = len(expr) + 30
-        total = QSeries.zero(top)
-        for (ca, eps, d), c in expr.items():
-            s = c4s ** ca
-            if eps:
-                s = s * c6s
-            total = total + c * (s * ds ** d)
-        if total != eisenstein_G(k, prec):
+    if exprs[4] != LevelOneForm.c4() / 240:
+        return False, f"G_4 != c4/240: {exprs[4].to_text()}"
+    # independent re-check of each G_k to precision (number of terms) + 30,
+    # larger than the solver used; one set of series serves every weight, as
+    # a comparison is to the lower of the two precisions
+    top = max(len(G.terms) for G in exprs.values()) + 30
+    series = series_c4(top), series_c6(top), series_delta(top)
+    for k, G in exprs.items():
+        if G.evaluate(*series) != eisenstein_G(k, len(G.terms) + 30):
             return False, f"q-expansion mismatch for G_{k}"
     # the cocycles are built from the expressions solved above
     u, v = e_alpha(exprs[4])
@@ -284,8 +277,8 @@ def item_eisenstein():
         return False, f"e_alpha(4) first component is {u.to_text()}"
     if v != Fraction(1, 3) * LevelOneForm.c4():
         return False, f"e_alpha(4) second component is {v.to_text()}"
-    for k, expr in exprs.items():
-        if not cochain_D1(*e_alpha(expr)).is_zero():
+    for k, G in exprs.items():
+        if not cochain_D1(*e_alpha(G)).is_zero():
             return False, f"e_alpha({k}) is not a cocycle"
     prec = 50
     lhs = series_c4(prec) ** 3 - series_c6(prec) ** 2

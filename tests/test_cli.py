@@ -237,6 +237,19 @@ def test_delta_val2_example(capsys):
     assert out.strip() == "5"
 
 
+def test_delta_of_a_c4_power_prints_its_formula(capsys):
+    from tmf3.levelmaps import LevelOneForm, delta_map
+    texts = {0: "0", 1: "240*a1*a3"}
+    for k in range(7):
+        code, out, err = run(capsys, "delta", "--c4-pow", str(k))
+        assert (code, err) == (0, "")
+        if k in texts:
+            assert out == texts[k] + "\n"
+        # the printed formula, read back at level 3, is delta(c4^K)
+        value = cli.evaluate(parse(out), cli.level3_env())
+        assert value == delta_map(LevelOneForm.c4() ** k), k
+
+
 def test_delta_range(capsys):
     code, out, err = run(capsys, "delta", "--c4-pow", "1", "--val2",
                          "--range", "1..4")

@@ -13,7 +13,7 @@ from tmf3.weierstrass import WCurve
 
 
 def gen(name):
-    return MultiPoly.gen(name, funfield.VARS, funfield.WEIGHTS)
+    return MultiPoly.gen(name, funfield.VARS)
 
 
 def test_field_relation():
@@ -53,7 +53,7 @@ def test_quotient_curve_coefficients():
 
 
 def test_full_isogeny_verification():
-    report = verify_isogeny()
+    report = verify_isogeny(*velu3())
     assert all(report.values()), report
 
 
@@ -78,7 +78,7 @@ def test_wrong_a4_from_gamma1_curves_fails_equation(monkeypatch):
 
     monkeypatch.setattr(weierstrass, "gamma1_curves", wrong)
     monkeypatch.setattr(funfield, "gamma1_curves", wrong)
-    report = verify_isogeny()
+    report = verify_isogeny(*velu3())
     assert [k for k, v in report.items() if not v] == ["equation"]
 
 

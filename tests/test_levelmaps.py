@@ -100,10 +100,41 @@ def test_cochain_composition_vanishes():
 
 
 def test_basis_monomials_bounds():
-    mons = basis_monomials(24, d_range=(-2, 2))
+    mons = basis_monomials(24)
     assert mons
     for m in mons:
-        assert m.weight_of() <= 24
+        assert 0 <= m.weight_of() <= 24
+
+
+def _basis_by_brute_force(max_weight):
+    """Every c4^a c6^eps Delta^d, -4 <= d <= 4, of weight 0..max_weight, in
+    (d, eps, a) order; a runs far past any bound the weight allows."""
+    return [LevelOneForm.monomial(a, eps, d)
+            for d in range(-4, 5) for eps in (0, 1) for a in range(100)
+            if 0 <= 4 * a + 6 * eps + 12 * d <= max_weight]
+
+
+def test_basis_monomials_match_a_brute_force_enumeration():
+    mons = basis_monomials(48)
+    assert len(mons) == 161
+    assert mons == _basis_by_brute_force(48)
+    for w in (0, 4, 6, 10, 23, 24):
+        assert basis_monomials(w) == _basis_by_brute_force(w)
+    assert basis_monomials(-1) == []
+
+
+def test_evaluate_on_the_level_three_images_is_fstar_and_qstar():
+    # evaluate multiplies out the LocElem images term by term, with no
+    # common denominator and no cached powers
+    images = {fstar: (F4, F6, FDELTA), qstar: (Q4, Q6, QDELTA)}
+    for m in basis_monomials(48):
+        for fn, gens in images.items():
+            assert m.evaluate(*map(LocElem, gens)) == fn(m), (fn.__name__, m)
+    sums = (C4 ** 2 - 3 * C6 * DELTA ** -1 + Fraction(2, 5),
+            LevelOneForm.delta(-3) * C4 ** 9 - C6 * C4 ** 6 / DELTA ** 2)
+    for f in sums:
+        for fn, gens in images.items():
+            assert f.evaluate(*map(LocElem, gens)) == fn(f)
 
 
 def test_val2_examples():

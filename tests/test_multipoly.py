@@ -248,9 +248,28 @@ def test_loc_elem_results_equal_the_reduced_form(p, e3, e9, c, n, q, k3, k9):
 
 # the three variable sets of the package: the level-3 ring, the binomial
 # lemma's (u, v) and the function field's (a1, a3, x), each with the
-# exponent bounds its random polynomials use
+# weights its names carry and the exponent bounds its random polynomials use
 VAR_SETS = [(("a1", "a3"), (1, 3), (6, 3)), (("u", "v"), (1, 1), (6, 6)),
             (("a1", "a3", "x"), (1, 3, 2), (4, 2, 3))]
+
+
+def test_equal_names_mean_equal_gradings():
+    # a generator built alone and one from the function field's table are
+    # one polynomial: they add, multiply and compare as such
+    from tmf3 import funfield
+    x = MultiPoly.gen("x", ("a1", "a3", "x"))
+    assert x == funfield._X and hash(x) == hash(funfield._X)
+    assert (x + funfield._X).to_text() == "2*x"
+    assert x * funfield._A1 == funfield._A1 * funfield._X
+    assert (x * funfield._A3).weight_of() == 5
+
+
+def test_a_variable_without_a_weight_is_refused():
+    for vars in (("a1", "y"), ("t", "a3"), ("a1", "a3", "z")):
+        with pytest.raises(ValueError, match="two or more variables of"):
+            MultiPoly.zero(vars)
+    with pytest.raises(ValueError, match="first of weight 1"):
+        MultiPoly.zero(("a3", "a1"))
 
 
 def _polys(bounds):
@@ -264,7 +283,8 @@ def _polys(bounds):
 def test_graded_layout_matches_fraction_reference(vars, weights, bounds, data):
     p, q = (data.draw(_polys(bounds)) for _ in range(2))
     n = data.draw(st.integers(0, 4))
-    P, Q = MultiPoly(p, vars, weights), MultiPoly(q, vars, weights)
+    P, Q = MultiPoly(p, vars), MultiPoly(q, vars)
+    assert P.weights == weights
     one = (0,) * len(vars)
     assert _agrees(P, p)
     assert _agrees(P + Q, _ref_add(p, q))
@@ -291,8 +311,8 @@ def test_power_of_a_homogeneous_polynomial(var_set, zeros, cs, n):
     vars, weights, _ = var_set
     wl, top = weights[1], zeros + len(cs) - 1
     p = _ref_clean({(wl * (top - j), j): c for j, c in enumerate([0] * zeros + cs)})
-    P = MultiPoly(p, vars, weights)
-    assert len(P.groups) == 1
+    P = MultiPoly(p, vars)
+    assert P.weights == weights and len(P.groups) == 1
     assert _agrees(P ** n, _ref_pow(p, n))
 
 

@@ -46,29 +46,58 @@ def test_eisenstein_constant_terms():
 
 
 def test_g4_is_c4_over_240():
-    assert eisenstein_in_c4c6(4) == {(1, 0, 0): Fraction(1, 240)}
+    assert eisenstein_in_c4c6(4) == LevelOneForm.c4() / 240
 
 
 def test_g6_is_minus_c6_over_504():
-    assert eisenstein_in_c4c6(6) == {(0, 1, 0): Fraction(-1, 504)}
+    assert eisenstein_in_c4c6(6) == LevelOneForm.c6() / -504
+
+
+def _by_hand(expr, prec):
+    """sum c c4^a c6^eps Delta^d as a q-series, written out term by term."""
+    c4, c6, d = series_c4(prec), series_c6(prec), series_delta(prec)
+    total = QSeries.zero(prec)
+    for (ca, eps, dd), c in expr.terms.items():
+        s = c4 ** ca
+        if eps:
+            s = s * c6
+        total = total + c * (s * d ** dd)
+    return total
 
 
 def test_higher_weight_expression_matches_expansion():
     for k in range(4, 61, 2):
         expr = eisenstein_in_c4c6(k)
+        assert isinstance(expr, LevelOneForm)
         # the weight-k monomials, with c6 exactly when k = 2 mod 4, by ascending a
         assert all(4 * a + 6 * eps + 12 * d == k and eps == (k % 4 == 2)
-                   for a, eps, d in expr)
-        assert list(expr) == sorted(expr)
-        prec = len(expr) + 25
-        c4, c6, d = series_c4(prec), series_c6(prec), series_delta(prec)
-        total = QSeries.zero(prec)
-        for (ca, eps, dd), c in expr.items():
-            s = c4 ** ca
-            if eps:
-                s = s * c6
-            total = total + c * (s * d ** dd)
+                   for a, eps, d in expr.terms)
+        assert list(expr.terms) == sorted(expr.terms)
+        prec = len(expr.terms) + 25
+        total = _by_hand(expr, prec)
         assert total == eisenstein_G(k, prec)
+        # evaluate is the same ring map
+        series = series_c4(prec), series_c6(prec), series_delta(prec)
+        assert expr.evaluate(*series) == total
+
+
+def test_evaluate_is_a_ring_map_into_q_series():
+    # on forms with several terms, scalars and c6^2 reduced by the relation
+    prec = 20
+    series = series_c4(prec), series_c6(prec), series_delta(prec)
+    c4, c6, delta = LevelOneForm.c4(), LevelOneForm.c6(), LevelOneForm.delta()
+    forms = [LevelOneForm.const(Fraction(-2, 7)), LevelOneForm(),
+             3 * c4 ** 3 - c6 ** 2 + delta, c4 * c6 * delta ** 2 - 5,
+             (c4 + c6) ** 2]
+    for f in forms:
+        assert f.evaluate(*series) == _by_hand(f, prec)
+    for f in forms:
+        for g in forms:
+            assert (f * g).evaluate(*series) == f.evaluate(*series) * g.evaluate(*series)
+            assert (f + g).evaluate(*series) == f.evaluate(*series) + g.evaluate(*series)
+    # Delta^-1 needs the target's inverse, and q-series Delta has none
+    with pytest.raises(ZeroDivisionError):
+        LevelOneForm.delta(-1).evaluate(*series)
 
 
 def test_eisenstein_expression_errors():
