@@ -254,7 +254,7 @@ def qexp_env(prec):
 
 
 def value_text(v) -> str:
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
         return str(v)
     return v.to_text()
 
@@ -360,8 +360,8 @@ def cmd_isogeny(args):
     from .funfield import velu3, verify_isogeny
     Cprime, X, Y = velu3()
     report = verify_isogeny(Cprime, X, Y)
-    result = {"quotient_curve": "y^2 + a1*x*y + 3*a3*y = "
-                                "x^3 - 6*a1*a3*x - (9*a3^2 + a1^3*a3)",
+    result = {"quotient_curve": {k: value_text(c)
+                                 for k, c in Cprime._asdict().items()},
               "X": repr(X), "Y": repr(Y)}
     checks = [{"name": k, "pass": bool(v),
                "detail": "verified" if v else "FAILED"}

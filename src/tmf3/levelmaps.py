@@ -298,7 +298,13 @@ def _content_check(label: str, p: MultiPoly, expected: int) -> dict:
 
 
 def val2_delta_c4pow(k: int) -> dict:
-    """The content of delta(c4^k) has nu_2 = 4 + nu_2(k)."""
+    """The content of delta(c4^k) has nu_2 = 4 + nu_2(k).
+
+    Proof: Q4 - F4 = 240 a1a3 = 2^4 * 15 a1a3, so delta(c4^k) is
+    (u + 2^4 v)^k - u^k at u = F4, v = 15 a1a3, and ``lemma_binomial_check``
+    at d = 4 bounds its content below by 2^(4 + nu_2(k)).  Only the term
+    k 2^4 u^(k-1) v reaches a1^(4k-3) a3, since the others carry a3^2, and
+    its coefficient there is 2^4 * 15k, which has exactly that valuation."""
     if k < 1:
         raise ValueError("k >= 1 required")
     return _content_check(f"delta(c4^{k})", Q4 ** k - F4 ** k,
@@ -306,7 +312,12 @@ def val2_delta_c4pow(k: int) -> dict:
 
 
 def val_delta_c4c6(k: int) -> dict:
-    """The content of delta(c4^k c6) has nu_2 = 3."""
+    """The content of delta(c4^k c6) has nu_2 = 3.
+
+    Proof: delta(c4^k c6) = (Q4^k - F4^k) Q6 + F4^k (Q6 - F6), with
+    Q6 - F6 = 2^3 (63 a1^3 a3 + 756 a3^2).  The first summand is divisible
+    by 2^4 (``val2_delta_c4pow``), so the content is 2^3, and the
+    coefficient on a1^(4k+3) a3 is 2^3 times 63 plus a multiple of 2^4."""
     if k < 0:
         raise ValueError("k >= 0 required")
     return _content_check(f"delta(c4^{k}*c6)", Q4 ** k * Q6 - F4 ** k * F6, 3)
@@ -314,7 +325,14 @@ def val_delta_c4c6(k: int) -> dict:
 
 def delta_mod2_Delta_pow(N: int) -> dict:
     """min_a1_term of delta(Delta^N) mod 2, checked against
-    a1^(3*2^(r+1)) a3^(2^(r+1)(4k+1)) for N = 2^r (2k+1)."""
+    a1^(3*2^(r+1)) a3^(2^(r+1)(4k+1)) for N = 2^r (2k+1).
+
+    Proof: mod 2, FDELTA = a3^4 (1 + t) and QDELTA = a3^4 (1 + t)^3 with
+    t = a1^3 / a3, so by Frobenius
+    delta(Delta^N) = a3^(4N) (1 + t)^N ((1 + t^2)^N - 1).  The last factor
+    is (1 + t^(2^(r+1)))^(2k+1) - 1, whose least term is t^(2^(r+1)), and
+    (1 + t)^N starts with 1: the least a1-power is that t-power times
+    a3^(4N)."""
     if N < 1:
         raise ValueError("N >= 1 required")
     d = mod2(QDELTA) ** N + mod2(FDELTA) ** N
@@ -329,22 +347,18 @@ def delta_mod2_Delta_pow(N: int) -> dict:
 
 
 def lemma_binomial_check(d: int, k: int) -> dict:
-    """(u + 2^d v)^k = u^k + 2^(d + nu_2(k)) g(u, v) with g having an odd
-    coefficient on u^(k-1) v and otherwise only higher powers of v."""
+    """(u + 2^d v)^k - u^k has content 2^(d + nu_2(k)) and, divided by it,
+    an odd coefficient on u^(k-1) v: checked at u = a1^3, v = a3.  These
+    are algebraically independent, so the terms a1^(3(k-j)) a3^j of
+    different j stay apart and carry the binomial coefficients.
+
+    It holds for all k and d >= 2: C(k, j) = (k/j) C(k-1, j-1) gives
+    nu_2(C(k, j) 2^(dj)) >= nu_2(k) + dj - nu_2(j), and dj - nu_2(j) > d
+    for j >= 2, so only j = 1, the term k 2^d u^(k-1) v, reaches the bound."""
     if d <= 1:
         raise ValueError("d > 1 required")
     if k < 1:
         raise ValueError("k >= 1 required")
-    uv = ("u", "v")
-    u = MultiPoly.gen("u", uv)
-    v = MultiPoly.gen("v", uv)
-    p = (u + 2 ** d * v) ** k - u ** k
-    e = d + val_p_int(k, 2)
-    divisible = p.content_val2() >= e
-    g = p * Fraction(1, 2 ** e)
-    lead = g.coeff((k - 1, 1))
-    lead_odd = lead.denominator == 1 and lead.numerator % 2 == 1
-    higher_v = all(exps == (k - 1, 1) or exps[1] >= 2 for exps in g.terms)
-    ok = divisible and lead_odd and higher_v
-    return {"input": f"(u + 2^{d} v)^{k}", "valuation": p.content_val2(),
-            "expected": e, "pass": ok}
+    u = a1() ** 3
+    return _content_check(f"(a1^3 + 2^{d}*a3)^{k} - a1^{3 * k}",
+                          (u + 2 ** d * a3()) ** k - u ** k, d + val_p_int(k, 2))

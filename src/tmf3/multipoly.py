@@ -1,7 +1,7 @@
 """Weight-graded polynomials with exact rational coefficients.
 
-Every variable set has a first variable of weight 1 (a1 or u), so a
-monomial is fixed by its weight and its other exponents. A polynomial is
+Every variable set has a first variable of weight 1 (a1), so a monomial
+is fixed by its weight and its other exponents. A polynomial is
 stored as integer numerators over one common denominator ``den``, grouped
 by weight: ``groups`` maps the key (weight, e_1, ..., e_{n-2}) to a dense
 list of ints indexed by the exponent e_{n-1} of the last variable, and the
@@ -14,8 +14,8 @@ polynomials have equal fields. Products are list convolutions, one per pair
 of groups; ``terms`` is a read-only view {exponent tuple: int}.
 
 A variable's weight follows from its name, by the one table ``WEIGHTS``: the
-default set (a1, a3) carries modular-form weights (1, 3), the function field
-adds x of weight 2, and the binomial lemma checks use (u, v) of weight 1.
+default set (a1, a3) carries modular-form weights (1, 3), and the function
+field adds x of weight 2.
 
 Also provides:
 
@@ -40,7 +40,7 @@ from .ring import Ring, monomial_text, terms_text
 
 DEFAULT_VARS = ("a1", "a3")
 # the weight of every variable a MultiPoly may use
-WEIGHTS = {"a1": 1, "a3": 3, "x": 2, "u": 1, "v": 1}
+WEIGHTS = {"a1": 1, "a3": 3, "x": 2}
 
 
 # -- int lists ---------------------------------------------------------------

@@ -2,8 +2,7 @@
 divisor power sums.
 
 Rationals are plain ``fractions.Fraction`` values: always reduced, positive
-denominator, structural equality.  ``val_p_int(0)`` returns the ``INF``
-sentinel so valuation arithmetic stays total.
+denominator, structural equality.
 """
 
 from __future__ import annotations
@@ -11,13 +10,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-INF = float("inf")
 
-
-def val_p_int(n: int, p: int):
-    """Exponent of the prime p in the integer n; val_p_int(0) = +inf."""
+def val_p_int(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
     if n == 0:
-        return INF
+        raise ValueError("val_p_int requires n != 0")
     v = 0
     n = abs(n)
     while n % p == 0:

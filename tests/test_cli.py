@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tmf3 import cli, sseq
+from tmf3 import cli, funfield, sseq
 from tmf3.cli import (parse, CliSyntaxError, main, Num, Ident,
                       BinOp, Call, Unary)
 from tmf3.weierstrass import WCurve, WPoint, WTransform, transform, transform_point
@@ -323,6 +323,24 @@ def test_isogeny_json(capsys):
         "closed_form", "differential", "equation", "sigma_invariant",
         "sigma_order_3"]
     assert all(c["pass"] for c in checks)
+    assert json.loads(out)["result"]["quotient_curve"] == {
+        "a1": "1*a1", "a2": "0", "a3": "3*a3", "a4": "-6*a1*a3",
+        "a6": "-1*a1^3*a3 + -9*a3^2"}
+
+
+def test_isogeny_prints_the_curve_it_checks(monkeypatch, capsys):
+    # E' with its a4 doubled: the printed curve is the one that fails
+    real = funfield.gamma1_curves
+
+    def doubled_a4(a1, a3):
+        E, Ep = real(a1, a3)
+        return E, Ep._replace(a4=2 * Ep.a4)
+
+    monkeypatch.setattr(funfield, "gamma1_curves", doubled_a4)
+    code, out, err = run(capsys, "isogeny", "--json")
+    payload = json.loads(out)
+    assert code == 3 and payload["result"]["quotient_curve"]["a4"] == "-12*a1*a3"
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == ["equation"]
 
 
 def test_verify_single_item(capsys):
@@ -387,7 +405,7 @@ def test_chart_exits_3_when_a_page_check_fails(monkeypatch, capsys):
                         lambda s, i, j: real(s, i, j) ^ ((s, i, j) == (1, 1, 0)))
     code, out, err = run(capsys, "chart", "--page", "E4")
     assert (code, out) == (3, "")
-    assert err == "[FAIL] page checks: d3^2 != 0 at (s,t)=(1,2)\n"
+    assert err == "[FAIL] page checks: d3^2 != 0 on zeta^1 a1^1 a3^0\n"
 
 
 def _zero_first_delta_row(monkeypatch):

@@ -134,6 +134,34 @@ def test_item7_fails_with_a_wrong_fstar_c4(monkeypatch):
     assert r["pass"] is False and "val2(delta(c4^1))" in r["detail"]
 
 
+def test_item7_fails_with_a_wrong_qstar_c6(monkeypatch):
+    # q*(c6) - f*(c6) = 2^3 (63 a1^3 a3 + 756 a3^2); with 541 a1^3 a3 in
+    # q*(c6) instead of 540, delta(c6) = 505 a1^3 a3 + ... has odd content
+    monkeypatch.setattr(levelmaps, "Q6", levelmaps.Q6 + a1() ** 3 * a3())
+    r = verify.item_valuations()
+    assert r["pass"] is False
+    assert r["detail"].startswith("delta(c4^0 c6) content check failed")
+
+
+def test_item7_fails_with_a_wrong_qstar_Delta_mod_2(monkeypatch):
+    # an extra a1^6 a3^2 in q*(Delta) cancels the least a1-term of delta(Delta)
+    # mod 2
+    monkeypatch.setattr(levelmaps, "QDELTA",
+                        levelmaps.QDELTA + a1() ** 6 * a3() ** 2)
+    r = verify.item_valuations()
+    assert r["pass"] is False
+    assert r["detail"].startswith("mod-2 minimal term of delta(Delta^1) failed")
+
+
+def test_item7_fails_when_the_lemma_is_evaluated_at_a_wrong_v(monkeypatch):
+    # the three statements read the import-time F4 ... QDELTA; only the
+    # lemma, evaluated at v = 2 a3, sees the patched generator
+    monkeypatch.setattr(levelmaps, "a3", lambda: 2 * a3())
+    r = verify.item_valuations()
+    assert r["pass"] is False
+    assert r["detail"].startswith("binomial lemma failed at d=2, k=1")
+
+
 def test_item8_fails_with_a_wrong_bernoulli_number(monkeypatch):
     real = qexp.bernoulli
     monkeypatch.setattr(qexp, "bernoulli",

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tmf3.rationals import bernoulli
+from tmf3.rationals import bernoulli, val_p_int
 
 # B_2 .. B_14
 _SMALL = {2: Fraction(1, 6), 4: Fraction(-1, 30), 6: Fraction(1, 42),
@@ -35,3 +35,9 @@ def test_bernoulli_rejects_odd_and_small_indices():
     for m in (0, 1, 3, -2):
         with pytest.raises(ValueError, match="even m >= 2"):
             bernoulli(m)
+
+
+def test_val_p_int():
+    assert (val_p_int(96, 2), val_p_int(-18, 3), val_p_int(7, 2)) == (5, 2, 0)
+    with pytest.raises(ValueError, match="n != 0"):
+        val_p_int(0, 2)

@@ -239,18 +239,17 @@ def _sub_page(keys):
     return ChartPage(r=2, window=e2.window, cells={k: e2.cells[k] for k in keys})
 
 
-def test_d3_squared_matrix_check_fails_when_d3_squared_is_nonzero(monkeypatch):
-    monkeypatch.setattr(sseq, "d3_coeff", lambda s, i, j: 1)
-    with pytest.raises(AssertionError, match=r"d3\^2 != 0 at"):
-        apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
-
-
-def test_d3_squared_coefficient_check_fails_beyond_the_window(monkeypatch):
-    # d3 o d3 != 0 only from lines s >= S - 2, whose d3 targets leave the
-    # window: the matrix identity cannot see it, the coefficient check must
+def _d3_beyond_the_window(s, i, j):
+    """d3 o d3 != 0 only from lines s >= S - 2, whose d3 targets leave the
+    window, so no matrix of the page can see it."""
     S = DEFAULT_WINDOW.S
-    monkeypatch.setattr(sseq, "d3_coeff", lambda s, i, j: (
-        1 if s > S - 3 else 0 if s > S - 6 else d3_coeff(s, i, j)))
+    return 1 if s > S - 3 else 0 if s > S - 6 else d3_coeff(s, i, j)
+
+
+@pytest.mark.parametrize("broken_d3", [lambda s, i, j: 1, _d3_beyond_the_window],
+                         ids=["all_ones", "beyond_the_window"])
+def test_d3_squared_check_fails(monkeypatch, broken_d3):
+    monkeypatch.setattr(sseq, "d3_coeff", broken_d3)
     with pytest.raises(AssertionError, match=r"d3\^2 != 0 on zeta\^"):
         apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
 
