@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul
 
-from .multipoly import MultiPoly, LocElem, a1, a3, mod2, min_a1_term
+from .multipoly import MultiPoly, LocElem, a1, a3, loc_sum, mod2, min_a1_term
 from .rationals import val_p_int
-from .ring import Ring, terms_text
+from .ring import Ring, ladder, terms_text
 from .weierstrass import gamma1_curves
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
@@ -145,16 +145,33 @@ class LevelOneForm(Ring):
         ((_, _, d), c), = self.terms.items()
         return LevelOneForm.monomial(0, 0, -d, 1 / c)
 
+    def monomial_images(self, c4, c6, delta):
+        """{(a, eps, d): c4^a c6^eps Delta^d} for the monomials of this form,
+        under the ring map of ``evaluate``.  The powers of c4 and of Delta
+        come from one ``ladder`` each per call, those of Delta^-1 for d < 0
+        from a ladder of the inverse of ``delta``; a factor x^0 is left
+        out, so the image of the monomial 1 is the int 1."""
+        keys = self.terms.keys()
+        c4s = ladder(c4, [a for a, _, _ in keys])
+        deltas = ladder(delta, [d for _, _, d in keys if d > 0])
+        below = [-d for _, _, d in keys if d < 0]
+        if below:
+            deltas.update((-n, x) for n, x in ladder(delta ** -1, below).items())
+        images = {}
+        for key in keys:
+            factors = [table[n] for table, n in zip((c4s, {1: c6}, deltas), key)
+                       if n]
+            images[key] = reduce(mul, factors) if factors else 1
+        return images
+
     def evaluate(self, c4, c6, delta):
         """The image under the ring map sending c4, c6, Delta to elements of
-        a Ring that mixes with Fraction scalars; Delta^d with d < 0 goes
-        through the inverse of ``delta``, and a factor x^0 is left out."""
+        a Ring that mixes with Fraction scalars, as the sum of the
+        ``monomial_images`` times their coefficients."""
+        images = self.monomial_images(c4, c6, delta)
         total = 0 * c4
-        for (ca, eps, d), c in self.terms.items():
-            for x, n in ((c4, ca), (c6, eps), (delta, d)):
-                if n:
-                    c = c * x ** n
-            total = total + c
+        for key, c in self.terms.items():
+            total = total + c * images[key]
         return total
 
     def to_text(self):
@@ -169,30 +186,40 @@ def _cached_pow(which: str, n: int) -> MultiPoly:
             "Q4": Q4, "Q6": Q6, "QD": QDELTA}[which] ** n
 
 
-def _image(m: LevelOneForm, k4, k6, kd, e3, e9) -> LocElem:
-    """The image of m = sum c c4^a c6^eps Delta^d, as the numerator
-    sum c k4^a k6^eps kd^(d - d0) over kd^(-d0) = a3^(-d0 e3)
-    (a1^3 - 27 a3)^(-d0 e9), with d0 <= 0 the least power of Delta in m."""
-    d0 = min([0, *(d for _, _, d in m.terms)])
-    num = MultiPoly.zero()
+# the images of c4, c6 and Delta under f* and q*, as the names _cached_pow
+# knows them, and the powers of a3 and a1^3 - 27 a3 in the image of Delta
+_FSTAR = ("F4", "F6", "FD", 3, 1)
+_QSTAR = ("Q4", "Q6", "QD", 1, 3)
+
+
+def _image(m: LevelOneForm, k4, k6, kd, e3, e9):
+    """The image of m = sum c c4^a c6^eps Delta^d as an unreduced fraction
+    (num, e e3, e e9): the numerator sum c k4^a k6^eps kd^(d + e) over
+    kd^e = a3^(e e3) (a1^3 - 27 a3)^(e e9), with -e <= 0 the least power of
+    Delta in m."""
+    e = -min([0, *(d for _, _, d in m.terms)])
+    num = None
     for (ca, eps, d), c in m.terms.items():
         term = c
         # a factor with exponent 0 is 1 and is left out
-        for which, n in ((k4, ca), (kd, d - d0), (k6, eps)):
+        for which, n in ((k4, ca), (kd, d + e), (k6, eps)):
             if n:
                 term = term * _cached_pow(which, n)
-        num = num + term
-    return LocElem(num, -d0 * e3, -d0 * e9)
+        num = term if num is None else num + term
+    # the image of a constant form is a scalar, and the zero form has none
+    if not isinstance(num, MultiPoly):
+        num = MultiPoly.const(num or 0)
+    return num, e * e3, e * e9
 
 
 def fstar(m: LevelOneForm) -> LocElem:
     """Pullback along forgetting the level structure."""
-    return _image(m, "F4", "F6", "FD", 3, 1)
+    return LocElem(*_image(m, *_FSTAR))
 
 
 def qstar(m: LevelOneForm) -> LocElem:
     """Pullback along the degree-3 quotient."""
-    return _image(m, "Q4", "Q6", "QD", 1, 3)
+    return LocElem(*_image(m, *_QSTAR))
 
 
 def hstar(m: LevelOneForm) -> LevelOneForm:
@@ -255,8 +282,13 @@ def tstar(g: LocElem) -> LocElem:
 
 
 def delta_map(m: LevelOneForm) -> LocElem:
-    """delta = qstar - fstar, the degree-1 part of the building complex."""
-    return qstar(m) - fstar(m)
+    """delta = qstar - fstar, the degree-1 part of the building complex.
+
+    q* m and f* m are summed as unreduced fractions over their common
+    denominator (a3 (a1^3 - 27 a3))^(3e), Delta^-e the least power of Delta
+    in m, and the difference is reduced once."""
+    num, e3, e9 = _image(m, *_FSTAR)
+    return loc_sum(_image(m, *_QSTAR), (-num, e3, e9))
 
 
 # -- building cochain complex ------------------------------------------------
@@ -268,8 +300,13 @@ def cochain_D0(m: LevelOneForm):
 
 
 def cochain_D1(u: LocElem, v: LevelOneForm) -> LocElem:
-    """D1(u, v) = t* u + u - f* v into the top cosimplicial degree."""
-    return tstar(u) + u - fstar(v)
+    """D1(u, v) = t* u + u - f* v into the top cosimplicial degree.
+
+    The three terms are summed over their common denominator, with f* v an
+    unreduced fraction, and the sum is reduced once."""
+    t = tstar(u)
+    num, e3, e9 = _image(v, *_FSTAR)
+    return loc_sum((t.num, t.e3, t.e9), (u.num, u.e3, u.e9), (-num, e3, e9))
 
 
 def basis_monomials(max_weight: int):

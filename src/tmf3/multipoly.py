@@ -26,7 +26,9 @@ Also provides:
 * ``LocElem`` -- canonical elements of the localization inverting
   Delta = a3^3 * (a1^3 - 27*a3); denominators are tracked as the pair
   (power of a3, power of a1^3 - 27*a3) since Delta is reducible. A power
-  of a3 is removed by one shift of the lists' leading zeros.
+  of a3 is removed by one shift of the lists' leading zeros. ``loc_sum``
+  adds fractions over their common denominator and reduces the sum once;
+  ``LocElem.__add__`` is its case of two.
 """
 
 from __future__ import annotations
@@ -297,22 +299,25 @@ class MultiPoly(Ring):
 
 # -- fixed polynomials in (a1, a3) ----------------------------------------
 
+# built once and shared: no operation changes a MultiPoly's fields, so a
+# shared value cannot be altered by its users
+_A1 = MultiPoly.gen("a1")
+_A3 = MultiPoly.gen("a3")
+# the two factors of Delta are a3 and _DISC
+_DISC = _A1 ** 3 - 27 * _A3
+
+
 def a1():
-    return MultiPoly.gen("a1")
+    return _A1
 
 
 def a3():
-    return MultiPoly.gen("a3")
+    return _A3
 
 
 def disc_factor():
     """a1^3 - 27*a3, the non-monomial factor of Delta."""
-    return a1() ** 3 - 27 * a3()
-
-
-# the two factors of Delta, shared by every LocElem operation
-_A3 = a3()
-_DISC = disc_factor()
+    return _DISC
 
 
 # -- exact division ---------------------------------------------------------
@@ -451,9 +456,7 @@ class LocElem(Ring):
 
     def __add__(self, other):
         other = LocElem.from_poly(other)
-        e3 = max(self.e3, other.e3)
-        e9 = max(self.e9, other.e9)
-        return LocElem(_lift(self, e3, e9) + _lift(other, e3, e9), e3, e9)
+        return loc_sum((self.num, self.e3, self.e9), (other.num, other.e3, other.e9))
 
     # negation, a scalar and a power keep a numerator canonical: a3 and
     # a1^3 - 27*a3 are prime, so neither divides num^n unless it divides num
@@ -504,14 +507,21 @@ class LocElem(Ring):
         return s
 
 
-def _lift(g, e3, e9):
-    """The numerator of g over the denominator a3^e3 (a1^3 - 27*a3)^e9."""
-    num = g.num
-    if e3 > g.e3:
-        num = num._shift((0, e3 - g.e3))
-    if e9 > g.e9:
-        num = num * _DISC ** (e9 - g.e9)
-    return num
+def loc_sum(*parts):
+    """The sum of the fractions num / (a3^e3 (a1^3 - 27*a3)^e9), each given
+    as (num, e3, e9) and not necessarily reduced, as one LocElem: every
+    numerator is lifted to the common denominator, and the sum is reduced
+    once."""
+    e3 = max(p[1] for p in parts)
+    e9 = max(p[2] for p in parts)
+    total = None
+    for num, f3, f9 in parts:
+        if e3 > f3:
+            num = num._shift((0, e3 - f3))
+        if e9 > f9:
+            num = num * _DISC ** (e9 - f9)
+        total = num if total is None else total + num
+    return LocElem(total, e3, e9)
 
 
 def _loc_reduce(num, e3, e9):

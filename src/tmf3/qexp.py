@@ -152,22 +152,18 @@ def eisenstein_G(k: int, prec: int) -> QSeries:
     if k < 4 or k % 2 != 0:
         raise ValueError("eisenstein_G needs even weight >= 4")
     coeffs = [-bernoulli(k) / (2 * k)]
-    coeffs += [Fraction(sigma_pow(k - 1, n)) for n in range(1, prec)]
+    coeffs += [sigma_pow(k - 1, n) for n in range(1, prec)]
     return QSeries(coeffs, prec)
 
 
 def series_c4(prec: int) -> QSeries:
     """c4 = 1 + 240 sum sigma_3(n) q^n."""
-    coeffs = [Fraction(1)] + [240 * Fraction(sigma_pow(3, n))
-                              for n in range(1, prec)]
-    return QSeries(coeffs, prec)
+    return QSeries([1] + [240 * sigma_pow(3, n) for n in range(1, prec)], prec)
 
 
 def series_c6(prec: int) -> QSeries:
     """c6 = 1 - 504 sum sigma_5(n) q^n."""
-    coeffs = [Fraction(1)] + [-504 * Fraction(sigma_pow(5, n))
-                              for n in range(1, prec)]
-    return QSeries(coeffs, prec)
+    return QSeries([1] + [-504 * sigma_pow(5, n) for n in range(1, prec)], prec)
 
 
 def series_delta(prec: int) -> QSeries:
@@ -201,15 +197,18 @@ def eisenstein_in_c4c6(k: int):
         raise ValueError(f"no holomorphic forms of weight {k}")
     n = (k - 6 * eps) // 12 + 1
     prec = n + 10
-    series = series_c4(prec), series_c6(prec), series_delta(prec)
     rest = eisenstein_G(k, prec)
+    basis = [((k - 6 * eps - 12 * d) // 4, eps, d) for d in range(n)]
+    # the series of every basis monomial, from one table of powers
+    images = LevelOneForm(dict.fromkeys(basis, 1)).monomial_images(
+        series_c4(prec), series_c6(prec), series_delta(prec))
     expr = LevelOneForm()
-    for d in range(n):
-        c = rest[d]
+    for key in basis:
+        c = rest[key[2]]
         if c:
-            m = LevelOneForm.monomial((k - 6 * eps - 12 * d) // 4, eps, d, c)
-            rest = rest - m.evaluate(*series)
-            expr = m + expr     # the new term first: ascending power of c4
+            rest = rest - c * images[key]
+            # the new term first: ascending power of c4
+            expr = LevelOneForm({key: c}) + expr
     if not rest.is_zero():
         raise ValueError("inconsistent system")
     return expr

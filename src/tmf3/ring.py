@@ -7,6 +7,7 @@ taking an int or Fraction where the class mixes with scalars), unary ``-``
 for subtraction, ``one()`` and ``to_text()``, and ``inverse()`` where
 elements can be inverted; ``Ring`` derives the reflected and mixed
 operators, ``-``, ``/``, ``**`` with its rule for n < 0, and ``repr``.
+``ladder`` takes several powers of one element from one table.
 """
 
 from __future__ import annotations
@@ -27,6 +28,26 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return result
+
+
+def ladder(x, exponents):
+    """{n: x^n} for 1 and each n >= 1 in ``exponents`` (0 is left out), from
+    one table built upward: the least exponent by ``x ** n``, and each
+    further one as the power below it times x^gap, where a step x^gap is
+    made once and kept in the table.  The exponents of c4 in a homogeneous
+    level-1 form step by 3, and those of Delta by 1, so one step serves all
+    their powers past the least."""
+    table = {1: x}
+    below = 0
+    for n in sorted(set(exponents) - {0}):
+        if n not in table:
+            gap = n - below
+            if gap not in table:
+                table[gap] = x ** gap
+            if gap != n:
+                table[n] = table[below] * table[gap]
+        below = n
+    return table
 
 
 class Ring:

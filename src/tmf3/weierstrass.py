@@ -23,7 +23,10 @@ the v * u^w are integers, and a formula of weight W on them is u^W times its
 value.  The invariants, the equation and ``transform`` are each written once,
 evaluated on those integers and divided by u^W once (``integral_model``).
 Inputs that are already integral (u = 1) or not all rational, such as the
-MultiPoly coefficients of the universal curves, are used as they are.
+MultiPoly coefficients of the universal curves, are used as they are.  Each
+public call scans its inputs once: c4, c6 and disc read the b-values of the
+model already scanned, and the group law checks its points on a model it
+built from integers.
 
 Group law.  The public group law is ``smul``, n * P for any integer n.
 It runs on the integral model in Jacobian coordinates (X : Y : Z),
@@ -75,16 +78,22 @@ def integral_model(values, weights):
 
 def _integral(weight):
     """Decorate a WCurve method computing a polynomial of weight ``weight``
-    in the coefficients and, if it takes one, the point (x, y): it runs on
-    the integral model, and its value is divided by u^weight once."""
+    in the coefficients and, if it takes one, the point (x, y): the values
+    are scanned for denominators once (``integral_model``), the formula runs
+    on the integral model, a ``_Model``, and its value is divided by
+    u^weight once.  On a ``_Model`` the formula runs as it is, so the
+    b-values that c4, c6 and disc read through ``self.b2()`` ... ``self.b8()``
+    cost no second scan."""
     def decorate(formula):
         @functools.wraps(formula)
         def method(self, *point):
+            if type(self) is _Model:
+                return formula(self, *point)
             u, v = integral_model(self.coeffs() + point,
                                   CURVE_WEIGHTS + POINT_WEIGHTS[:len(point)])
             if u == 1:
-                return formula(self, *point)
-            return Fraction(formula(WCurve(*v[:5]), *v[5:]), u ** weight)
+                return formula(_Model(*self), *point)
+            return Fraction(formula(_Model(*v[:5]), *v[5:]), u ** weight)
         return method
     return decorate
 
@@ -173,6 +182,8 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         affine = () if P.infinity else (P.x, P.y)
         u, v = integral_model(self.coeffs() + affine,
                               CURVE_WEIGHTS + POINT_WEIGHTS[:len(affine)])
+        # ints, also where u = 1 left the values as integral Fractions
+        v = [c.numerator for c in v]
         a = v[:5]
         J = (*v[5:], 1) if affine else _JO
         if not _on_curve(a, J):
@@ -193,6 +204,14 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         return _affine(u, R)
 
 
+class _Model(WCurve):
+    """A curve whose coefficients are used as they are: the integral model
+    that an ``_integral`` method has scanned, or a curve the group law built
+    from integral coefficients.  Its formulas are the same polynomials, so
+    on rational values they still give the right value, only slower."""
+    __slots__ = ()
+
+
 # -- the Jacobian group law on integral coefficients a = (a1, a2, a3, a4, a6)
 
 _JO = (1, 1, 0)
@@ -205,7 +224,7 @@ def _on_curve(a, J):
     X, Y, Z = J
     Z2 = Z * Z
     Z3 = Z2 * Z
-    C = WCurve(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
+    C = _Model(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
     return not C.equation_at(X, Y)
 
 

@@ -211,3 +211,41 @@ def test_tstar_rejects_an_element_that_is_not_sigma_invariant():
         tstar(LocElem(a1() ** 2 + a3()))
     with pytest.raises(ValueError, match="sigma-invariant"):
         tstar(LocElem(a1() ** 2, 1, 0))
+
+
+# -- delta and D1 reduced once against the sums of reduced parts --------------
+
+def _fields(g):
+    return g.num, g.e3, g.e9
+
+
+def test_delta_and_D1_equal_the_sums_of_their_reduced_parts():
+    from tmf3.qexp import eisenstein_in_c4c6
+    forms = basis_monomials(48) + [eisenstein_in_c4c6(k) for k in range(4, 41, 2)]
+    assert len(forms) == 161 + 19
+    nonzero = 0
+    for m in forms:
+        d = delta_map(m)
+        assert _fields(d) == _fields(qstar(m) - fstar(m)), m
+        # D1 on a cocycle, and on pairs where it does not vanish
+        for u, v in (cochain_D0(m), (d, m), (d, hstar(m))):
+            got = cochain_D1(u, v)
+            assert _fields(got) == _fields(tstar(u) + u - fstar(v)), m
+            nonzero += not got.is_zero()
+    # the last two pairs never give zero
+    assert nonzero == 2 * len(forms)
+
+
+def test_item_cosimplicial_divides_once_per_monomial_at_most(monkeypatch):
+    from tmf3 import multipoly, verify
+    calls = []
+    real = multipoly.divide_exact
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(multipoly, "divide_exact", counted)
+    assert verify.item_cosimplicial()["pass"]
+    # delta(m) is reduced once; D1(D0(m)) is zero and needs no division
+    assert len(calls) <= len(basis_monomials(48)) == 161

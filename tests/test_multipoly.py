@@ -345,3 +345,19 @@ def test_loc_elem_inverse_of_seeded_units():
         for factor in (a1(), a1() + a3()):
             with pytest.raises(ValueError, match="not invertible"):
                 (x * LocElem(factor)).inverse()
+
+
+def _fields(p):
+    return p.vars, p.weights, p.groups, p.den
+
+
+def test_the_shared_generators_survive_use():
+    from tmf3 import verify
+    # a1() and a3() return one shared MultiPoly each
+    assert a1() is a1() and a3() is a3() and disc_factor() is disc_factor()
+    assert all(r["pass"] for r in verify.run_all())
+    for shared, name in ((a1(), "a1"), (a3(), "a3")):
+        fresh = MultiPoly.gen(name)
+        assert shared == fresh and _fields(shared) == _fields(fresh)
+    assert _fields(disc_factor()) == _fields(MultiPoly.gen("a1") ** 3
+                                             - 27 * MultiPoly.gen("a3"))

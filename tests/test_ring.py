@@ -11,7 +11,7 @@ from tmf3.funfield import FFElem
 from tmf3.levelmaps import LevelOneForm
 from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3
 from tmf3.qexp import QSeries, series_c4
-from tmf3.ring import monomial_text, power, terms_text
+from tmf3.ring import ladder, monomial_text, power, terms_text
 
 
 # one element of each class with its one
@@ -78,6 +78,24 @@ def test_power_skips_the_last_squaring():
     assert power(Counted(3), 5, Counted(1)) == 243
     # 5 = 101b: two products into the result and two squarings
     assert len(calls) == 4
+
+
+def test_ladder_takes_each_power_from_the_one_below():
+    calls = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            calls.append(other)
+            return Counted(int(self) * int(other))
+
+        def __pow__(self, n):
+            return power(self, n, Counted(1))
+
+    # the c4-exponents of a weight-40 form; 0 is left out
+    assert ladder(Counted(2), [10, 7, 4, 1, 0, 4]) == {n: 2 ** n for n in (1, 3, 4, 7, 10)}
+    # x^3 by power takes three products, and x^4, x^7, x^10 one each
+    assert len(calls) == 6
+    assert ladder(Counted(2), []) == {1: 2}
 
 
 def test_monomial_text():

@@ -484,3 +484,29 @@ def test_flex_and_normal_form_check_in_order():
     for fn, C, P, message in cases:
         with pytest.raises(CurveError, match=f"^{message}$"):
             fn(C, P)
+
+
+def test_integral_model_runs_once_per_invariant(monkeypatch):
+    calls = []
+    real = weierstrass.integral_model
+
+    def counted(values, weights):
+        calls.append(values)
+        return real(values, weights)
+
+    monkeypatch.setattr(weierstrass, "integral_model", counted)
+    C = WCurve(frac(1, 2), frac(-1, 3), frac(2), frac(5, 4), frac(-7, 6))
+    want = (_ref_c4(C.coeffs()), _ref_c6(C.coeffs()), _ref_disc(C.coeffs()))
+    for invariant, value in zip((C.c4, C.c6, C.disc), want):
+        calls.clear()
+        assert invariant() == value
+        # one scan of the curve; the b-values come from the scanned model
+        assert calls == [C.coeffs()]
+    # the group law scans the curve and the point once, as they enter, and
+    # checks every point it produces on a model built from integers
+    C = WCurve(0, 0, 1, -1, 0)
+    P = _ref_smul(C, 2, WPoint(frac(2), frac(2)))
+    want = _ref_smul(C, 6, P)
+    calls.clear()
+    assert C.smul(6, P) == want
+    assert calls == [C.coeffs() + (P.x, P.y)]
