@@ -20,13 +20,13 @@ homogeneous: a1, a2, a3, a4, a6 have weights 1, 2, 3, 4, 6, a point's x and
 y weights 2 and 3, and a change of variables' r, s, t weights 2, 1, 3.  So
 for rational inputs v of weights w, with u the lcm of their denominators,
 the v * u^w are integers, and a formula of weight W on them is u^W times its
-value.  The invariants, the equation and ``transform`` are each written once,
-evaluated on those integers and divided by u^W once (``integral_model``).
-Inputs that are already integral (u = 1) or not all rational, such as the
-MultiPoly coefficients of the universal curves, are used as they are.  Each
-public call scans its inputs once: c4, c6 and disc read the b-values of the
-model already scanned, and the group law checks its points on a model it
-built from integers.
+value.  The invariants, the equation and ``transform`` are each written once
+and follow one rule.  Values that are all ints, or not all rational, such as
+the MultiPoly coefficients of the universal curves, are used as they are.
+Values that contain a Fraction go through ``integral_model`` once, the
+formula runs on its ints, and the value is divided by u^W once.  So c4, c6
+and disc read the b-values of an all-int model, and the group law checks its
+points on one, with no second scan.
 
 Group law.  The public group law is ``smul``, n * P for any integer n.
 It runs on the integral model in Jacobian coordinates (X : Y : Z),
@@ -63,37 +63,35 @@ POINT_WEIGHTS = (2, 3)
 CHANGE_WEIGHTS = (2, 1, 3)
 
 
+def _has_fraction(values):
+    """True iff the values are rational and not all ints: the values that go
+    through ``integral_model``."""
+    types = set(map(type, values))
+    return Fraction in types and types <= {int, Fraction}
+
+
 def integral_model(values, weights):
-    """(u, [v * u^w]) for rational values v of weights w, with u > 1 the lcm
-    of their denominators, so that every entry is an int; (1, values)
-    unchanged when the values are integral already or not all rational."""
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return 1, values
+    """(u, [v * u^w]) for rational values v of weights w, with u the lcm of
+    their denominators: every entry is an int, also when u = 1."""
     u = lcm(*(v.denominator for v in values))
-    if u == 1:
-        return 1, values
     return u, [v.numerator * (u ** w // v.denominator)
                for v, w in zip(values, weights)]
 
 
 def _integral(weight):
     """Decorate a WCurve method computing a polynomial of weight ``weight``
-    in the coefficients and, if it takes one, the point (x, y): the values
-    are scanned for denominators once (``integral_model``), the formula runs
-    on the integral model, a ``_Model``, and its value is divided by
-    u^weight once.  On a ``_Model`` the formula runs as it is, so the
-    b-values that c4, c6 and disc read through ``self.b2()`` ... ``self.b8()``
-    cost no second scan."""
+    in the coefficients and, if it takes one, the point (x, y): values that
+    contain a Fraction are scanned once (``integral_model``), the formula
+    runs on the all-int model and its value is divided by u^weight once."""
     def decorate(formula):
         @functools.wraps(formula)
         def method(self, *point):
-            if type(self) is _Model:
+            values = self.coeffs() + point
+            if not _has_fraction(values):
                 return formula(self, *point)
-            u, v = integral_model(self.coeffs() + point,
+            u, v = integral_model(values,
                                   CURVE_WEIGHTS + POINT_WEIGHTS[:len(point)])
-            if u == 1:
-                return formula(_Model(*self), *point)
-            return Fraction(formula(_Model(*v[:5]), *v[5:]), u ** weight)
+            return Fraction(formula(WCurve(*v[:5]), *v[5:]), u ** weight)
         return method
     return decorate
 
@@ -102,15 +100,11 @@ class WPoint(record("WPoint", "x y infinity", defaults=(None, None, False))):
     """Affine point (x, y) or the point at infinity O."""
     __slots__ = ()
 
-    @classmethod
-    def O(cls):
-        return cls(infinity=True)
-
     def __repr__(self):
         return "O" if self.infinity else f"({self.x}, {self.y})"
 
 
-O = WPoint.O()
+O = WPoint(infinity=True)
 
 
 class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
@@ -159,8 +153,7 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         d = self.disc()
         if not d:
             raise CurveError("j-invariant of a singular curve")
-        c4 = self.c4()
-        return c4 * c4 * c4 / d
+        return Fraction(self.c4() ** 3, d)
 
     def is_smooth(self):
         return bool(self.disc())
@@ -180,10 +173,9 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         """(u, integral coefficients, Jacobian point) for a point on the
         curve, checked on it."""
         affine = () if P.infinity else (P.x, P.y)
-        u, v = integral_model(self.coeffs() + affine,
-                              CURVE_WEIGHTS + POINT_WEIGHTS[:len(affine)])
-        # ints, also where u = 1 left the values as integral Fractions
-        v = [c.numerator for c in v]
+        u, v = 1, self.coeffs() + affine
+        if _has_fraction(v):
+            u, v = integral_model(v, CURVE_WEIGHTS + POINT_WEIGHTS[:len(affine)])
         a = v[:5]
         J = (*v[5:], 1) if affine else _JO
         if not _on_curve(a, J):
@@ -204,14 +196,6 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         return _affine(u, R)
 
 
-class _Model(WCurve):
-    """A curve whose coefficients are used as they are: the integral model
-    that an ``_integral`` method has scanned, or a curve the group law built
-    from integral coefficients.  Its formulas are the same polynomials, so
-    on rational values they still give the right value, only slower."""
-    __slots__ = ()
-
-
 # -- the Jacobian group law on integral coefficients a = (a1, a2, a3, a4, a6)
 
 _JO = (1, 1, 0)
@@ -224,7 +208,7 @@ def _on_curve(a, J):
     X, Y, Z = J
     Z2 = Z * Z
     Z3 = Z2 * Z
-    C = _Model(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
+    C = WCurve(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
     return not C.equation_at(X, Y)
 
 
@@ -306,11 +290,11 @@ def transform(C: WCurve, T: WTransform) -> WCurve:
     lam = T.lam
     if lam == 0:
         raise CurveError("transform requires lambda != 0")
-    u, v = integral_model(C.coeffs() + (T.r, T.s, T.t),
-                          CURVE_WEIGHTS + CHANGE_WEIGHTS)
-    if u == 1:
+    values = C.coeffs() + (T.r, T.s, T.t)
+    if not _has_fraction(values):
         return WCurve(*(lam ** w * c
-                        for w, c in zip(CURVE_WEIGHTS, _translated(*v))))
+                        for w, c in zip(CURVE_WEIGHTS, _translated(*values))))
+    u, v = integral_model(values, CURVE_WEIGHTS + CHANGE_WEIGHTS)
     # a weight-w coefficient is lam^w times its integral value over u^w
     p, q = lam.numerator, lam.denominator * u
     return WCurve(*(Fraction(c * p ** w, q ** w)

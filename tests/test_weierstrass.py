@@ -285,14 +285,61 @@ def test_transform_against_fraction_evaluation(a, lam, r, s, t):
     assert transform(WCurve(*a), T).coeffs() == _ref_transform(exact, lam, r, s, t)
 
 
-def test_integral_model_clears_denominators_by_weight():
+def test_integral_model_clears_denominators_by_weight(monkeypatch):
     u, v = integral_model((frac(1, 2), frac(1, 3), 5), (1, 2, 3))
     assert u == 6 and v == [3, 12, 5 * 216]
     assert all(type(c) is int for c in v)
-    same = (frac(2), 3)
-    assert integral_model(same, (1, 2)) == (1, same)
-    symbolic = (a1(), frac(1, 2))
-    assert integral_model(symbolic, (1, 2)) == (1, symbolic)
+    # u = 1 still gives ints
+    u, v = integral_model((frac(2), 3), (1, 2))
+    assert u == 1 and v == [2, 3]
+    assert all(type(c) is int for c in v)
+    # symbolic and all-int curves never reach it; rational ones with a
+    # Fraction do, once per call
+    calls = []
+    real = weierstrass.integral_model
+
+    def counted(values, weights):
+        calls.append(values)
+        return real(values, weights)
+
+    monkeypatch.setattr(weierstrass, "integral_model", counted)
+    zero = MultiPoly.zero()
+    symbolic = WCurve(a1(), zero, frac(1, 2), zero, zero)
+    assert (symbolic.c4() - a1() ** 4 + 12 * a1()).is_zero()
+    assert WCurve(0, 0, 1, -1, 0).disc() == 37
+    assert calls == []
+    assert WCurve(0, 0, frac(1), -1, 0).disc() == 37
+    assert len(calls) == 1
+
+
+def test_the_b_values_of_a_fraction_curve_run_on_ints(monkeypatch):
+    seen = []
+    real = WCurve.b6
+
+    def recorded(self):
+        seen.append({type(c) for c in self})
+        return real(self)
+
+    monkeypatch.setattr(WCurve, "b6", recorded)
+    C = WCurve(Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(0))
+    assert C.disc() == 37
+    assert seen == [{int}]
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, 0, 1, -1, 0),
+    (frac(0), frac(0), frac(1), frac(-1), frac(0)),
+    (0, frac(0), 1, frac(-1), 0),
+])
+def test_j_is_exact(coeffs):
+    j = WCurve(*coeffs).j()
+    assert type(j) is Fraction and j == Fraction(110592, 37)
+
+
+@pytest.mark.parametrize("coeffs", [(0, 0, 0, 0, 0), (frac(0), 0, 0, 0, 0)])
+def test_j_of_a_singular_curve_raises(coeffs):
+    with pytest.raises(CurveError, match="singular"):
+        WCurve(*coeffs).j()
 
 
 def test_multipoly_curves_keep_their_results_and_types():
