@@ -324,13 +324,13 @@ def cmd_invariants(args):
     vals = {"b2": C.b2(), "b4": C.b4(), "b6": C.b6(), "b8": C.b8(),
             "c4": C.c4(), "c6": C.c6(), "Delta": C.disc()}
     result = {k: value_text(v) for k, v in vals.items()}
-    if args.curve and C.disc() != 0:
+    if args.curve and vals["Delta"] != 0:
         result["j"] = value_text(C.j())
     else:
         # a singular curve has no j; the universal curve's j = c4^3 / Delta
         # is not a polynomial, and it prints the same placeholder
         result["j"] = "undefined (Delta = 0)"
-    holds = C.c4() ** 3 - C.c6() ** 2 - 1728 * C.disc() == 0
+    holds = vals["c4"] ** 3 - vals["c6"] ** 2 - 1728 * vals["Delta"] == 0
     checks = [{"name": "c4^3 - c6^2 = 1728*Delta", "pass": bool(holds),
                "detail": "exact identity" if holds else "identity FAILS"}]
     return _emit(args, "invariants", {"curve": args.curve or "a1,0,a3,0,0"},
@@ -412,8 +412,8 @@ def cmd_delta(args):
     span = _parse_range(args.range) if args.range else None
     rows, checks = [], []
     if args.c4_pow is not None:
-        for k in span or [args.c4_pow]:
-            r = _domain(val2_delta_c4pow, k)
+        ks = span or [args.c4_pow]
+        for k, r in zip(ks, _domain(val2_delta_c4pow, ks)):
             rows.append(f"k={k}: val2 = {r['valuation']}" if args.range
                         else str(r["valuation"]))
             checks.append({"name": f"val2(content(delta(c4^{k})))",
@@ -436,7 +436,7 @@ def cmd_qexp(args):
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        result = _domain(eisenstein_in_c4c6, k).to_text()
+        result = _domain(eisenstein_in_c4c6, [k])[k].to_text()
         return _emit(args, "qexp", {"eisenstein": k}, result, [])
     if not args.expr:
         raise DomainError("qexp needs --expr or --eisenstein K")

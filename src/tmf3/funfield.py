@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .ring import Ring, monomial_text
+from .ring import Ring, ladder, monomial_text
 from .weierstrass import WCurve, gamma1_curves
 
 VARS = ("a1", "a3", "x")
@@ -138,13 +138,21 @@ _SIGMA_Y = FFElem(0, -_A3 * _A3, (3, 0))
 
 def sigma_pullback(e: FFElem) -> FFElem:
     """Pullback along translation by P0 = (0,0), term by term:
-    sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3) and a1, a3 are fixed."""
+    sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3) and a1, a3 are fixed.  A term
+    with x^n over x^i takes sigma*(x)^(n - i), of either sign, from one
+    ``ladder`` per call."""
     i, j = e.den
+    parts = ((e.u, None), (e.v, _SIGMA_Y))
+    powers = ladder(_SIGMA_X, [ex - i for p, _ in parts for (_, _, ex) in p.terms])
     result = FFElem(0)
-    for p, sy in ((e.u, FFElem(1)), (e.v, _SIGMA_Y)):
+    for p, sy in parts:
         for (e1, e3, ex), c in p.terms.items():
-            coeff = MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS)
-            result = result + FFElem(coeff, 0, (0, j)) * sy * _SIGMA_X ** (ex - i)
+            term = FFElem(MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS), 0, (0, j))
+            # a factor 1 is left out
+            for factor in (sy, powers.get(ex - i)):
+                if factor is not None:
+                    term = term * factor
+            result = result + term
     return result
 
 

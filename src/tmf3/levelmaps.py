@@ -145,30 +145,14 @@ class LevelOneForm(Ring):
         ((_, _, d), c), = self.terms.items()
         return LevelOneForm.monomial(0, 0, -d, 1 / c)
 
-    def monomial_images(self, c4, c6, delta):
-        """{(a, eps, d): c4^a c6^eps Delta^d} for the monomials of this form,
-        under the ring map of ``evaluate``.  The powers of c4 and of Delta
-        come from one ``ladder`` each per call, those of Delta^-1 for d < 0
-        from a ladder of the inverse of ``delta``; a factor x^0 is left
-        out, so the image of the monomial 1 is the int 1."""
-        keys = self.terms.keys()
-        c4s = ladder(c4, [a for a, _, _ in keys])
-        deltas = ladder(delta, [d for _, _, d in keys if d > 0])
-        below = [-d for _, _, d in keys if d < 0]
-        if below:
-            deltas.update((-n, x) for n, x in ladder(delta ** -1, below).items())
-        images = {}
-        for key in keys:
-            factors = [table[n] for table, n in zip((c4s, {1: c6}, deltas), key)
-                       if n]
-            images[key] = reduce(mul, factors) if factors else 1
-        return images
-
-    def evaluate(self, c4, c6, delta):
+    def evaluate(self, c4, c6, delta, images=None):
         """The image under the ring map sending c4, c6, Delta to elements of
         a Ring that mixes with Fraction scalars, as the sum of the
-        ``monomial_images`` times their coefficients."""
-        images = self.monomial_images(c4, c6, delta)
+        ``monomial_images`` times their coefficients.  ``images`` may hold
+        the images of more monomials than this form's, so that several
+        forms share one table."""
+        if images is None:
+            images = monomial_images(self.terms, c4, c6, delta)
         total = 0 * c4
         for key, c in self.terms.items():
             total = total + c * images[key]
@@ -176,6 +160,22 @@ class LevelOneForm(Ring):
 
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
+
+
+def monomial_images(keys, c4, c6, delta):
+    """{(a, eps, d): c4^a c6^eps Delta^d} for the exponent triples ``keys``,
+    under the ring map of ``LevelOneForm.evaluate``.  The powers of c4 and
+    of Delta come from one ``ladder`` each per call, those of Delta^-1 for
+    d < 0 from the inverse of ``delta``; a factor x^0 is left out, so the
+    image of the monomial 1 is the int 1."""
+    keys = set(keys)
+    c4s = ladder(c4, [a for a, _, _ in keys])
+    deltas = ladder(delta, [d for _, _, d in keys])
+    images = {}
+    for key in keys:
+        factors = [table[n] for table, n in zip((c4s, {1: c6}, deltas), key) if n]
+        images[key] = reduce(mul, factors) if factors else 1
+    return images
 
 
 # -- the four maps -----------------------------------------------------------
@@ -334,30 +334,40 @@ def _content_check(label: str, p: MultiPoly, expected: int) -> dict:
             "leading_term": f"{lead}*a1^{i}*a3", "pass": ok}
 
 
-def val2_delta_c4pow(k: int) -> dict:
-    """The content of delta(c4^k) has nu_2 = 4 + nu_2(k).
+def val2_delta_c4pow(ks) -> list:
+    """The content of delta(c4^k) has nu_2 = 4 + nu_2(k): one
+    ``_content_check`` per k in ``ks``, in their order, with the powers of
+    Q4 and F4 from one ``ladder`` each.
 
     Proof: Q4 - F4 = 240 a1a3 = 2^4 * 15 a1a3, so delta(c4^k) is
     (u + 2^4 v)^k - u^k at u = F4, v = 15 a1a3, and ``lemma_binomial_check``
     at d = 4 bounds its content below by 2^(4 + nu_2(k)).  Only the term
     k 2^4 u^(k-1) v reaches a1^(4k-3) a3, since the others carry a3^2, and
     its coefficient there is 2^4 * 15k, which has exactly that valuation."""
-    if k < 1:
+    ks = list(ks)
+    if min(ks, default=1) < 1:
         raise ValueError("k >= 1 required")
-    return _content_check(f"delta(c4^{k})", Q4 ** k - F4 ** k,
-                          4 + val_p_int(k, 2))
+    q4s, f4s = ladder(Q4, ks), ladder(F4, ks)
+    return [_content_check(f"delta(c4^{k})", q4s[k] - f4s[k], 4 + val_p_int(k, 2))
+            for k in ks]
 
 
-def val_delta_c4c6(k: int) -> dict:
-    """The content of delta(c4^k c6) has nu_2 = 3.
+def val_delta_c4c6(ks) -> list:
+    """The content of delta(c4^k c6) has nu_2 = 3: one ``_content_check``
+    per k in ``ks``, in their order, with the powers of Q4 and F4 from one
+    ``ladder`` each (x^0 = 1 is not in a ladder).
 
     Proof: delta(c4^k c6) = (Q4^k - F4^k) Q6 + F4^k (Q6 - F6), with
     Q6 - F6 = 2^3 (63 a1^3 a3 + 756 a3^2).  The first summand is divisible
     by 2^4 (``val2_delta_c4pow``), so the content is 2^3, and the
     coefficient on a1^(4k+3) a3 is 2^3 times 63 plus a multiple of 2^4."""
-    if k < 0:
+    ks = list(ks)
+    if min(ks, default=0) < 0:
         raise ValueError("k >= 0 required")
-    return _content_check(f"delta(c4^{k}*c6)", Q4 ** k * Q6 - F4 ** k * F6, 3)
+    q4s, f4s = ladder(Q4, ks), ladder(F4, ks)
+    return [_content_check(f"delta(c4^{k}*c6)",
+                           q4s.get(k, 1) * Q6 - f4s.get(k, 1) * F6, 3)
+            for k in ks]
 
 
 def delta_mod2_Delta_pow(N: int) -> dict:
@@ -383,19 +393,24 @@ def delta_mod2_Delta_pow(N: int) -> dict:
             "expected": f"a1^{expected[0]}*a3^{expected[1]}", "pass": ok}
 
 
-def lemma_binomial_check(d: int, k: int) -> dict:
+def lemma_binomial_check(d: int, ks) -> list:
     """(u + 2^d v)^k - u^k has content 2^(d + nu_2(k)) and, divided by it,
-    an odd coefficient on u^(k-1) v: checked at u = a1^3, v = a3.  These
-    are algebraically independent, so the terms a1^(3(k-j)) a3^j of
-    different j stay apart and carry the binomial coefficients.
+    an odd coefficient on u^(k-1) v: one ``_content_check`` per k in
+    ``ks``, in their order, at u = a1^3, v = a3, with the powers of u and of
+    u + 2^d v from one ``ladder`` each.  These are algebraically
+    independent, so the terms a1^(3(k-j)) a3^j of different j stay apart and
+    carry the binomial coefficients.
 
     It holds for all k and d >= 2: C(k, j) = (k/j) C(k-1, j-1) gives
     nu_2(C(k, j) 2^(dj)) >= nu_2(k) + dj - nu_2(j), and dj - nu_2(j) > d
     for j >= 2, so only j = 1, the term k 2^d u^(k-1) v, reaches the bound."""
     if d <= 1:
         raise ValueError("d > 1 required")
-    if k < 1:
+    ks = list(ks)
+    if min(ks, default=1) < 1:
         raise ValueError("k >= 1 required")
     u = a1() ** 3
-    return _content_check(f"(a1^3 + 2^{d}*a3)^{k} - a1^{3 * k}",
-                          (u + 2 ** d * a3()) ** k - u ** k, d + val_p_int(k, 2))
+    us, sums = ladder(u, ks), ladder(u + 2 ** d * a3(), ks)
+    return [_content_check(f"(a1^3 + 2^{d}*a3)^{k} - a1^{3 * k}",
+                           sums[k] - us[k], d + val_p_int(k, 2))
+            for k in ks]

@@ -34,6 +34,7 @@ Also provides:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -384,6 +385,16 @@ class GF2Poly(Ring):
         for e1 in self.monos:
             acc ^= {tuple(map(add, e1, e2)) for e2 in other.monos}
         return GF2Poly(acc, self.vars)
+
+    def __pow__(self, n: int):
+        # over F2 a square is the Frobenius image: its cross terms cancel in
+        # pairs, so x^(2^i) is x with every exponent times 2^i, and x^n is
+        # the product of those for the bits i of n
+        if n < 0:
+            return super().__pow__(n)
+        factors = [GF2Poly([tuple(c << i for c in e) for e in self.monos], self.vars)
+                   for i in range(n.bit_length()) if n >> i & 1]
+        return reduce(mul, factors) if factors else self.one()
 
     def to_text(self):
         return " + ".join(monomial_text(self.vars, e) or "1"

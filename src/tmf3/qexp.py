@@ -15,11 +15,11 @@ unitriangular in q, since c4^a c6^eps Delta^d = q^d + O(q^(d+1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .levelmaps import LevelOneForm, delta_map
+from .levelmaps import LevelOneForm, delta_map, monomial_images
 from .rationals import bernoulli, sigma_pow
 from .ring import Ring
 
@@ -183,39 +183,49 @@ def series_delta(prec: int) -> QSeries:
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------
 
-def eisenstein_in_c4c6(k: int):
-    """G_k as a LevelOneForm in c4, c6, Delta, in ascending power of c4.
+def eisenstein_in_c4c6(ks) -> dict:
+    """{k: G_k as a LevelOneForm in c4, c6, Delta} for each weight k in
+    ``ks``, each in ascending power of c4.
 
     The weight-k monomials have eps = 1 exactly when k = 2 mod 4, and
     c4^a c6^eps Delta^d = q^d + O(q^(d+1)); so for d = 0, 1, ... the
     coefficient of Delta^d is the q^d coefficient of what is left of G_k
     after the lower powers of Delta are subtracted. What is left at the end
-    must vanish to precision (number of monomials) + 10.
+    must vanish to precision (number of monomials) + 10.  The series of the
+    monomials of every weight come from one ``monomial_images`` table at
+    the largest of these precisions; a difference of q-series has the lower
+    precision of the two, so each G_k is still solved and checked to its
+    own.
     """
-    eps = 1 if k % 4 == 2 else 0
-    if k % 2 or k < 6 * eps:
-        raise ValueError(f"no holomorphic forms of weight {k}")
-    n = (k - 6 * eps) // 12 + 1
-    prec = n + 10
-    rest = eisenstein_G(k, prec)
-    basis = [((k - 6 * eps - 12 * d) // 4, eps, d) for d in range(n)]
-    # the series of every basis monomial, from one table of powers
-    images = LevelOneForm(dict.fromkeys(basis, 1)).monomial_images(
-        series_c4(prec), series_c6(prec), series_delta(prec))
-    expr = LevelOneForm()
-    for key in basis:
-        c = rest[key[2]]
-        if c:
-            rest = rest - c * images[key]
-            # the new term first: ascending power of c4
-            expr = LevelOneForm({key: c}) + expr
-    if not rest.is_zero():
-        raise ValueError("inconsistent system")
-    return expr
+    bases = {}
+    for k in ks:
+        eps = 1 if k % 4 == 2 else 0
+        if k % 2 or k < 6 * eps:
+            raise ValueError(f"no holomorphic forms of weight {k}")
+        bases[k] = [((k - 6 * eps - 12 * d) // 4, eps, d)
+                    for d in range((k - 6 * eps) // 12 + 1)]
+    top = max(map(len, bases.values()), default=0) + 10
+    images = monomial_images(chain.from_iterable(bases.values()), series_c4(top),
+                             series_c6(top), series_delta(top))
+    exprs = {}
+    for k, basis in bases.items():
+        rest = eisenstein_G(k, len(basis) + 10)
+        expr = LevelOneForm()
+        for key in basis:
+            c = rest[key[2]]
+            if c:
+                rest = rest - c * images[key]
+                # the new term first: ascending power of c4
+                expr = LevelOneForm({key: c}) + expr
+        if not rest.is_zero():
+            raise ValueError(f"G_{k} has no expression in c4, c6, Delta: "
+                             "inconsistent system")
+        exprs[k] = expr
+    return exprs
 
 
 def e_alpha(G):
-    """The explicit building 1-cocycle on G_k = ``eisenstein_in_c4c6(k)``:
+    """The explicit building 1-cocycle on G_k = ``eisenstein_in_c4c6([k])[k]``:
     the pair (u (q* - f*) G_k, u (3^k - 1) G_k) with u = 1 for k = 0 mod 4
     and u = 2 for k = 2 mod 4, returned as (LocElem, LevelOneForm)."""
     k = G.weight_of()

@@ -31,15 +31,25 @@ def power(x, n: int, one):
 
 
 def ladder(x, exponents):
-    """{n: x^n} for 1 and each n >= 1 in ``exponents`` (0 is left out), from
+    """{n: x^n} for 1 and each n != 0 in ``exponents`` (0 is left out), from
     one table built upward: the least exponent by ``x ** n``, and each
     further one as the power below it times x^gap, where a step x^gap is
     made once and kept in the table.  The exponents of c4 in a homogeneous
     level-1 form step by 3, and those of Delta by 1, so one step serves all
-    their powers past the least."""
+    their powers past the least.  A negative n, as for Delta^-1 or a pole
+    of the function field, is taken from a second such table of
+    ``x.inverse()``, made only when one is asked for."""
+    table = _upward(x, [n for n in exponents if n > 0])
+    below = [-n for n in exponents if n < 0]
+    if below:
+        table.update((-n, p) for n, p in _upward(x.inverse(), below).items())
+    return table
+
+
+def _upward(x, exponents):
     table = {1: x}
     below = 0
-    for n in sorted(set(exponents) - {0}):
+    for n in sorted(set(exponents)):
         if n not in table:
             gap = n - below
             if gap not in table:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from itertools import chain
 
 from .multipoly import LocElem, MultiPoly, a1, a3, disc_factor
 from .weierstrass import (WCurve, WPoint, WTransform, transform,
@@ -226,12 +227,12 @@ def item_normalize():
 def item_valuations():
     from .levelmaps import (val2_delta_c4pow, val_delta_c4c6,
                             delta_mod2_Delta_pow, lemma_binomial_check)
-    for k in range(1, 65):
-        r = val2_delta_c4pow(k)
+    ks = range(1, 65)
+    for k, r in zip(ks, val2_delta_c4pow(ks)):
         if not r["pass"]:
             return False, f"val2(delta(c4^{k})) check failed: {r}"
-    for k in range(0, 33):
-        r = val_delta_c4c6(k)
+    c6_ks = range(0, 33)
+    for k, r in zip(c6_ks, val_delta_c4c6(c6_ks)):
         if not r["pass"]:
             return False, f"delta(c4^{k} c6) content check failed: {r}"
     for N in range(1, 65):
@@ -239,8 +240,7 @@ def item_valuations():
         if not r["pass"]:
             return False, f"mod-2 minimal term of delta(Delta^{N}) failed: {r}"
     for d in range(2, 7):
-        for k in range(1, 65):
-            r = lemma_binomial_check(d, k)
+        for k, r in zip(ks, lemma_binomial_check(d, ks)):
             if not r["pass"]:
                 return False, f"binomial lemma failed at d={d}, k={k}: {r}"
     return True, "c4-powers k <= 64, c4^k c6 k <= 32, Delta-powers N <= 64, lemma d in [2,6]"
@@ -252,23 +252,23 @@ def item_valuations():
 def item_eisenstein():
     from .qexp import (eisenstein_G, eisenstein_in_c4c6, series_c4,
                        series_c6, series_delta, e_alpha)
-    from .levelmaps import LevelOneForm, cochain_D1
+    from .levelmaps import LevelOneForm, cochain_D1, monomial_images
 
-    exprs = {}
-    for k in range(4, 41, 2):
-        try:
-            exprs[k] = eisenstein_in_c4c6(k)
-        except ValueError as exc:
-            return False, f"G_{k} has no expression in c4, c6, Delta: {exc}"
+    try:
+        exprs = eisenstein_in_c4c6(range(4, 41, 2))
+    except ValueError as exc:
+        return False, str(exc)
     if exprs[4] != LevelOneForm.c4() / 240:
         return False, f"G_4 != c4/240: {exprs[4].to_text()}"
     # independent re-check of each G_k to precision (number of terms) + 30,
-    # larger than the solver used; one set of series serves every weight, as
-    # a comparison is to the lower of the two precisions
+    # larger than the solver used; one table of monomial series serves every
+    # weight, as a comparison is to the lower of the two precisions
     top = max(len(G.terms) for G in exprs.values()) + 30
     series = series_c4(top), series_c6(top), series_delta(top)
+    images = monomial_images(chain.from_iterable(G.terms for G in exprs.values()),
+                             *series)
     for k, G in exprs.items():
-        if G.evaluate(*series) != eisenstein_G(k, len(G.terms) + 30):
+        if G.evaluate(*series, images) != eisenstein_G(k, len(G.terms) + 30):
             return False, f"q-expansion mismatch for G_{k}"
     # the cocycles are built from the expressions solved above
     u, v = e_alpha(exprs[4])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tmf3 import cli, funfield, sseq
+from tmf3 import cli, funfield, sseq, weierstrass
 from tmf3.cli import (parse, CliSyntaxError, main, Num, Ident,
                       BinOp, Call, Unary)
 from tmf3.weierstrass import WCurve, WPoint, WTransform, transform, transform_point
@@ -394,6 +394,29 @@ def test_invariants_j_placeholder(capsys):
     assert code == 0 and json.loads(out)["result"]["j"] == "undefined (Delta = 0)"
     code, out, err = run(capsys, "invariants", "--curve", "0,0,1,-1,0", "--json")
     assert json.loads(out)["result"]["j"] == "110592/37"
+
+
+def test_invariants_scan_the_curve_once_per_value(capsys, monkeypatch):
+    # one integral_model scan for each of the seven values and two for j,
+    # which reads c4 and Delta; the identity check reads the values computed
+    calls = []
+    real = weierstrass.integral_model
+
+    def counted(values, weights):
+        calls.append(values)
+        return real(values, weights)
+
+    monkeypatch.setattr(weierstrass, "integral_model", counted)
+    code, out, err = run(capsys, "invariants", "--curve", "1/2,-1/3,2,5/4,-7/6",
+                         "--json")
+    assert (code, len(calls)) == (0, 9)
+    payload = json.loads(out)
+    assert payload["result"] == {
+        "b2": "-13/12", "b4": "7/2", "b6": "-2/3", "b8": "-415/144",
+        "c4": "-11927/144", "c6": "15157/1728", "Delta": "-6819401/20736",
+        "j": "1696655454983/981993744"}
+    assert payload["checks"] == [{"name": "c4^3 - c6^2 = 1728*Delta",
+                                  "pass": True, "detail": "exact identity"}]
 
 
 # -- chart: a too-small window is a domain error, a failed page check exit 3

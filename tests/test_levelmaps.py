@@ -11,6 +11,7 @@ from tmf3.levelmaps import (LevelOneForm, F4, F6, FDELTA, Q4, Q6, QDELTA,
                             delta_map, is_gamma03, cochain_D0, cochain_D1,
                             basis_monomials, val2_delta_c4pow, val_delta_c4c6,
                             delta_mod2_Delta_pow, lemma_binomial_check)
+from tmf3.rationals import val_p_int
 from tmf3.weierstrass import gamma1_curves
 
 
@@ -138,17 +139,14 @@ def test_evaluate_on_the_level_three_images_is_fstar_and_qstar():
 
 
 def test_val2_examples():
-    r = val2_delta_c4pow(1)
-    assert r["pass"] and r["valuation"] == 4
-    r = val2_delta_c4pow(2)
-    assert r["pass"] and r["valuation"] == 5
-    r = val2_delta_c4pow(8)
-    assert r["pass"] and r["valuation"] == 7
+    r1, r2, r8 = val2_delta_c4pow([1, 2, 8])
+    assert r1["pass"] and r1["valuation"] == 4
+    assert r2["pass"] and r2["valuation"] == 5
+    assert r8["pass"] and r8["valuation"] == 7
 
 
 def test_val_c4c6_examples():
-    for k in (0, 1, 5):
-        r = val_delta_c4c6(k)
+    for r in val_delta_c4c6([0, 1, 5]):
         assert r["pass"] and r["valuation"] == 3
 
 
@@ -161,10 +159,38 @@ def test_mod2_delta_power_examples():
 
 def test_binomial_lemma_examples():
     for d in (2, 4):
-        for k in (1, 2, 6):
-            assert lemma_binomial_check(d, k)["pass"]
+        for r in lemma_binomial_check(d, [1, 2, 6]):
+            assert r["pass"]
     with pytest.raises(ValueError):
-        lemma_binomial_check(1, 3)
+        lemma_binomial_check(1, [3])
+
+
+def test_each_sweep_agrees_with_powers_from_scratch():
+    # unsorted, repeated exponents; each entry against its own power
+    ks = [7, 1, 64, 7, 2, 33]
+    assert val2_delta_c4pow(ks) == [
+        levelmaps._content_check(f"delta(c4^{k})", Q4 ** k - F4 ** k,
+                                 4 + val_p_int(k, 2)) for k in ks]
+    ks = [5, 0, 32, 0, 1]
+    assert val_delta_c4c6(ks) == [
+        levelmaps._content_check(f"delta(c4^{k}*c6)", Q4 ** k * Q6 - F4 ** k * F6, 3)
+        for k in ks]
+    ks = [9, 1, 64, 9, 3]
+    for d in (2, 5):
+        assert lemma_binomial_check(d, ks) == [
+            levelmaps._content_check(f"(a1^3 + 2^{d}*a3)^{k} - a1^{3 * k}",
+                                     (a1() ** 3 + 2 ** d * a3()) ** k - a1() ** (3 * k),
+                                     d + val_p_int(k, 2)) for k in ks]
+    assert val2_delta_c4pow([]) == val_delta_c4c6([]) == lemma_binomial_check(3, []) == []
+
+
+def test_sweeps_reject_exponents_out_of_range():
+    with pytest.raises(ValueError, match="k >= 1 required"):
+        val2_delta_c4pow([3, 0])
+    with pytest.raises(ValueError, match="k >= 0 required"):
+        val_delta_c4c6([3, -1])
+    with pytest.raises(ValueError, match="k >= 1 required"):
+        lemma_binomial_check(2, [2, 0])
 
 
 # -- tstar against the generator expansion ------------------------------------
@@ -221,7 +247,7 @@ def _fields(g):
 
 def test_delta_and_D1_equal_the_sums_of_their_reduced_parts():
     from tmf3.qexp import eisenstein_in_c4c6
-    forms = basis_monomials(48) + [eisenstein_in_c4c6(k) for k in range(4, 41, 2)]
+    forms = basis_monomials(48) + list(eisenstein_in_c4c6(range(4, 41, 2)).values())
     assert len(forms) == 161 + 19
     nonzero = 0
     for m in forms:

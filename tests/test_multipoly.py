@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmf3 import multipoly
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, disc_factor,
                             divide_exact, mod2, min_a1_term)
 from tmf3.rationals import val_p_int
@@ -81,6 +86,26 @@ def test_gf2_reduction_and_frobenius():
     assert g.monos == frozenset({(1, 1)})
     sq = GF2Poly([(1, 0), (0, 1)]) ** 2
     assert sq.monos == frozenset({(2, 0), (0, 2)})
+
+
+def test_gf2_power_is_the_repeated_product():
+    x = GF2Poly([(1, 0), (0, 1), (3, 2)])
+    power = x.one()
+    for n in range(21):
+        assert x ** n == power, n
+        power = power * x
+
+
+def test_gf2_negative_power_raises_without_looping():
+    # a loop on the bits of n never ends at n = -1, since -1 >> 1 == -1;
+    # a fresh process bounds the wait
+    code = ("import pytest\nfrom tmf3.multipoly import GF2Poly\n"
+            "with pytest.raises(ValueError, match='not invertible'):\n"
+            "    GF2Poly([(1, 0), (0, 1)]) ** -1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(multipoly.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_min_a1_term():

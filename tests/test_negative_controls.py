@@ -6,8 +6,8 @@ have theirs beside their modules' tests (`test_funfield.py`,
 import math
 from fractions import Fraction
 
-from tmf3 import levelmaps, qexp, verify, weierstrass
-from tmf3.multipoly import a1, a3
+from tmf3 import funfield, levelmaps, qexp, verify, weierstrass
+from tmf3.multipoly import MultiPoly, a1, a3
 
 
 def test_item1_fails_with_a_wrong_b6(monkeypatch):
@@ -168,3 +168,35 @@ def test_item8_fails_with_a_wrong_bernoulli_number(monkeypatch):
                         lambda m: real(m) + (Fraction(1, 7) if m == 12 else 0))
     r = verify.item_eisenstein()
     assert r["pass"] is False and r["detail"].startswith("G_12 ")
+
+
+def test_no_table_of_powers_outlives_its_call(monkeypatch):
+    # items 4, 7 and 8 take their powers from ladders; one kept from a first
+    # run would let each pass again with a wrong generator patched in
+    items = (verify.item_isogeny, verify.item_valuations, verify.item_eisenstein)
+    assert all(item()["pass"] for item in items)
+    monkeypatch.setattr(funfield, "_SIGMA_X", -funfield._SIGMA_X)
+    monkeypatch.setattr(levelmaps, "Q4", a1() ** 4 + 215 * a1() * a3())
+    real = qexp.bernoulli
+    monkeypatch.setattr(qexp, "bernoulli",
+                        lambda m: real(m) + (Fraction(1, 7) if m == 12 else 0))
+    # each fails at the first statement that reads its patched value
+    details = [item()["detail"] for item in items]
+    assert "'sigma_order_3'" in details[0]
+    assert details[1].startswith("val2(delta(c4^1)) check failed")
+    assert details[2].startswith("G_12 has no expression in c4, c6, Delta: ")
+
+
+def test_item7_takes_each_sweep_from_ladders(monkeypatch):
+    # the powers of Q4, F4 and u + 2^d v are products along a ladder; only
+    # u = a1^3, once per d of the lemma, is a power
+    calls = []
+    real = MultiPoly.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", counted)
+    assert verify.item_valuations()["pass"]
+    assert calls == [3] * 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmf3.qexp import (QSeries, eisenstein_G, eisenstein_in_c4c6, series_c4,
                        series_c6, series_delta, e_alpha)
-from tmf3.levelmaps import LevelOneForm, cochain_D1
+from tmf3.levelmaps import LevelOneForm, cochain_D1, monomial_images
 from tmf3.multipoly import LocElem, MultiPoly
 
 
@@ -46,11 +46,11 @@ def test_eisenstein_constant_terms():
 
 
 def test_g4_is_c4_over_240():
-    assert eisenstein_in_c4c6(4) == LevelOneForm.c4() / 240
+    assert eisenstein_in_c4c6([4])[4] == LevelOneForm.c4() / 240
 
 
 def test_g6_is_minus_c6_over_504():
-    assert eisenstein_in_c4c6(6) == LevelOneForm.c6() / -504
+    assert eisenstein_in_c4c6([6])[6] == LevelOneForm.c6() / -504
 
 
 def _by_hand(expr, prec):
@@ -66,8 +66,7 @@ def _by_hand(expr, prec):
 
 
 def test_higher_weight_expression_matches_expansion():
-    for k in range(4, 61, 2):
-        expr = eisenstein_in_c4c6(k)
+    for k, expr in eisenstein_in_c4c6(range(4, 61, 2)).items():
         assert isinstance(expr, LevelOneForm)
         # the weight-k monomials, with c6 exactly when k = 2 mod 4, by ascending a
         assert all(4 * a + 6 * eps + 12 * d == k and eps == (k % 4 == 2)
@@ -79,6 +78,25 @@ def test_higher_weight_expression_matches_expansion():
         # evaluate is the same ring map
         series = series_c4(prec), series_c6(prec), series_delta(prec)
         assert expr.evaluate(*series) == total
+
+
+def test_a_sweep_of_weights_agrees_with_each_weight_alone():
+    # unsorted, repeated weights, solved from one table at the largest
+    # precision
+    ks = [40, 12, 4, 12, 26, 6]
+    exprs = eisenstein_in_c4c6(ks)
+    assert list(exprs) == [40, 12, 4, 26, 6]
+    for k in ks:
+        assert exprs[k] == eisenstein_in_c4c6([k])[k], k
+
+
+def test_forms_share_one_table_of_images():
+    prec = 20
+    series = series_c4(prec), series_c6(prec), series_delta(prec)
+    forms = list(eisenstein_in_c4c6([12, 24, 30]).values())
+    images = monomial_images({key for f in forms for key in f.terms}, *series)
+    for f in forms:
+        assert f.evaluate(*series, images) == f.evaluate(*series)
 
 
 def test_evaluate_is_a_ring_map_into_q_series():
@@ -103,20 +121,20 @@ def test_evaluate_is_a_ring_map_into_q_series():
 def test_eisenstein_expression_errors():
     for k in (2, 3, -4):
         with pytest.raises(ValueError, match=f"^no holomorphic forms of weight {k}$"):
-            eisenstein_in_c4c6(k)
+            eisenstein_in_c4c6([k])
     with pytest.raises(ValueError, match="^eisenstein_G needs even weight >= 4$"):
-        eisenstein_in_c4c6(0)
+        eisenstein_in_c4c6([0])
 
 
 def test_e_alpha_weight_four():
-    u, v = e_alpha(eisenstein_in_c4c6(4))
+    u, v = e_alpha(eisenstein_in_c4c6([4])[4])
     assert u == LocElem(MultiPoly({(1, 1): Fraction(1)}))
     assert v == Fraction(1, 3) * LevelOneForm.c4()
 
 
 def test_e_alpha_cocycles():
-    for k in (4, 6, 8, 10, 12):
-        assert cochain_D1(*e_alpha(eisenstein_in_c4c6(k))).is_zero()
+    for G in eisenstein_in_c4c6([4, 6, 8, 10, 12]).values():
+        assert cochain_D1(*e_alpha(G)).is_zero()
 
 
 def _delta_by_product(prec):

@@ -98,6 +98,16 @@ def test_ladder_takes_each_power_from_the_one_below():
     assert ladder(Counted(2), []) == {1: 2}
 
 
+def test_ladder_takes_negative_powers_from_the_inverse():
+    x = FFElem.x() * FFElem.y()
+    table = ladder(x, [-3, 2, -1, 0, -3])
+    # x^-3 is x^-1 times the step x^-2, which the table keeps
+    assert sorted(table) == [-3, -2, -1, 1, 2]
+    assert all(p == x ** n for n, p in table.items())
+    # the inverse is made only for a negative exponent: a1 + a3 has none
+    assert ladder(a1() + a3(), [3, 2]) == {n: (a1() + a3()) ** n for n in (1, 2, 3)}
+
+
 def test_monomial_text():
     assert monomial_text(("a1", "a3"), (0, 0)) == ""
     assert monomial_text(("a1", "a3"), (1, 0)) == "a1"
