@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _leading_zeros
 from .ring import Ring, ladder, monomial_text
 from .weierstrass import WCurve, gamma1_curves
 
@@ -56,13 +56,16 @@ class FFElem(Ring):
     def __init__(self, u=0, v=0, den=(0, 0)):
         u, v = _poly(u), _poly(v)
         i, j = den
-        exps = [*u.terms, *v.terms]
-        if not exps:
+        groups = [*u.groups.items(), *v.groups.items()]
+        if not groups:
             i = j = 0
-        di = min(i, *(e[2] for e in exps)) if i else 0
-        dj = min(j, *(e[1] for e in exps)) if j else 0
-        self.u, self.v = _shift(u, -di, -dj), _shift(v, -di, -dj)
-        self.den = (i - di, j - dj)
+        # a weight group's list runs over the power of x, and its key's
+        # second entry is the power of a3
+        di = min(i, *(_leading_zeros(cs) for _, cs in groups)) if i else 0
+        dj = min(j, *(key[1] for key, _ in groups)) if j else 0
+        if di or dj:
+            u, v = _shift(u, -di, -dj), _shift(v, -di, -dj)
+        self.u, self.v, self.den = u, v, (i - di, j - dj)
 
     @classmethod
     def x(cls):

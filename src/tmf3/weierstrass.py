@@ -28,19 +28,21 @@ formula runs on its ints, and the value is divided by u^W once.  So c4, c6
 and disc read the b-values of an all-int model, and the group law checks its
 points on one, with no second scan.
 
-Group law.  The public group law is ``smul``, n * P for any integer n.
-It runs on the integral model in Jacobian coordinates (X : Y : Z),
-x = X/Z^2, y = Y/Z^3, where addition needs no division and the point at
-infinity is (1 : 1 : 0).  The point enters once, as (u^2 x, u^3 y, 1), and the result leaves once, as
-(X / (uZ)^2, Y / (uZ)^3).  The input and every point the group law
-produces are checked on the integral Jacobian equation.
+Group law.  The public group law is ``smul``, n * P for any integer n; it
+serves only verify item 5's oracle, the reference for the flex test.  It
+runs on the integral model in Jacobian coordinates (X : Y : Z), x = X/Z^2,
+y = Y/Z^3, where addition needs no division and the point at infinity is
+(1 : 1 : 0).  The point enters once, as (u^2 x, u^3 y, 1), and the result
+leaves once, as (X / (uZ)^2, Y / (uZ)^3).  The input and every point the
+group law produces are checked on the integral Jacobian equation.
 
 Tangent frame (Silverman, AEC III.1).  x = x' + x0, y = y' + y0 moves a
 point P = (x0, y0) to the origin: then a6 = 0 iff P is on the curve, and the
 tangent at P is a3 y = a4 x, vertical iff a3 = 0.  The shear s = a4/a3 lays
 it on y' = 0, which meets the curve in x'^3 + a2 x'^2 + a4 x' + a6.  So P is
-a flex iff a2 = a4 = a6 = 0 in this frame, and the frame of an order-3 point
-is the Gamma_1(3) normal form y^2 + a1 xy + a3 y = x^3.
+a flex iff a2 = a4 = a6 = 0 in this frame.  On a smooth cubic a point has
+order 3 iff it is a flex (AEC Ex. 3.7), so the frame alone decides and
+reaches the Gamma_1(3) normal form y^2 + a1 xy + a3 y = x^3.
 """
 
 from __future__ import annotations
@@ -322,16 +324,18 @@ def gamma1_curves(a1, a3):
 
 # -- the tangent frame: the flex test and the Gamma_1(3) normal form --------
 
-def _tangent_frame(C: WCurve, P: WPoint):
-    """(T, transform(C, T)) for the tangent frame T = (1, x0, s, y0) at P,
-    or None when the tangent is vertical; CurveError when P is off C."""
+def _flex_frame(C: WCurve, P: WPoint):
+    """(T, transform(C, T)) for the tangent frame T = (1, x0, s, y0) at a
+    flex P, whose image is y^2 + a1 xy + a3 y = x^3; None when P is not a
+    flex or its tangent is vertical; CurveError when P is off C."""
     D = transform(C, WTransform(Fraction(1), P.x, 0, P.y))
     if D.a6:
         raise CurveError(f"point {P} is not on the curve")
     if not D.a3:
         return None
     T = WTransform(Fraction(1), P.x, D.a4 / D.a3, P.y)
-    return T, transform(C, T)
+    F = transform(C, T)
+    return None if F.a2 or F.a4 or F.a6 else (T, F)
 
 
 def is_flex(C: WCurve, P: WPoint):
@@ -339,13 +343,10 @@ def is_flex(C: WCurve, P: WPoint):
     a vertical tangent (a 2-torsion point)."""
     if P.infinity:
         raise CurveError("flex test needs an affine point")
-    frame = _tangent_frame(C, P)
+    frame = _flex_frame(C, P)
     if not C.is_smooth():
         raise CurveError("flex test on a singular curve")
-    if frame is None:
-        return False
-    F = frame[1]
-    return not (F.a2 or F.a4 or F.a6)
+    return frame is not None
 
 
 def gamma1_normalize(C: WCurve, P: WPoint):
@@ -360,13 +361,8 @@ def gamma1_normalize(C: WCurve, P: WPoint):
         raise CurveError("normalization needs an affine point of order 3")
     if not C.is_smooth():
         raise CurveError("normalization needs a smooth curve")
-    if not C.smul(3, P).infinity:
-        raise CurveError("point is not 3-torsion")
-    frame = _tangent_frame(C, P)
+    frame = _flex_frame(C, P)
     if frame is None:
-        # tangent vertical: P would be 2-torsion, contradicting order 3
-        raise CurveError("vertical tangent at an order-3 point")
+        raise CurveError("point is not 3-torsion")
     T, F = frame
-    if F.a2 or F.a4 or F.a6:
-        raise CurveError("point is not a flex: normal form not reached")
     return F.a1, F.a3, T

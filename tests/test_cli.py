@@ -328,6 +328,17 @@ def test_isogeny_json(capsys):
         "a6": "-1*a1^3*a3 + -9*a3^2"}
 
 
+def test_isogeny_json_prints_the_quotient_coordinates(capsys):
+    # X and Y print as FFElem reprs, so this pins their canonical form
+    code, out, err = run(capsys, "isogeny", "--json")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["X"] == "((1*a1*a3*x + 1*a3^2 + 1*x^3) + (0)*y) / (x^2)"
+    assert result["Y"] == (
+        "((-1*a1^2*a3*x^2 + -2*a1*a3^2*x + -1*a3^3 + -1*a3*x^3)"
+        " + (-1*a1*a3*x + -2*a3^2 + 1*x^3)*y) / (x^3)")
+
+
 def test_isogeny_prints_the_curve_it_checks(monkeypatch, capsys):
     # E' with its a4 doubled: the printed curve is the one that fails
     real = funfield.gamma1_curves

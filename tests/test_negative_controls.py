@@ -59,6 +59,17 @@ def test_item3_fails_with_a_wrong_hstar(monkeypatch):
     assert r["pass"] is False and "tstar.qstar != fstar.hstar" in r["detail"]
 
 
+def test_item3_fails_with_a_wrong_qstar_c4(monkeypatch, request):
+    # q*(c4) = a1^4 + 216 a1 a3, here with 215; the powers of Q4 are cached
+    # for the process, so the cache is emptied before and after the patch
+    levelmaps._cached_pow.cache_clear()
+    request.addfinalizer(levelmaps._cached_pow.cache_clear)
+    monkeypatch.setattr(levelmaps, "Q4", a1() ** 4 + 215 * a1() * a3())
+    r = verify.item_cosimplicial()
+    assert r["pass"] is False
+    assert r["detail"] == "tstar.fstar != qstar on 1*c4"
+
+
 def test_item3_fails_when_D1_D0_does_not_vanish(monkeypatch):
     # D1(u, v) = t* u + u - f* v; with - u the generator identities, which
     # do not read D1, still hold, and D1 . D0 = -2 delta is nonzero
@@ -86,25 +97,25 @@ def test_item5_fails_when_the_jacobian_sum_leaves_the_curve(monkeypatch):
 
 
 def _frame_without_shear(C, P):
-    """The tangent frame with s = 0: P moves to the origin, but its tangent
-    a3 y = a4 x stays where it is."""
+    """The flex frame with s = 0: P moves to the origin, but its tangent
+    a3 y = a4 x stays where it is, so an order-3 point is no flex in it."""
     T = weierstrass.WTransform(Fraction(1), P.x, 0, P.y)
-    return T, weierstrass.transform(C, T)
+    F = weierstrass.transform(C, T)
+    return None if F.a2 or F.a4 or F.a6 else (T, F)
 
 
 def test_item5_fails_when_the_tangent_frame_is_not_sheared(monkeypatch):
-    monkeypatch.setattr(weierstrass, "_tangent_frame", _frame_without_shear)
+    monkeypatch.setattr(weierstrass, "_flex_frame", _frame_without_shear)
     r = verify.item_flex()
     assert r["pass"] is False
     assert r["detail"].startswith("flex test misses an order-3 point")
 
 
 def test_item6_fails_when_the_tangent_frame_is_not_sheared(monkeypatch):
-    monkeypatch.setattr(weierstrass, "_tangent_frame", _frame_without_shear)
+    monkeypatch.setattr(weierstrass, "_flex_frame", _frame_without_shear)
     r = verify.item_normalize()
     assert r["pass"] is False
-    assert r["detail"] == ("CurveError: point is not a flex: "
-                           "normal form not reached")
+    assert r["detail"] == "CurveError: point is not 3-torsion"
 
 
 def test_item6_fails_with_a_wrong_weight_of_t(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tmf3 import weierstrass
+from tmf3 import verify, weierstrass
 from tmf3.multipoly import MultiPoly, a1, a3, disc_factor
 from tmf3.weierstrass import (WCurve, WPoint, O, WTransform, CurveError,
                               transform, transform_point, gamma1_normalize,
@@ -527,10 +527,29 @@ def test_flex_and_normal_form_check_in_order():
         (gamma1_normalize, singular, off, "normalization needs a smooth curve"),
         (gamma1_normalize, smooth, WPoint(frac(0), frac(0)),
          "point is not 3-torsion"),
+        # (0, 0) on y^2 = x^3 - x has a vertical tangent: order 2
+        (gamma1_normalize, WCurve(0, 0, 0, -1, 0), WPoint(frac(0), frac(0)),
+         "point is not 3-torsion"),
     ]
     for fn, C, P, message in cases:
         with pytest.raises(CurveError, match=f"^{message}$"):
             fn(C, P)
+
+
+def test_normalization_never_reaches_the_group_law(monkeypatch):
+    # the flex frame alone decides order 3; only item 5's oracle multiplies
+    calls = []
+    real = WCurve.smul
+
+    def counted(self, n, P):
+        calls.append(n)
+        return real(self, n, P)
+
+    monkeypatch.setattr(WCurve, "smul", counted)
+    assert verify.item_normalize()["pass"] is True
+    assert calls == []
+    assert verify.item_flex()["pass"] is True
+    assert calls == [3] * 60
 
 
 def test_integral_model_runs_once_per_invariant(monkeypatch):
