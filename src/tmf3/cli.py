@@ -179,7 +179,7 @@ def evaluate(node, env):
     LevelOneForms, LocElems, or QSeries, with scalar mixing only."""
     from .levelmaps import (LevelOneForm, fstar, qstar, hstar, tstar,
                             delta_map)
-    from .multipoly import LocElem
+    from .multipoly import LocElem, MultiPoly
 
     def combine(op, a, b):
         if op == "^":
@@ -203,7 +203,7 @@ def evaluate(node, env):
     # ValueError, on an element that is not sigma-invariant, is user input
     level1 = (LevelOneForm, "a level-1 form", LevelOneForm.const)
     calls = {"tstar": (lambda g: _domain(tstar, g), LocElem,
-                       "a level-3 element", LocElem.from_poly),
+                       "a level-3 element", lambda c: LocElem(MultiPoly.const(c))),
              "fstar": (fstar, *level1), "qstar": (qstar, *level1),
              "hstar": (hstar, *level1), "delta": (delta_map, *level1)}
 
@@ -410,18 +410,22 @@ def cmd_delta(args):
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
         return _emit(args, "delta", inputs, g.to_text(), [])
     span = _parse_range(args.range) if args.range else None
+    # the sweeps' input rule, checked here: their ValueError is a library fault
+    name, first = ("k", args.c4_pow) if args.c4_pow is not None else ("N", args.delta_pow)
+    values = span or [first]
+    if min(values) < 1:
+        raise DomainError(f"{name} >= 1 required")
     rows, checks = [], []
     if args.c4_pow is not None:
-        ks = span or [args.c4_pow]
-        for k, r in zip(ks, _domain(val2_delta_c4pow, ks)):
+        for k, r in zip(values, val2_delta_c4pow(values)):
             rows.append(f"k={k}: val2 = {r['valuation']}" if args.range
                         else str(r["valuation"]))
             checks.append({"name": f"val2(content(delta(c4^{k})))",
                            "pass": r["pass"],
                            "detail": f"computed {r['valuation']}, expected {r['expected']}"})
     else:
-        for N in span or [args.delta_pow]:
-            r = _domain(delta_mod2_Delta_pow, N)
+        for N in values:
+            r = delta_mod2_Delta_pow(N)
             rows.append(f"N={N}: min term {r['leading_term']}")
             checks.append({"name": f"min_a1_term(mod2(delta(Delta^{N})))",
                            "pass": r["pass"],

@@ -30,10 +30,6 @@ _X3 = _X ** 3
 _S = _A1 * _X + _A3     # y + ybar = -(a1 x + a3)
 
 
-def _poly(c) -> MultiPoly:
-    return c if isinstance(c, MultiPoly) else MultiPoly.const(c, VARS)
-
-
 def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
     """p * x^dx * a3^da3, for shifts that keep every exponent >= 0."""
     return p._shift((0, da3, dx))
@@ -54,7 +50,7 @@ class FFElem(Ring):
     __slots__ = ("u", "v", "den")
 
     def __init__(self, u=0, v=0, den=(0, 0)):
-        u, v = _poly(u), _poly(v)
+        u, v = _X._lift(u), _X._lift(v)
         i, j = den
         groups = [*u.groups.items(), *v.groups.items()]
         if not groups:
@@ -81,12 +77,15 @@ class FFElem(Ring):
     def is_zero(self):
         return not (self.u or self.v)
 
-    def __eq__(self, other):
-        other = _ff(other)
-        return (self.u, self.v, self.den) == (other.u, other.v, other.den)
+    def _lift(self, x):
+        # through the constructor: * lifts its operand, so one() * x would recurse
+        return x if isinstance(x, FFElem) else FFElem(x)
+
+    def _key(self):
+        return self.u, self.v, self.den
 
     def __add__(self, other):
-        other = _ff(other)
+        other = self._lift(other)
         (i1, j1), (i2, j2) = self.den, other.den
         i, j = max(i1, i2), max(j1, j2)
         return FFElem(_shift(self.u, i - i1, j - j1) + _shift(other.u, i - i2, j - j2),
@@ -97,7 +96,7 @@ class FFElem(Ring):
         return FFElem(-self.u, -self.v, self.den)
 
     def __mul__(self, other):
-        other = _ff(other)
+        other = self._lift(other)
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
         # (u1 + v1 y)(u2 + v2 y), with y^2 = x^3 - (a1 x + a3) y
         vv = v1 * v2
@@ -119,7 +118,7 @@ class FFElem(Ring):
                              "a constant times a monomial in x and a3")
         ((_, e3, ex), c), = n.u.terms.items()
         ni, nj = n.den
-        inv_norm = FFElem(_shift(_poly(Fraction(n.u.den, c)), ni, nj), 0, (ex, e3))
+        inv_norm = FFElem(_shift(_X._lift(Fraction(n.u.den, c)), ni, nj), 0, (ex, e3))
         return self.conj() * inv_norm
 
     inverse = inv
@@ -128,10 +127,6 @@ class FFElem(Ring):
         s = f"({self.u.to_text()}) + ({self.v.to_text()})*y"
         den = monomial_text(("x", "a3"), self.den)
         return f"({s}) / ({den})" if den else s
-
-
-def _ff(c) -> FFElem:
-    return c if isinstance(c, FFElem) else FFElem(c)
 
 
 # sigma(x, y) = (-a3 y / x^2, -a3^2 y / x^3)

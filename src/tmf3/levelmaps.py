@@ -91,13 +91,8 @@ class LevelOneForm(Ring):
     def is_zero(self):
         return not self.terms
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LevelOneForm.const(other)
-        return isinstance(other, LevelOneForm) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def _key(self):
+        return frozenset(self.terms.items())
 
     def weight_of(self):
         if not self.terms:
@@ -110,8 +105,7 @@ class LevelOneForm(Ring):
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LevelOneForm.const(other)
+        other = self._lift(other)
         t = dict(self.terms)
         for k, c in other.terms.items():
             t[k] = t.get(k, Fraction(0)) + c
@@ -181,45 +175,38 @@ def monomial_images(keys, c4, c6, delta):
 # -- the four maps -----------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cached_pow(which: str, n: int) -> MultiPoly:
-    return {"F4": F4, "F6": F6, "FD": FDELTA,
-            "Q4": Q4, "Q6": Q6, "QD": QDELTA}[which] ** n
-
-
-# the images of c4, c6 and Delta under f* and q*, as the names _cached_pow
-# knows them, and the powers of a3 and a1^3 - 27 a3 in the image of Delta
-_FSTAR = ("F4", "F6", "FD", 3, 1)
-_QSTAR = ("Q4", "Q6", "QD", 1, 3)
+def _cached_pow(base: MultiPoly, n: int) -> MultiPoly:
+    """base^n, cached by value: a generator rebound to another polynomial is a new key."""
+    return base ** n
 
 
 def _image(m: LevelOneForm, k4, k6, kd, e3, e9):
     """The image of m = sum c c4^a c6^eps Delta^d as an unreduced fraction
     (num, e e3, e e9): the numerator sum c k4^a k6^eps kd^(d + e) over
     kd^e = a3^(e e3) (a1^3 - 27 a3)^(e e9), with -e <= 0 the least power of
-    Delta in m."""
+    Delta in m. f* passes (F4, F6, FDELTA, 3, 1) and q* (Q4, Q6, QDELTA, 1, 3),
+    read at each call."""
     e = -min([0, *(d for _, _, d in m.terms)])
     num = None
     for (ca, eps, d), c in m.terms.items():
         term = c
         # a factor with exponent 0 is 1 and is left out
-        for which, n in ((k4, ca), (kd, d + e), (k6, eps)):
+        for base, n in ((k4, ca), (kd, d + e), (k6, eps)):
             if n:
-                term = term * _cached_pow(which, n)
+                term = term * _cached_pow(base, n)
         num = term if num is None else num + term
     # the image of a constant form is a scalar, and the zero form has none
-    if not isinstance(num, MultiPoly):
-        num = MultiPoly.const(num or 0)
-    return num, e * e3, e * e9
+    return k4._lift(num or 0), e * e3, e * e9
 
 
 def fstar(m: LevelOneForm) -> LocElem:
     """Pullback along forgetting the level structure."""
-    return LocElem(*_image(m, *_FSTAR))
+    return LocElem(*_image(m, F4, F6, FDELTA, 3, 1))
 
 
 def qstar(m: LevelOneForm) -> LocElem:
     """Pullback along the degree-3 quotient."""
-    return LocElem(*_image(m, *_QSTAR))
+    return LocElem(*_image(m, Q4, Q6, QDELTA, 1, 3))
 
 
 def hstar(m: LevelOneForm) -> LevelOneForm:
@@ -287,8 +274,8 @@ def delta_map(m: LevelOneForm) -> LocElem:
     q* m and f* m are summed as unreduced fractions over their common
     denominator (a3 (a1^3 - 27 a3))^(3e), Delta^-e the least power of Delta
     in m, and the difference is reduced once."""
-    num, e3, e9 = _image(m, *_FSTAR)
-    return loc_sum(_image(m, *_QSTAR), (-num, e3, e9))
+    num, e3, e9 = _image(m, F4, F6, FDELTA, 3, 1)
+    return loc_sum(_image(m, Q4, Q6, QDELTA, 1, 3), (-num, e3, e9))
 
 
 # -- building cochain complex ------------------------------------------------
@@ -305,7 +292,7 @@ def cochain_D1(u: LocElem, v: LevelOneForm) -> LocElem:
     The three terms are summed over their common denominator, with f* v an
     unreduced fraction, and the sum is reduced once."""
     t = tstar(u)
-    num, e3, e9 = _image(v, *_FSTAR)
+    num, e3, e9 = _image(v, F4, F6, FDELTA, 3, 1)
     return loc_sum((t.num, t.e3, t.e9), (u.num, u.e3, u.e9), (-num, e3, e9))
 
 

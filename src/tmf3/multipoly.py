@@ -191,26 +191,13 @@ class MultiPoly(Ring):
     def __bool__(self):
         return bool(self.groups)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other, self.vars)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.vars == other.vars and self.den == other.den
-                and self.groups == other.groups)
-
-    def __hash__(self):
-        return hash((self.vars, self.den,
-                     frozenset((key, tuple(cs)) for key, cs in self.groups.items())))
+    def _key(self):
+        return (self.vars, self.den,
+                frozenset((key, tuple(cs)) for key, cs in self.groups.items()))
 
     def _check(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def _wrap(self, x):
-        if isinstance(x, MultiPoly):
-            return x
-        return MultiPoly.const(x, self.vars)
 
     def _shift(self, exps):
         """self times the monomial with exponents ``exps``, whose negative
@@ -224,7 +211,7 @@ class MultiPoly(Ring):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._wrap(other)
+        other = self._lift(other)
         self._check(other)
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
@@ -365,12 +352,12 @@ class GF2Poly(Ring):
     def is_zero(self):
         return not self.monos
 
-    def __eq__(self, other):
-        return (isinstance(other, GF2Poly) and self.vars == other.vars
-                and self.monos == other.monos)
+    def _key(self):
+        return self.vars, self.monos
 
-    def __hash__(self):
-        return hash((self.vars, self.monos))
+    def _lift(self, x):
+        # no scalar mixes with a GF2Poly, so GF2Poly(...) == 0 is False
+        return x
 
     def one(self):
         return GF2Poly([(0,) * len(self.vars)], self.vars)
@@ -447,26 +434,21 @@ class LocElem(Ring):
         g.e3, g.e9 = (0, 0) if num.is_zero() else (e3, e9)
         return g
 
-    @classmethod
-    def from_poly(cls, p):
-        if isinstance(p, LocElem):
-            return p
-        if isinstance(p, (int, Fraction)):
-            p = MultiPoly.const(p)
-        return cls(p, 0, 0)
+    def one(self):
+        return LocElem(self.num.one())
+
+    def _lift(self, x):
+        """A MultiPoly p as p / 1, and a scalar as for every Ring."""
+        return LocElem(x) if isinstance(x, MultiPoly) else super()._lift(x)
+
+    def _key(self):
+        return self.num, self.e3, self.e9
 
     def is_zero(self):
         return self.num.is_zero()
 
-    def __eq__(self, other):
-        other = LocElem.from_poly(other)
-        return (self.num, self.e3, self.e9) == (other.num, other.e3, other.e9)
-
-    def __hash__(self):
-        return hash((self.num, self.e3, self.e9))
-
     def __add__(self, other):
-        other = LocElem.from_poly(other)
+        other = self._lift(other)
         return loc_sum((self.num, self.e3, self.e9), (other.num, other.e3, other.e9))
 
     # negation, a scalar and a power keep a numerator canonical: a3 and
@@ -477,7 +459,7 @@ class LocElem(Ring):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LocElem._from_canonical(self.num * other, self.e3, self.e9)
-        other = LocElem.from_poly(other)
+        other = self._lift(other)
         return LocElem(self.num * other.num, self.e3 + other.e3, self.e9 + other.e9)
 
     def __pow__(self, n: int):

@@ -84,15 +84,13 @@ class QSeries(Ring):
 
     def __eq__(self, other):
         """Equality of the known coefficients, to the common precision."""
-        if isinstance(other, (int, Fraction)):
-            other = QSeries([other], self.prec)
+        other = self._lift(other)
         n = min(self.prec, other.prec)
         return ([c * other.den for c in self.nums[:n]]
                 == [c * self.den for c in other.nums[:n]])
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries([other], self.prec)
+        other = self._lift(other)
         n = min(self.prec, other.prec)
         den = lcm(self.den, other.den)
         f1, f2 = den // self.den, den // other.den

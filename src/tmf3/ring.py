@@ -4,9 +4,11 @@ square-and-multiply, and printing a monomial as name^x factors.
 ``MultiPoly``, ``GF2Poly``, ``LocElem``, ``LevelOneForm``, ``QSeries`` and
 ``FFElem`` are ``Ring``s. A subclass defines ``+`` and ``*`` (each also
 taking an int or Fraction where the class mixes with scalars), unary ``-``
-for subtraction, ``one()`` and ``to_text()``, and ``inverse()`` where
-elements can be inverted; ``Ring`` derives the reflected and mixed
-operators, ``-``, ``/``, ``**`` with its rule for n < 0, and ``repr``.
+for subtraction, ``one()``, ``to_text()``, ``_key()`` (its canonical fields)
+and ``inverse()`` where elements can be inverted; ``Ring`` derives ``==`` and
+``hash`` from ``_key()``, with ``_lift`` taking a scalar c to c * one(), the
+reflected and mixed operators, ``-``, ``/``, ``**`` with its rule for n < 0,
+and ``repr``.
 ``ladder`` takes several powers of one element from one table.
 """
 
@@ -62,9 +64,24 @@ def _upward(x, exponents):
 
 class Ring:
     """Operators derived from ``+``, unary ``-``, ``*``, ``one()``,
-    ``inverse()`` and ``to_text()``; every ring here is commutative."""
+    ``inverse()``, ``to_text()`` and ``_key()``; every ring here is
+    commutative, and equal values have equal keys."""
 
     __slots__ = ()
+
+    def _lift(self, x):
+        """x as an element of this ring: a scalar c as c * one(), anything
+        else as it is."""
+        return self.one() * x if isinstance(x, (int, Fraction)) else x
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __radd__(self, other):
         return self + other

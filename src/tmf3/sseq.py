@@ -71,16 +71,16 @@ def in_span_f2(v, pivots):
     return True
 
 
-def kernel_f2(rows, ncols_src):
+def kernel_f2(rows):
     """Kernel basis of the matrix whose i-th row (bitmask over targets) is
     the image of source basis vector i; each kernel vector is a bitmask over
-    the sources."""
+    the len(rows) sources."""
     # the same elimination on rows augmented by the identity, row_i << n |
     # 1 << i: the low n bits carry each vector's source combination, and a
     # vector whose image bits cancel is a kernel vector (its leading bit i
     # owns no pivot, since earlier combinations only have lower bits).  The
     # augmented rows are independent, so each one adds a pivot.
-    n = ncols_src
+    n = len(rows)
     pivots = row_space_f2([rows[i] << n | 1 << i for i in range(n)])
     return [v for v in pivots.values() if not v >> n]
 
@@ -233,7 +233,7 @@ def apply_d3(page: ChartPage) -> ChartPage:
         if s >= 3 and t - 2 > win.W + s - 3:
             continue        # incoming source beyond the window: untrusted
 
-        kernel = kernel_f2(mats[(s, t)], len(basis))
+        kernel = kernel_f2(mats[(s, t)])
         img = row_space_f2(mats.get((s - 3, t - 2), []))
         # honest dimension count ...
         dim = len(kernel) - len(img)

@@ -383,6 +383,12 @@ def _raise(exc):
      "transform", ZeroDivisionError("internal fault")),
     (("invariants", "--curve", "0,0,1,-1,0"), "tmf3.weierstrass.WCurve", "j",
      ValueError("internal fault")),
+    # the sweeps' input rule is checked before them, so a fault inside one is
+    # no domain error
+    (("delta", "--c4-pow", "2", "--val2"), "tmf3.levelmaps", "_content_check",
+     ValueError("internal fault")),
+    (("delta", "--delta-pow", "3"), "tmf3.levelmaps", "min_a1_term",
+     ValueError("internal fault")),
 ])
 def test_an_internal_error_surfaces_as_a_traceback(monkeypatch, argv, module, name, exc):
     # only errors in evaluating user input are domain errors (exit 1)

@@ -42,6 +42,52 @@ def test_negative_powers_raise(x):
         x ** -1
 
 
+HASHABLE = [name for name in SAMPLES if name != "QSeries"]
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_equal_values_have_equal_hashes(name):
+    x, one = SAMPLES[name]
+    # a new object, built by a product, that agrees with x only by value
+    y = x * one
+    assert y == x and y is not x
+    assert hash(y) == hash(x)
+    assert len({x, y, x * x}) == 2
+
+
+@pytest.mark.parametrize("name", [name for name in SAMPLES if name != "GF2Poly"])
+def test_a_scalar_compares_as_its_multiple_of_one(name):
+    x, one = SAMPLES[name]
+    for c in (0, 1, -3, Fraction(1, 2)):
+        assert (x == c) == (x == x.one() * c), c
+        assert one * c == c and c == one * c and one * c != c + 1, c
+    assert x.one() == one
+
+
+def test_a_gf2poly_never_equals_a_scalar():
+    # no scalar mixes with a GF2Poly, not even the ones that would read as 0 or 1
+    assert (GF2Poly([(1, 0)]) == 0) is False
+    assert (GF2Poly() == 0) is False and (GF2Poly([(0, 0)]) == 1) is False
+    assert GF2Poly([(1, 0)]) != 0
+
+
+def test_a_level3_element_equals_its_numerator_over_one():
+    p = a1() ** 3 - 27 * a3()
+    assert LocElem(p) == p and p == LocElem(p)
+    assert LocElem(p, 1, 0) != p and p != LocElem(p, 1, 0)
+    assert hash(LocElem(p)) == hash(LocElem(p * a3(), 1, 0))
+
+
+def test_only_qseries_defines_its_own_equality():
+    # QSeries compares up to the common precision, which no key can do
+    classes = {type(x) for x, _ in SAMPLES.values()}
+    assert {cls for cls in classes if "__eq__" in vars(cls)} == {QSeries}
+    assert {cls for cls in classes if vars(cls).get("__hash__")} == set()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(QSeries.q(4))
+    assert QSeries([1, 2], 2) == QSeries([1, 2, 3], 3) and QSeries([1], 1) == 1
+
+
 def test_power_helper_raises_for_negative_exponents():
     with pytest.raises(ValueError, match="negative exponent -2"):
         power(3, -2, 1)

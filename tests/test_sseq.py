@@ -219,7 +219,7 @@ def test_row_space_and_in_span_match_dense_reference(vectors, v):
 @given(_VECTORS)
 def test_kernel_matches_dense_reference(rows):
     n = len(rows)
-    kernel = kernel_f2(rows, n)
+    kernel = kernel_f2(rows)
     assert len(kernel) == n - _ref_rank(rows, _NCOLS)
     assert _ref_rank(kernel, n) == len(kernel)      # independent
     for combo in kernel:
@@ -255,7 +255,7 @@ def test_d3_squared_check_fails(monkeypatch, broken_d3):
 
 
 def _drop_last_kernel_vector(monkeypatch):
-    monkeypatch.setattr(sseq, "kernel_f2", lambda rows, n: kernel_f2(rows, n)[:-1])
+    monkeypatch.setattr(sseq, "kernel_f2", lambda rows: kernel_f2(rows)[:-1])
 
 
 def test_zero_line_kernel_check_fails_on_a_short_kernel(monkeypatch):
