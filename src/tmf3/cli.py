@@ -6,6 +6,12 @@ The tokens and AST nodes (``Token``, ``Num``, ``Ident``, ``Unary``,
 only their own type, so two parses of the same text compare equal and a
 node never equals a plain tuple or a node of another type.
 
+The subcommands and their flags are one table, ``COMMANDS``. A well-formed
+command line is read from it by ``quick_parse``; any other (help, an
+abbreviation, a usage error) goes to the argparse parser that
+``build_parser`` makes from the same table, so argparse is imported only
+then.
+
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
 3 verification failure. A domain error (``DomainError``) is raised where
 user input is evaluated and cannot be; other exceptions propagate.
@@ -13,12 +19,12 @@ user input is evaluated and cannot be; other exceptions propagate.
 
 from __future__ import annotations
 
-import argparse
 import json
 import operator
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .record import record
 
@@ -340,7 +346,7 @@ def cmd_invariants(args):
 def cmd_normalize(args):
     from .weierstrass import WCurve, WPoint, gamma1_normalize, transform
     if not args.curve or not args.point:
-        raise DomainError("normalize needs --curve and --point")
+        usage_error("normalize", "normalize needs --curve and --point")
     C = WCurve(*_parse_list("--curve", args.curve))
     P = WPoint(*_parse_list("--point", args.point))
     A1, A3, T = _domain(gamma1_normalize, C, P)
@@ -371,7 +377,7 @@ def cmd_isogeny(args):
 
 def cmd_maps(args):
     if not args.expr:
-        raise DomainError("maps needs --expr")
+        usage_error("maps", "maps needs --expr")
     ast = parse(args.expr)
     env = {}
     env.update(level1_env())
@@ -399,12 +405,12 @@ def cmd_delta(args):
     elif args.delta_pow is not None:
         inputs = {"delta_pow": args.delta_pow}
     else:
-        raise DomainError("delta needs --c4-pow K [--val2] or --delta-pow N")
+        usage_error("delta", "delta needs --c4-pow K [--val2] or --delta-pow N")
     if args.range:
         inputs["range"] = args.range
     if args.c4_pow is not None and not args.val2:
         if args.range:
-            args.parser.error("--range with --c4-pow needs --val2")
+            usage_error("delta", "--range with --c4-pow needs --val2")
         if args.c4_pow < 0:
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
@@ -434,16 +440,17 @@ def cmd_delta(args):
 
 
 def cmd_qexp(args):
-    from .qexp import eisenstein_in_c4c6
+    from .qexp import check_weight, eisenstein_in_c4c6
     prec = args.precision
     if prec < 1:
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        result = _domain(eisenstein_in_c4c6, [k])[k].to_text()
+        _domain(check_weight, k)
+        result = eisenstein_in_c4c6([k])[k].to_text()
         return _emit(args, "qexp", {"eisenstein": k}, result, [])
     if not args.expr:
-        raise DomainError("qexp needs --expr or --eisenstein K")
+        usage_error("qexp", "qexp needs --expr or --eisenstein K")
     ast = parse(args.expr)
     value = evaluate(ast, qexp_env(prec))
     if isinstance(value, Fraction):
@@ -455,7 +462,8 @@ def cmd_qexp(args):
 
 
 def cmd_chart(args):
-    from .sseq import Window, DEFAULT_WINDOW, compute_all, chart_json, chart_ascii
+    from .sseq import (Window, DEFAULT_WINDOW, check_window, compute_all,
+                       chart_json, chart_ascii)
     if args.window:
         try:
             S, W, D = (int(x) for x in args.window.split(","))
@@ -464,8 +472,9 @@ def cmd_chart(args):
         win = Window(S, W, D)
     else:
         win = DEFAULT_WINDOW
+    _domain(check_window, win)
     try:
-        pages = _domain(compute_all, win)
+        pages = compute_all(win)
     except AssertionError as exc:
         # a page check failed on a window that holds what it reads
         print(f"[FAIL] page checks: {exc}", file=sys.stderr)
@@ -487,7 +496,7 @@ def cmd_verify(args):
     elif args.item is not None:
         results = [_domain(get_item, args.item)()]
     else:
-        raise DomainError("verify needs --all or --item N")
+        usage_error("verify", "verify needs --all or --item N")
     checks = [{"name": f"item {r['index']}: {r['name']}", "pass": r["pass"],
                "detail": r["detail"]} for r in results]
     failures = sum(1 for r in results if not r["pass"])
@@ -505,49 +514,120 @@ def cmd_verify(args):
     return 0 if failures == 0 else 3
 
 
-# -- entry point -------------------------------------------------------------
+# -- the command table and its two parsers -----------------------------------
+
+# subcommand -> (handler, {flag: argparse keywords}); every subcommand also
+# takes --json. build_parser makes the argparse parser of this table, and
+# quick_parse reads the same table without argparse.
+COMMANDS = {
+    "invariants": (cmd_invariants, {
+        "--curve": {"help": "a1,a2,a3,a4,a6 (default: universal normal form)"}}),
+    "normalize": (cmd_normalize, {"--curve": {}, "--point": {}}),
+    "isogeny": (cmd_isogeny, {}),
+    "maps": (cmd_maps, {"--expr": {}, "--apply": {"choices": KNOWN_FUNCS}}),
+    "delta": (cmd_delta, {"--c4-pow": {"type": int, "dest": "c4_pow"},
+                          "--val2": {"action": "store_true"},
+                          "--delta-pow": {"type": int, "dest": "delta_pow"},
+                          "--range": {}}),
+    "qexp": (cmd_qexp, {"--expr": {}, "--precision": {"type": int, "default": 10},
+                        "--eisenstein": {"type": int}}),
+    "chart": (cmd_chart, {"--window": {},
+                          "--page": {"default": "Einf", "choices": CHART_PAGES}}),
+    "verify": (cmd_verify, {"--all": {"action": "store_true"},
+                            "--item": {"type": int}}),
+}
+
+
+def _flags(command):
+    """A subcommand's flags and their argparse keywords, --json last."""
+    return {**COMMANDS[command][1], "--json": {"action": "store_true"}}
+
+
+def _add_flags(parser, command):
+    for flag, kw in _flags(command).items():
+        parser.add_argument(flag, **kw)
+    return parser
+
 
 def build_parser():
+    """The argparse parser of COMMANDS, for help, abbreviations and usage
+    errors."""
+    import argparse
     p = argparse.ArgumentParser(
         prog="tmf3",
         description="Exact-arithmetic toolkit for level-3 modular forms, "
                     "degree-3 isogenies, and the Z/2 fixed-point chart.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **flags):
-        sp = sub.add_parser(name)
-        for flag, kw in flags.items():
-            sp.add_argument(flag, **kw)
-        sp.add_argument("--json", action="store_true")
-        sp.set_defaults(fn=fn, parser=sp)
-        return sp
-
-    add("invariants", cmd_invariants,
-        **{"--curve": {"help": "a1,a2,a3,a4,a6 (default: universal normal form)"}})
-    add("normalize", cmd_normalize,
-        **{"--curve": {}, "--point": {}})
-    add("isogeny", cmd_isogeny)
-    add("maps", cmd_maps,
-        **{"--expr": {}, "--apply": {"choices": KNOWN_FUNCS}})
-    add("delta", cmd_delta,
-        **{"--c4-pow": {"type": int, "dest": "c4_pow"},
-           "--val2": {"action": "store_true"},
-           "--delta-pow": {"type": int, "dest": "delta_pow"},
-           "--range": {}})
-    add("qexp", cmd_qexp,
-        **{"--expr": {}, "--precision": {"type": int, "default": 10},
-           "--eisenstein": {"type": int}})
-    add("chart", cmd_chart,
-        **{"--window": {}, "--page": {"default": "Einf", "choices": CHART_PAGES}})
-    add("verify", cmd_verify,
-        **{"--all": {"action": "store_true"},
-           "--item": {"type": int}})
+    for name, (fn, _) in COMMANDS.items():
+        _add_flags(sub.add_parser(name), name).set_defaults(fn=fn)
     return p
 
 
+def usage_error(command, message):
+    """Exit 2 with the subcommand's usage and message, as argparse does for
+    a malformed command line."""
+    import argparse
+    _add_flags(argparse.ArgumentParser(prog=f"tmf3 {command}"), command).error(message)
+
+
+def _modelled(kw):
+    """Whether quick_parse reads a flag of these argparse keywords: type only
+    as int, action only as "store_true"; any other flag is left to argparse."""
+    return (kw.keys() <= {"type", "choices", "default", "dest", "action", "help"}
+            and kw.get("type", int) is int
+            and kw.get("action", "store_true") == "store_true")
+
+
+def quick_parse(argv):
+    """The namespace build_parser().parse_args(argv) returns, read from
+    COMMANDS without argparse; None for a command line it does not read.
+
+    It reads a known subcommand followed by its exact long flags, each at
+    most once: --flag=value, --flag value where the value does not start
+    with "-", or a store-true flag alone. Anything else (help, an
+    abbreviation, "--", a repeated flag, a bad int or choice) is None, so
+    that argparse parses it and gives its own messages and exit codes."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    if not all(map(_modelled, flags.values())):
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        kw = flags.get(flag)
+        if kw is None or flag in given:
+            return None
+        if kw.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if "type" in kw:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], fn=COMMANDS[argv[0]][0])
+    for flag, kw in flags.items():
+        unset = False if kw.get("action") == "store_true" else None
+        setattr(args, kw.get("dest", flag[2:].replace("-", "_")),
+                given.get(flag, kw.get("default", unset)))
+    return args
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = quick_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliSyntaxError as exc:

@@ -181,6 +181,16 @@ def series_delta(prec: int) -> QSeries:
 
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------
 
+def check_weight(k: int) -> None:
+    """The weight rule of ``eisenstein_in_c4c6``: a ValueError unless
+    weight k has holomorphic forms (k even, and k >= 6 when k = 2 mod 4)
+    and G_k is defined (k >= 4)."""
+    if k % 2 or k < (6 if k % 4 == 2 else 0):
+        raise ValueError(f"no holomorphic forms of weight {k}")
+    if k < 4:
+        raise ValueError("eisenstein_G needs even weight >= 4")
+
+
 def eisenstein_in_c4c6(ks) -> dict:
     """{k: G_k as a LevelOneForm in c4, c6, Delta} for each weight k in
     ``ks``, each in ascending power of c4.
@@ -197,9 +207,8 @@ def eisenstein_in_c4c6(ks) -> dict:
     """
     bases = {}
     for k in ks:
+        check_weight(k)
         eps = 1 if k % 4 == 2 else 0
-        if k % 2 or k < 6 * eps:
-            raise ValueError(f"no holomorphic forms of weight {k}")
         bases[k] = [((k - 6 * eps - 12 * d) // 4, eps, d)
                     for d in range((k - 6 * eps) // 12 + 1)]
     top = max(map(len, bases.values()), default=0) + 10

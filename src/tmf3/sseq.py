@@ -184,11 +184,24 @@ class ChartPage:
         return sorted(self.cells)
 
 
+def check_window(window: Window, pages: bool = True) -> None:
+    """The window rule: a ValueError unless every bound is positive and,
+    for the page checks (``pages``), S >= 7 and W >= 24.
+
+    A window with positive bounds holds every bidegree the page checks read
+    iff S >= 7 and W >= 24: the E7 checks read x^7 Delta^-4 at (7, 30),
+    which apply_d3 keeps only when 30 - 2 <= W + 7 - 3."""
+    if min(window) <= 0:
+        raise ValueError("window bounds must be positive")
+    if pages and (window.S < 7 or window.W < 24):
+        raise ValueError(f"window {tuple(window)} is too small for the page "
+                         f"checks: they need S >= 7 and W >= 24")
+
+
 def build_E2(window: Window = DEFAULT_WINDOW) -> ChartPage:
     """The E2-term: zeta^s a1^i a3^j with i + j + s even, over the window
     0 <= s <= S, 0 <= t <= s + W."""
-    if min(window) <= 0:
-        raise ValueError("window bounds must be positive")
+    check_window(window, pages=False)
     # t = 2i + 6j makes i + j + s = t/2 - 2j + s, whose parity does not
     # depend on j: a cell holds every a3-exponent 0..t//6 when t = 2s mod 4
     # and nothing otherwise.  The basis is in increasing a1-exponent.
@@ -479,14 +492,9 @@ def pi_table(einf: ChartPage):
 def compute_all(window: Window = DEFAULT_WINDOW):
     """E2 -> E4 -> localized E7 -> E-infinity, returned as a dict of pages.
 
-    A window with positive bounds holds every bidegree the page checks read
-    iff S >= 7 and W >= 24: the E7 checks read x^7 Delta^-4 at (7, 30),
-    which apply_d3 keeps only when 30 - 2 <= W + 7 - 3.  A smaller window
-    is a ValueError; an AssertionError is a page check that failed."""
-    # non-positive bounds are build_E2's ValueError
-    if min(window) > 0 and (window.S < 7 or window.W < 24):
-        raise ValueError(f"window {tuple(window)} is too small for the page "
-                         f"checks: they need S >= 7 and W >= 24")
+    A window outside ``check_window`` is a ValueError; an AssertionError is
+    a page check that failed."""
+    check_window(window)
     e2 = build_E2(window)
     e4 = apply_d3(e2)
     e7 = localize_stabilize(e4)

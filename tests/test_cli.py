@@ -389,6 +389,10 @@ def _raise(exc):
      ValueError("internal fault")),
     (("delta", "--delta-pow", "3"), "tmf3.levelmaps", "min_a1_term",
      ValueError("internal fault")),
+    # the window and weight rules are checked before the computation
+    (("chart",), "tmf3.sseq", "apply_d3", ValueError("internal fault")),
+    (("qexp", "--eisenstein", "12"), "tmf3.qexp", "monomial_images",
+     ValueError("internal fault")),
 ])
 def test_an_internal_error_surfaces_as_a_traceback(monkeypatch, argv, module, name, exc):
     # only errors in evaluating user input are domain errors (exit 1)
