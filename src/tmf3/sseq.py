@@ -26,13 +26,17 @@ standard external facts used only inside the oracle.)
 Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
 all from one pivot loop: row_space_f2 builds the pivot table, kernel_f2 runs
 it on rows augmented by the identity and in_span_f2 reduces against it.
-apply_d3 evaluates d3_coeff once per monomial and builds each cell's d3
-matrix once.
+apply_d3 evaluates d3_coeff once per monomial and checks d3 o d3 = 0 on
+those coefficients, evaluating it again only for targets beyond the page.
+Its F_2 results depend only on a cell's d3 matrix and the one into it, so it
+builds each distinct matrix once and eliminates each distinct pair once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
+from operator import not_
 
 from .multipoly import GF2Poly
 
@@ -219,59 +223,91 @@ def apply_d3(page: ChartPage) -> ChartPage:
     if page.r != 2:
         raise ValueError("apply_d3 expects the E2 page")
     win = page.window
+    cells = page.cells
 
     # the d3 coefficient of every monomial, evaluated once
-    coeffs = {(s, t): [d3_coeff(s, i, j) for (i, j) in basis]
-              for (s, t), basis in page.cells.items()}
+    coeffs = {(s, t): tuple([d3_coeff(s, i, j) for (i, j) in basis])
+              for (s, t), basis in cells.items()}
 
-    def matrix(s, t):
-        tgt = page.cells.get((s + 3, t + 2), [])
-        pos = {m: k for k, m in enumerate(tgt)}
-        # targets beyond the window edge still exist in the ring: give them
-        # virtual coordinates so kernels stay honest
-        return [1 << pos.setdefault((i + 1, j), len(pos)) if c else 0
-                for (i, j), c in zip(page.cells[(s, t)], coeffs[(s, t)])]
+    # In an E2 cell the d3 targets of the basis are a run: monomial k goes to
+    # position k + off of the target cell, off = len(tgt) - len(basis).
+    offs = {}
+    for (s, t), basis in cells.items():
+        tgt = cells.get((s + 3, t + 2))
+        if tgt is not None:
+            off = len(tgt) - len(basis)
+            if off < 0 or tgt[off:] != [(i + 1, j) for (i, j) in basis]:
+                raise ValueError(f"apply_d3 expects the E2 page: the d3 targets "
+                                 f"of ({s},{t}) are not a run in ({s + 3},{t + 2})")
+            offs[(s, t)] = off
 
-    # each cell's matrix is built once; cells outside the page have none
-    mats = {st: matrix(*st) for st in page.cells}
+    # d3 o d3 = 0 on every monomial: the second coefficient is read from the
+    # page where the target cell is on it, and evaluated beyond the edge
+    for (s, t), basis in cells.items():
+        cs = coeffs[(s, t)]
+        if 1 not in cs:
+            continue
+        off = offs.get((s, t))
+        if off is None:
+            bad = [m for m, c in zip(basis, cs) if c and d3_coeff(s + 3, m[0] + 1, m[1])]
+        else:
+            tcs = coeffs[(s + 3, t + 2)][off:]
+            bad = [m for m, c, c2 in zip(basis, cs, tcs) if c and c2] if 1 in tcs else []
+        if bad:
+            i, j = bad[0]
+            raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
 
-    # d3 o d3 = 0 on every monomial, targets beyond the window edge included
-    for (s, t), basis in page.cells.items():
-        for (i, j), c in zip(basis, coeffs[(s, t)]):
-            if c and d3_coeff(s + 3, i + 1, j):
-                raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
+    # each distinct d3 matrix once, numbered in order of appearance; a cell's
+    # matrix depends only on its coefficients and its offset.  Targets
+    # beyond the window edge still exist in the ring and keep their source's
+    # position as a virtual coordinate, so kernels stay honest.
+    numbers, by_coeffs, number = {}, {}, {}
+    for st, cs in coeffs.items():
+        key = (cs, offs.get(st, 0))
+        if key not in by_coeffs:
+            rows = tuple([1 << k + key[1] if c else 0 for k, c in enumerate(cs)])
+            by_coeffs[key] = numbers.setdefault(rows, len(numbers))
+        number[st] = by_coeffs[key]
+    matrices = list(numbers)
 
-    cells = {}
-    for (s, t), basis in page.cells.items():
+    # the F2 results of a cell depend only on its own matrix and the one
+    # into it: each distinct pair is eliminated once
+    ranks = {}
+    out = {}
+    for (s, t), basis in cells.items():
         if s >= 3 and t - 2 > win.W + s - 3:
             continue        # incoming source beyond the window: untrusted
-
-        kernel = kernel_f2(mats[(s, t)])
-        img = row_space_f2(mats.get((s - 3, t - 2), []))
-        # honest dimension count ...
-        dim = len(kernel) - len(img)
-        # kernel_f2's vectors have distinct leading bits: a pivot table
-        kernel_span = {v.bit_length(): v for v in kernel}
-        if not all(in_span_f2(v, kernel_span) for v in img.values()):
-            raise AssertionError("image not contained in kernel")
-        # ... and the matching monomial description: d3 is monomial-to-
-        # monomial, so kernel and image are coordinate subspaces
+        src = (s - 3, t - 2)
+        pair = (number[(s, t)], number.get(src))
+        if pair not in ranks:
+            kernel = kernel_f2(matrices[pair[0]])
+            img = row_space_f2(() if pair[1] is None else matrices[pair[1]])
+            # kernel_f2's vectors have distinct leading bits: a pivot table
+            kernel_span = {v.bit_length(): v for v in kernel}
+            if not all(in_span_f2(v, kernel_span) for v in img.values()):
+                raise AssertionError("image not contained in kernel")
+            ranks[pair] = (len(kernel), len(img))
+        kernel_dim, image_rank = ranks[pair]
+        cs = coeffs[(s, t)]
+        # the honest dimension count against the monomial description: d3 is
+        # monomial-to-monomial, so kernel and image are coordinate subspaces
         if s == 0:
             # integral kernel: c = 0 monomials plus 2 * (c = 1 monomials)
             survivors = list(basis)      # free rank is unchanged
-            if len(kernel) != len(basis) - sum(coeffs[(s, t)]):
+            if kernel_dim != len(basis) - sum(cs):
                 raise AssertionError("0-line mod-2 kernel mismatch")
         else:
-            src = (s - 3, t - 2)
-            hit = {(i + 1, j) for (i, j), c in zip(page.cells.get(src, []),
-                                                   coeffs.get(src, [])) if c}
-            survivors = [m for m, c in zip(basis, coeffs[(s, t)])
-                         if not c and m not in hit]
-            if len(survivors) != dim:
+            # d3-cycles that are not d3 of a monomial below, whose targets
+            # are the run from offs[src]
+            survivors = list(compress(basis, map(not_, cs))) if 0 in cs else []
+            if survivors and 1 in coeffs.get(src, ()):
+                hit = set(compress(basis[offs[src]:], coeffs[src]))
+                survivors = [m for m in survivors if m not in hit]
+            if len(survivors) != kernel_dim - image_rank:
                 raise AssertionError(f"basis/rank mismatch at ({s},{t})")
         if survivors:
-            cells[(s, t)] = survivors
-    return ChartPage(r=4, window=win, cells=cells)
+            out[(s, t)] = survivors
+    return ChartPage(r=4, window=win, cells=out)
 
 
 # -- localization ------------------------------------------------------------

@@ -279,6 +279,16 @@ def test_rank_check_fails_on_a_short_kernel(monkeypatch):
         apply_d3(_sub_page([(1, 2)]))
 
 
+def test_targets_that_are_no_run_are_an_internal_fault():
+    # d3(a1^2) at (0, 4) is zeta^3 a1^3, the last monomial of (3, 6); with
+    # (3, 6) reversed the targets no longer run from the offset: the page is
+    # no E2 page, a ValueError and not a failed page check
+    page = _sub_page([(3, 6), (0, 4)])
+    page.cells[(3, 6)].reverse()
+    with pytest.raises(ValueError, match=r"the d3 targets of \(0,4\) are not a run in \(3,6\)"):
+        apply_d3(page)
+
+
 @pytest.fixture
 def e4():
     return apply_d3(build_E2(Window(*DEFAULT_WINDOW)))
@@ -412,15 +422,36 @@ def test_e2_and_e4_cells_match_the_reference():
         assert list(e4.cells.items()) == list(_ref_e4_cells(ref, window).items()), window
 
 
+def _d3_rows(cells, s, t):
+    """The d3 matrix of cell (s, t), from a position dict: a target on the
+    page at its position in the target cell, a target beyond the edge at its
+    source's position."""
+    tgt = cells.get((s + 3, t + 2))
+    pos = {m: k for k, m in enumerate(tgt or ())}
+    return tuple(1 << (pos[(i + 1, j)] if tgt else k) if d3_coeff(s, i, j) else 0
+                 for k, (i, j) in enumerate(cells[(s, t)]))
+
+
+def _kept_pairs(e2):
+    """(cell, its d3 matrix, the d3 matrix into it) for every cell apply_d3
+    keeps, in page order: all but the cell at t = W + s on lines s >= 3."""
+    return [((s, t), _d3_rows(e2.cells, s, t),
+             _d3_rows(e2.cells, s - 3, t - 2) if (s - 3, t - 2) in e2.cells else ())
+            for (s, t) in e2.cells if s < 3 or t < e2.window.W + s]
+
+
 def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
     # one d3_coeff call per monomial, one more for the d3^2 coefficient check
-    # where the coefficient is 1, and one kernel_f2 call per cell kept: all
-    # but the cell at t = W + s on lines s >= 3
+    # where the coefficient is 1 and the target cell lies beyond the page,
+    # and one kernel_f2 call per distinct (own matrix, incoming matrix) pair
+    # of the cells kept
     window = _BENCHMARK_WINDOWS[-1]        # 12,300,8
     e2 = build_E2(window)
     coeffs = [d3_coeff(s, i, j) for (s, t), basis in e2.cells.items()
               for (i, j) in basis]
-    kept = [(s, t) for (s, t) in e2.cells if s < 3 or t < window.W + s]
+    off_page = [c for (s, t), basis in e2.cells.items() if (s + 3, t + 2) not in e2.cells
+                for (i, j) in basis for c in [d3_coeff(s, i, j)]]
+    pairs = {(here, below) for _, here, below in _kept_pairs(e2)}
     calls = {"d3_coeff": 0, "kernel_f2": 0}
 
     def counted(fn):
@@ -432,8 +463,40 @@ def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
     monkeypatch.setattr(sseq, "d3_coeff", counted(d3_coeff))
     monkeypatch.setattr(sseq, "kernel_f2", counted(kernel_f2))
     apply_d3(e2)
-    assert calls == {"d3_coeff": len(coeffs) + sum(coeffs),
-                     "kernel_f2": len(kept)}
+    assert calls == {"d3_coeff": len(coeffs) + sum(off_page),
+                     "kernel_f2": len(pairs)}
+    assert calls == {"d3_coeff": 29215, "kernel_f2": 396}
+
+
+def test_rank_check_fails_on_a_short_image_of_one_incoming_matrix(monkeypatch):
+    # apply_d3 keeps its F2 results per (own matrix, incoming matrix) pair.
+    # Cut the image of one incoming matrix short at a cell whose own matrix
+    # an earlier cell met with another incoming matrix: the last such cell
+    # whose incoming matrix is new, of positive rank and has an even first
+    # row (kernel_f2's rows, augmented by the identity, all have odd first
+    # rows, so the cut hits only the image).  Results kept per own matrix
+    # alone would reuse the earlier cell's rank there.
+    e2 = build_E2(Window(*DEFAULT_WINDOW))
+    met = set()             # the incoming matrices met so far
+    seen = set()            # the own matrices met so far
+    cells = []
+    for (s, t), here, below in _kept_pairs(e2):
+        if below not in met and here in seen and row_space_f2(below) and not below[0] & 1:
+            cells.append(((s, t), below))
+        seen.add(here)
+        met.add(below)
+    assert cells
+    (s, t), below = cells[-1]
+
+    def short_image(vectors):
+        pivots = row_space_f2(vectors)
+        if tuple(vectors) == below:
+            del pivots[max(pivots)]
+        return pivots
+
+    monkeypatch.setattr(sseq, "row_space_f2", short_image)
+    with pytest.raises(AssertionError, match=rf"basis/rank mismatch at \({s},{t}\)"):
+        apply_d3(e2)
 
 
 def test_model_cell_and_d7():
