@@ -6,17 +6,19 @@ zeta in bidegree (1, 0): internally a basis of raw monomials
 zeta^s a1^i a3^j with i + j + s even and t = 2i + 6j.  The 0-line carries
 Z[1/3]-coefficients, lines s >= 1 carry F_2.
 
-The d3 differential sends zeta^s a1^i a3^j to c * zeta^(s+3) a1^(i+1) a3^j
-with c = floor(s/2) + floor((i-j)/2) mod 2; this single closed form
-reproduces all the generator values of the Leibniz presentation
-(A = a1^2 -> h1^3, C = a3^2 -> h1 h_{2,0}^2, B = a1 a3 -> 0, x -> 0,
-h_{2,0} -> h1 h_{2,0} zeta^2) and squares to zero because the coefficient
-alternates along each (s+3, i+1)-tower.
+Both differentials come from one exponent: zeta^s a1^i a3^j is
+a_sigma^s abar1^i abar3^j u_{2sigma}^m with m = (i + 3j - s)/2 (u_exponent).
+By the Leibniz rule the slice differentials d3(u_{2sigma}) = a_sigma^3 abar1
+and d7(u_{2sigma}^2) = a_sigma^7 abar3 (Hill-Hopkins-Ravenel, Ann. of Math.
+184 (2016); for Tmf_1(3) Hill-Meier, Algebr. Geom. Topol. 17 (2017)) give
+the d3 coefficient m mod 2 (d3_coeff) and, on the i = 0 classes of E7, the
+d7 coefficient bit 1 of m (d7).  d3_presentation_checks compares d3 with
+the Leibniz presentation (A = a1^2 -> h1^3, C = a3^2 -> h1 h_{2,0}^2,
+B = a1 a3 -> 0, x -> 0, h_{2,0} -> h1 h_{2,0} zeta^2).
 
 After localizing at Delta the s >= 3 lines are F_2[Delta^{+-1}, x] with
-x^s Delta^d represented by zeta^s a3^(3s+4d) (model_cell).  d7 has one
-input, d7(Delta) = x^7 Delta^-4 = h20^4 nu (D7_DELTA); with d7(x) = 0 the
-Leibniz rule gives d7(x^a Delta^k) = k x^(a+7) Delta^(k-5) (d7).  Then
+x^s Delta^d represented by zeta^s a3^(3s+4d) (model_cell), where d7 is
+checked against d7(x) = 0 and d7(Delta) = x^7 Delta^-4 = h20^4 nu.  Then
 E_8 = E_infinity, which pi_table compares against a hand-encoded form of
 the answer: bo- and bsp-patterns on lines s <= 2 plus the torsion block
 F_2[Delta^{+-2}]{nu, nu^2, x, eta x, kbar, x^2, nu x^2}.  (bo_* = (Z, Z/2,
@@ -26,10 +28,8 @@ standard external facts used only inside the oracle.)
 Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
 all from one pivot loop: row_space_f2 builds the pivot table, kernel_f2 runs
 it on rows augmented by the identity and in_span_f2 reduces against it.
-apply_d3 evaluates d3_coeff once per monomial and checks d3 o d3 = 0 on
-those coefficients, evaluating it again only for targets beyond the page.
-Its F_2 results depend only on a cell's d3 matrix and the one into it, so it
-builds each distinct matrix once and eliminates each distinct pair once.
+apply_d3 evaluates d3_coeff once per monomial (again only for d3 o d3 on
+targets beyond the page) and eliminates each distinct d3 matrix once.
 """
 
 from __future__ import annotations
@@ -110,12 +110,23 @@ RAW_H20 = _raw((0, 1, 1))            # zeta a3
 RAW_ZETA = _raw((0, 1, 0))
 
 
-# -- raw-monomial d3 ---------------------------------------------------------
+# -- the differentials from the u-exponent -----------------------------------
+
+def u_exponent(s, i, j):
+    """The m of zeta^s a1^i a3^j = a_sigma^s abar1^i abar3^j u_{2sigma}^m."""
+    return (i + 3 * j - s) // 2
+
 
 def d3_coeff(s, i, j):
-    """Coefficient (mod 2) of d3 on zeta^s a1^i a3^j, with target
-    zeta^(s+3) a1^(i+1) a3^j."""
-    return (s // 2 + (i - j) // 2) % 2
+    """d3 on zeta^s a1^i a3^j, to zeta^(s+3) a1^(i+1) a3^j: m mod 2."""
+    return u_exponent(s, i, j) & 1
+
+
+def d7(s, i, j):
+    """d7 of the E7 class zeta^s a1^i a3^j as the target's (s, i, j), or None:
+    zeta^(s+7) a3^(j+1) with coefficient bit 1 of m for i = 0; for i >= 1
+    the target is a d3-boundary."""
+    return (s + 7, 0, j + 1) if i == 0 and u_exponent(s, i, j) & 2 else None
 
 
 def _raw_d3(p: GF2Poly) -> GF2Poly:
@@ -270,40 +281,41 @@ def apply_d3(page: ChartPage) -> ChartPage:
         number[st] = by_coeffs[key]
     matrices = list(numbers)
 
-    # the F2 results of a cell depend only on its own matrix and the one
-    # into it: each distinct pair is eliminated once
-    ranks = {}
+    # a cell's kernel depends only on its own matrix and its image only on
+    # the one into it: each once, and image in kernel once per distinct pair
+    kernels, images, contained = {}, {}, set()
     out = {}
     for (s, t), basis in cells.items():
         if s >= 3 and t - 2 > win.W + s - 3:
             continue        # incoming source beyond the window: untrusted
-        src = (s - 3, t - 2)
-        pair = (number[(s, t)], number.get(src))
-        if pair not in ranks:
-            kernel = kernel_f2(matrices[pair[0]])
-            img = row_space_f2(() if pair[1] is None else matrices[pair[1]])
+        own, below = number[(s, t)], number.get((s - 3, t - 2))
+        if own not in kernels:
             # kernel_f2's vectors have distinct leading bits: a pivot table
-            kernel_span = {v.bit_length(): v for v in kernel}
-            if not all(in_span_f2(v, kernel_span) for v in img.values()):
+            kernels[own] = {v.bit_length(): v for v in kernel_f2(matrices[own])}
+        if below not in images:
+            images[below] = row_space_f2(() if below is None else matrices[below])
+        kernel, img = kernels[own], images[below]
+        if (own, below) not in contained:
+            if not all(in_span_f2(v, kernel) for v in img.values()):
                 raise AssertionError("image not contained in kernel")
-            ranks[pair] = (len(kernel), len(img))
-        kernel_dim, image_rank = ranks[pair]
+            contained.add((own, below))
         cs = coeffs[(s, t)]
         # the honest dimension count against the monomial description: d3 is
         # monomial-to-monomial, so kernel and image are coordinate subspaces
         if s == 0:
             # integral kernel: c = 0 monomials plus 2 * (c = 1 monomials)
             survivors = list(basis)      # free rank is unchanged
-            if kernel_dim != len(basis) - sum(cs):
+            if len(kernel) != len(basis) - sum(cs):
                 raise AssertionError("0-line mod-2 kernel mismatch")
         else:
-            # d3-cycles that are not d3 of a monomial below, whose targets
-            # are the run from offs[src]
-            survivors = list(compress(basis, map(not_, cs))) if 0 in cs else []
-            if survivors and 1 in coeffs.get(src, ()):
-                hit = set(compress(basis[offs[src]:], coeffs[src]))
-                survivors = [m for m in survivors if m not in hit]
-            if len(survivors) != kernel_dim - image_rank:
+            # the d3-cycles, c = 0, not hit from below: zeta^(s-3) a1^(i-1) a3^j
+            # has u-exponent m + 1, so on lines s >= 3 only the i = 0 monomial,
+            # first in the basis, can survive
+            if s < 3:
+                survivors = list(compress(basis, map(not_, cs)))
+            else:
+                survivors = basis[:1] if basis[0][0] == 0 and not cs[0] else []
+            if len(survivors) != len(kernel) - len(img):
                 raise AssertionError(f"basis/rank mismatch at ({s},{t})")
         if survivors:
             out[(s, t)] = survivors
@@ -380,10 +392,6 @@ def delta_periodic(page: ChartPage) -> bool:
 
 # -- the E7 model, d7, and E_infinity ----------------------------------------
 
-# d7(Delta) = x^7 Delta^-4, as the exponents of x and Delta
-D7_DELTA = (7, -4)
-
-
 def model_cell(s, t):
     """The model basis at (s, t): the raw monomial zeta^s a3^(3s+4d) of
     x^s Delta^d when t = 18s + 24d, none otherwise or when 3s + 4d < 0 (a
@@ -391,12 +399,6 @@ def model_cell(s, t):
     d, r = divmod(t - 18 * s, 24)
     j = 3 * s + 4 * d
     return [(0, j)] if r == 0 and j >= 0 else []
-
-
-def d7(a, k):
-    """d7(x^a Delta^k) as the exponents of x and Delta, or None for 0: by
-    Leibniz with d7(x) = 0 it is k x^a Delta^(k-1) d7(Delta)."""
-    return (a + D7_DELTA[0], k - 1 + D7_DELTA[1]) if k % 2 else None
 
 
 def e7_model_and_d7(page: ChartPage) -> ChartPage:
@@ -426,28 +428,23 @@ def e7_model_and_d7(page: ChartPage) -> ChartPage:
     checks["h20_4_is_x4_delta_power"] = (
         page.cells.get((4, 24)) == model_cell(4, 24) == [(0, 4)])
 
-    # d7 on the named classes; d7(Delta) is h20^4 nu, the class at (7, 30)
-    target = d7(0, 1)
-    checks["d7_x_zero"] = d7(1, 0) is None
+    # d7 on named model classes; d7(Delta) is h20^4 nu = x^7 Delta^-4 at (7, 30)
+    checks["d7_x_zero"] = d7(1, *model_cell(1, 18)[0]) is None
     checks["d7_delta_hits_h20_4_nu"] = (
-        target is not None and target[0] == 7
-        and 18 * target[0] + 24 * target[1] == 30
+        d7(0, *model_cell(0, 24)[0]) == (7, *model_cell(7, 30)[0])
         and page.cells.get((7, 30)) == model_cell(7, 30))
-    checks["d7_delta_sq_zero"] = d7(0, 2) is None
+    checks["d7_delta_sq_zero"] = d7(0, *model_cell(0, 48)[0]) is None
     # kbar^6 = 0 forces d7(x^17 Delta^-7) = (h20^4)^6 = x^24 Delta^-12
-    checks["d7_kbar6"] = d7(17, -7) == (24, -12)
+    checks["d7_kbar6"] = d7(17, *model_cell(17, 138)[0]) == (24, *model_cell(24, 144)[0])
 
-    # E8 on lines s >= 1: the model class x^s Delta^d dies iff it is not a
-    # d7-cycle or it is d7 of x^(s-7) Delta^(d+5), a source that exists
-    # after localization; every other class is h1-divisible and permanent.
-    # The 0-line persists (d7 on Delta-powers only adds index-2
-    # bookkeeping; nothing maps into filtration 0).
+    # E8 on lines s >= 1: a class dies iff it is a d7 source or d7 of the
+    # source zeta^(s-7) a1^i a3^(j-1), which exists after localization even
+    # where it is no raw monomial.  The 0-line persists (nothing maps into
+    # filtration 0; d7 on Delta-powers only adds index-2 bookkeeping).
     cells = {}
     for (s, t), basis in page.cells.items():
-        d = (t - 18 * s) // 24
-        dead = model_cell(s, t) if s >= 1 and (
-            d7(s, d) is not None or s >= 7 and d7(s - 7, d + 5) == (s, d)) else []
-        keep = [m for m in basis if m not in dead]
+        keep = [(i, j) for (i, j) in basis if s == 0 or (
+            d7(s, i, j) is None and (s < 7 or d7(s - 7, i, j - 1) != (s, i, j)))]
         if keep:
             cells[(s, t)] = keep
     out = ChartPage(r=8, window=win, cells=cells, loc=dict(page.loc),

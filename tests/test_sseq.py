@@ -71,6 +71,21 @@ def test_d3_coefficient_is_cellwise():
             assert c1 == c2
 
 
+def _floor_d3(s, i, j):
+    """The d3 coefficient by the floor formula floor(s/2) + floor((i-j)/2)
+    mod 2, the closed form that preceded the u-exponent rule."""
+    return (s // 2 + (i - j) // 2) % 2
+
+
+def test_d3_coeff_is_the_floor_formula():
+    # m mod 2 against the floor formula on every parity-allowed monomial of
+    # the box s < 40, i < 80, -40 <= j < 40: 128,000 of them
+    box = [(s, i, j) for s in range(40) for i in range(80) for j in range(-40, 40)
+           if (i + j + s) % 2 == 0]
+    assert len(box) == 128000
+    assert [d3_coeff(*m) for m in box] == [_floor_d3(*m) for m in box]
+
+
 def test_localized_page_is_periodic(pages):
     # from stable_from on, each Delta-step on line s grows the cell by the
     # recorded growth, recomputed here from the cell dimensions
@@ -331,7 +346,7 @@ def test_stabilization_check_fails_on_a_growing_cokernel(e4):
         localize_stabilize(e4)
 
 
-# -- E8 from d7(Delta) by Leibniz, against the parity rule it replaced --------
+# -- E8 from the u-exponent's d7, against the parity rule it replaced ---------
 
 def _ref_e8_cells(e7):
     """E8 by the parity rule: on lines s >= 7 every class dies, on lines
@@ -394,19 +409,20 @@ def _ref_e2_cells(window):
 
 
 def _ref_e4_cells(e2_cells, window):
-    """E4 by the monomial survivor rule, with d3_coeff evaluated afresh at
-    every use: the 0-line keeps its free basis, the cell at t = W + s on
-    lines s >= 3 is dropped, and elsewhere a monomial survives iff d3 is 0
-    on it and it is not d3 of a monomial in the cell below."""
+    """E4 by the monomial survivor rule, with the floor formula for d3
+    evaluated afresh at every use: the 0-line keeps its free basis, the cell
+    at t = W + s on lines s >= 3 is dropped, and elsewhere a monomial
+    survives iff d3 is 0 on it and it is not d3 of a monomial in the cell
+    below."""
     cells = {}
     for (s, t), basis in e2_cells.items():
         if s >= 3 and t - 2 > window.W + s - 3:
             continue
         hit = {(i + 1, j) for (i, j) in e2_cells.get((s - 3, t - 2), [])
-               if d3_coeff(s - 3, i, j)}
+               if _floor_d3(s - 3, i, j)}
         survivors = list(basis) if s == 0 else [
             (i, j) for (i, j) in basis
-            if not d3_coeff(s, i, j) and (i, j) not in hit]
+            if not _floor_d3(s, i, j) and (i, j) not in hit]
         if survivors:
             cells[(s, t)] = survivors
     return cells
@@ -443,16 +459,18 @@ def _kept_pairs(e2):
 def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
     # one d3_coeff call per monomial, one more for the d3^2 coefficient check
     # where the coefficient is 1 and the target cell lies beyond the page,
-    # and one kernel_f2 call per distinct (own matrix, incoming matrix) pair
-    # of the cells kept
+    # one kernel_f2 call per distinct own matrix and one row_space_f2 call
+    # per distinct incoming matrix of the cells kept, besides the one inside
+    # each kernel_f2 call
     window = _BENCHMARK_WINDOWS[-1]        # 12,300,8
     e2 = build_E2(window)
     coeffs = [d3_coeff(s, i, j) for (s, t), basis in e2.cells.items()
               for (i, j) in basis]
     off_page = [c for (s, t), basis in e2.cells.items() if (s + 3, t + 2) not in e2.cells
                 for (i, j) in basis for c in [d3_coeff(s, i, j)]]
-    pairs = {(here, below) for _, here, below in _kept_pairs(e2)}
-    calls = {"d3_coeff": 0, "kernel_f2": 0}
+    kept = _kept_pairs(e2)
+    own = {here for _, here, _ in kept}
+    calls = {"d3_coeff": 0, "kernel_f2": 0, "row_space_f2": 0}
 
     def counted(fn):
         def wrapper(*args):
@@ -462,10 +480,12 @@ def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
 
     monkeypatch.setattr(sseq, "d3_coeff", counted(d3_coeff))
     monkeypatch.setattr(sseq, "kernel_f2", counted(kernel_f2))
+    monkeypatch.setattr(sseq, "row_space_f2", counted(row_space_f2))
     apply_d3(e2)
     assert calls == {"d3_coeff": len(coeffs) + sum(off_page),
-                     "kernel_f2": len(pairs)}
-    assert calls == {"d3_coeff": 29215, "kernel_f2": 396}
+                     "kernel_f2": len(own),
+                     "row_space_f2": len(own) + len({below for _, _, below in kept})}
+    assert calls == {"d3_coeff": 29215, "kernel_f2": 155, "row_space_f2": 311}
 
 
 def test_rank_check_fails_on_a_short_image_of_one_incoming_matrix(monkeypatch):
@@ -504,9 +524,13 @@ def test_model_cell_and_d7():
     assert sseq.model_cell(4, 24) == [(0, 4)]          # h20^4 = x^4 Delta^-2
     assert sseq.model_cell(3, 32) == []                # not 18s + 24d
     assert sseq.model_cell(1, -6) == []                # x Delta^-1: a3^-1
-    assert sseq.d7(0, 1) == (7, -4)
-    assert sseq.d7(3, -3) == (10, -8)
-    assert sseq.d7(5, 4) is None
+    # d7 of the monomial zeta^s a1^i a3^j, zero unless i = 0 and m = 2 mod 4
+    assert sseq.d7(0, 0, 4) == (7, 0, 5)               # d7(Delta) = x^7 Delta^-4
+    assert sseq.d7(3, 0, 5) == (10, 0, 6)              # d7(x^3 Delta^-1)
+    assert sseq.d7(5, 0, 31) is None                   # x^5 Delta^4
+    assert sseq.d7(1, 2, 1) is None                    # i >= 1
+    # the source of zeta^8 at (8, 0) is zeta a3^-1 = x Delta^-1, no raw monomial
+    assert sseq.d7(1, 0, -1) == (8, 0, 0)
 
 
 def _failed_e7_checks(monkeypatch, name, value):
@@ -518,20 +542,33 @@ def _failed_e7_checks(monkeypatch, name, value):
 
 
 def test_e7_checks_fail_with_a_wrong_d7_of_delta(monkeypatch):
-    # d7(Delta) = x^7 Delta^-3 lands at (7, 54), and the even-d classes on
-    # lines s >= 7 are no longer hit
-    assert _failed_e7_checks(monkeypatch, "D7_DELTA", (7, -3)) == [
-        "d7_delta_hits_h20_4_nu", "d7_kbar6", "x7_zero",
-        "no_further_differentials"]
+    # d7(u_{2sigma}^2) = a_sigma^7 abar1: d7 lands on zeta^(s+7) a1 a3^j, no
+    # class of E7, so d7(Delta) misses h20^4 nu and nothing on lines s >= 7
+    # is hit
+    real = sseq.d7
+    assert _failed_e7_checks(
+        monkeypatch, "d7", lambda s, i, j: (s + 7, i + 1, j) if real(s, i, j) else None) == [
+        "d7_delta_hits_h20_4_nu", "d7_kbar6", "x7_zero", "no_further_differentials"]
 
 
 def test_e7_checks_fail_with_a_d7_that_ignores_parity(monkeypatch):
-    assert _failed_e7_checks(monkeypatch, "d7", lambda a, k: (a + 7, k - 5)) == [
+    # a d7 coefficient that is always 1, not bit 1 of m
+    assert _failed_e7_checks(
+        monkeypatch, "d7", lambda s, i, j: (s + 7, 0, j + 1) if i == 0 else None) == [
         "d7_x_zero", "d7_delta_sq_zero"]
 
 
 def test_e7_checks_fail_with_a_zero_d7(monkeypatch):
     # d7(Delta) = 0 is a failed check, not a TypeError
-    assert _failed_e7_checks(monkeypatch, "d7", lambda a, k: None) == [
+    assert _failed_e7_checks(monkeypatch, "d7", lambda s, i, j: None) == [
         "d7_delta_hits_h20_4_nu", "d7_kbar6", "x7_zero",
         "no_further_differentials"]
+
+
+def test_d3_checks_fail_with_a_wrong_u_exponent(monkeypatch):
+    # m = (i + j - s)/2 makes d3(a1 a3) = zeta^3 a1^2 a3
+    monkeypatch.setattr(sseq, "u_exponent", lambda s, i, j: (i + j - s) // 2)
+    failed = [k for k, v in d3_presentation_checks().items() if not v]
+    assert failed == ["d3(B) = 0", "d3(x) = 0", "d3(h20) = h1 h20 zeta^2", "d3(Delta) = 0"]
+    r = verify.item_sseq()
+    assert (r["pass"], r["detail"]) == (False, f"d3 presentation checks failed: {failed}")
