@@ -19,6 +19,8 @@ user input is evaluated and cannot be; other exceptions propagate.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import operator
 import re
@@ -624,6 +626,15 @@ def quick_parse(argv):
 
 
 def main(argv=None):
+    # After the atexit handlers CPython's finalization runs full cyclic
+    # collections over every object still alive. Nothing a command leaves
+    # is cyclic garbage (ints, tuples, dicts, Fractions, records, lru_cache
+    # tables, modules), so an atexit handler freezes it all out of their
+    # reach first; reference counting still frees it. Registered here, not
+    # at import, so a library caller keeps a working collector until its
+    # own exit; once per process however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = quick_parse(argv)
     if args is None:

@@ -7,7 +7,6 @@ denominator, structural equality.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -23,23 +22,33 @@ def val_p_int(n: int, p: int) -> int:
     return v
 
 
-# B_0, B_1, ... as far as computed so far; `bernoulli` extends it on demand,
-# so each number is computed once per process whatever order m arrives in
-_BERNOULLI = [Fraction(1)]
+# B_2, B_4, ... as far as computed so far; `bernoulli` rebuilds it when m is
+# past its end, to at least twice its length, so weights asked in ascending
+# order rebuild it only O(log m) times
+_BERNOULLI = []
 
 
 def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m for even m >= 2 (B_2 = 1/6, B_4 = -1/30)."""
+    """Bernoulli number B_m for even m >= 2 (B_2 = 1/6, B_4 = -1/30).
+
+    From the tangent numbers T_1, T_2, ... by their integer recurrence,
+    and B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) (Brent and
+    Harvey, "Fast computation of Bernoulli, tangent and secant numbers",
+    2013, Algorithm TangentNumbers).
+    """
     if m < 2 or m % 2 != 0:
         raise ValueError(f"bernoulli requires even m >= 2, got {m}")
-    bs = _BERNOULLI
-    # sum_{k<=n} C(n+1,k) B_k = 0 (convention B_1 = -1/2)
-    for n in range(len(bs), m + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n + 1, k) * bs[k]
-        bs.append(-acc / (n + 1))
-    return bs[m]
+    if m // 2 > len(_BERNOULLI):
+        n = max(m // 2, 2 * len(_BERNOULLI))
+        t = [0, 1]
+        for k in range(2, n + 1):
+            t.append((k - 1) * t[k - 1])
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _BERNOULLI[:] = [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+                         for k in range(1, n + 1)]
+    return _BERNOULLI[m // 2 - 1]
 
 
 def sigma_pow(k: int, n: int) -> int:

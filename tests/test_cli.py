@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import random
@@ -565,3 +566,64 @@ def test_fuzz_normalize_and_invariants(capsys):
     for outcome in (("normalize", 0), ("normalize", 1), ("invariants", 0),
                     ("invariants", 1)):
         assert outcome in codes
+
+
+# -- the exit path --------------------------------------------------------------
+
+# A fresh process whose probe is registered with atexit before main runs; the
+# handlers run last in, first out, so the probe runs after main's freeze and
+# writes how many objects are frozen as the last line of stderr.
+_EXIT_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+from tmf3.cli import main
+sys.exit(main({argv}))
+"""
+
+_EXIT_CASES = [(["invariants", "--json"], 0),
+               (["maps", "--expr", "a1 + c4"], 1),
+               (["verify"], 2)]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,code", _EXIT_CASES, ids=["exit0", "exit1", "exit2"])
+@pytest.mark.parametrize("call", ["", "sys.argv[1:]"], ids=["sys.argv", "explicit"])
+def test_a_command_freezes_what_it_leaves_at_exit(capsys, argv, code, call):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE.format(argv=call), *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert int(proc.stderr.splitlines()[-1]) > 0, proc.stderr
+    assert (proc.returncode, proc.stdout) == _in_process(capsys, argv)
+
+
+class _AtexitRecorder:
+    """Stands in for the atexit module: register and unregister (which
+    drops every registration of an equal function) on a plain list."""
+
+    def __init__(self):
+        self.funcs = []
+
+    def register(self, func):
+        self.funcs.append(func)
+
+    def unregister(self, func):
+        self.funcs = [f for f in self.funcs if f != func]
+
+
+def test_main_in_process_keeps_the_collector(capsys, monkeypatch):
+    recorder = _AtexitRecorder()
+    monkeypatch.setattr(cli, "atexit", recorder)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    for _ in range(2):
+        assert main(["invariants", "--json"]) == 0
+    capsys.readouterr()
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    assert recorder.funcs == [gc.freeze]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tmf3 import rationals
 from tmf3.rationals import bernoulli, val_p_int
 
 # B_2 .. B_14
@@ -29,6 +30,34 @@ def test_bernoulli_von_staudt_clausen():
         assert (b + sum(Fraction(1, p) for p in primes)).denominator == 1
         assert b.denominator == math.prod(primes)
         assert (b > 0) == (m % 4 == 2)
+
+
+def _reference_bernoulli(top):
+    """B_0 .. B_top by the O(top^2) Fraction recurrence
+    sum_{k<=n} C(n+1,k) B_k = 0 (convention B_1 = -1/2)."""
+    bs = [Fraction(1)]
+    for n in range(1, top + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            acc += math.comb(n + 1, k) * bs[k]
+        bs.append(-acc / (n + 1))
+    return bs
+
+
+_REFERENCE = _reference_bernoulli(200)
+
+
+def test_bernoulli_matches_the_reference_recurrence(monkeypatch):
+    # each even m <= 200 from a cold table; then all of them in descending
+    # order, the first of which builds the whole table, and in ascending
+    # order, which extends it again and again
+    for m in range(2, 201, 2):
+        monkeypatch.setattr(rationals, "_BERNOULLI", [])
+        assert bernoulli(m) == _REFERENCE[m], m
+    for order in (range(200, 0, -2), range(2, 201, 2)):
+        monkeypatch.setattr(rationals, "_BERNOULLI", [])
+        for m in order:
+            assert bernoulli(m) == _REFERENCE[m], m
 
 
 def test_bernoulli_rejects_odd_and_small_indices():

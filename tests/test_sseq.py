@@ -489,7 +489,8 @@ def test_apply_d3_evaluates_each_coefficient_once(monkeypatch):
 
 
 def test_rank_check_fails_on_a_short_image_of_one_incoming_matrix(monkeypatch):
-    # apply_d3 keeps its F2 results per (own matrix, incoming matrix) pair.
+    # apply_d3 keeps each kernel per own matrix and each image per incoming
+    # matrix, and tests image in kernel once per (own, incoming) pair.
     # Cut the image of one incoming matrix short at a cell whose own matrix
     # an earlier cell met with another incoming matrix: the last such cell
     # whose incoming matrix is new, of positive rank and has an even first
