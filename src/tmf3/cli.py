@@ -625,6 +625,10 @@ def quick_parse(argv):
     return args
 
 
+# the atexit registries that gc.freeze is registered with
+_FREEZE_REGISTERED = set()
+
+
 def main(argv=None):
     # After the atexit handlers CPython's finalization runs full cyclic
     # collections over every object still alive. Nothing a command leaves
@@ -632,9 +636,11 @@ def main(argv=None):
     # tables, modules), so an atexit handler freezes it all out of their
     # reach first; reference counting still frees it. Registered here, not
     # at import, so a library caller keeps a working collector until its
-    # own exit; once per process however often main runs.
-    atexit.unregister(gc.freeze)
-    atexit.register(gc.freeze)
+    # own exit; once per registry however often main runs, since every
+    # atexit.register takes a new slot, even after atexit.unregister.
+    if atexit not in _FREEZE_REGISTERED:
+        _FREEZE_REGISTERED.add(atexit)
+        atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else list(argv)
     args = quick_parse(argv)
     if args is None:

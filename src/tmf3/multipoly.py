@@ -152,10 +152,6 @@ class MultiPoly(Ring):
         return self
 
     @classmethod
-    def zero(cls, vars=DEFAULT_VARS):
-        return cls({}, vars)
-
-    @classmethod
     def const(cls, c, vars=DEFAULT_VARS):
         n = len(vars)
         return cls({(0,) * n: c}, vars)

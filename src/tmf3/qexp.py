@@ -59,10 +59,6 @@ class QSeries(Ring):
         return self
 
     @classmethod
-    def zero(cls, prec):
-        return cls([], prec)
-
-    @classmethod
     def q(cls, prec):
         return cls([0, 1], prec)
 

@@ -25,16 +25,13 @@ and follow one rule.  Values that are all ints, or not all rational, such as
 the MultiPoly coefficients of the universal curves, are used as they are.
 Values that contain a Fraction go through ``integral_model`` once, the
 formula runs on its ints, and the value is divided by u^W once.  So c4, c6
-and disc read the b-values of an all-int model, and the group law checks its
-points on one, with no second scan.
+and disc read the b-values of an all-int model, with no second scan.
 
 Group law.  The public group law is ``smul``, n * P for any integer n; it
-serves only verify item 5's oracle, the reference for the flex test.  It
-runs on the integral model in Jacobian coordinates (X : Y : Z), x = X/Z^2,
-y = Y/Z^3, where addition needs no division and the point at infinity is
-(1 : 1 : 0).  The point enters once, as (u^2 x, u^3 y, 1), and the result
-leaves once, as (X / (uZ)^2, Y / (uZ)^3).  The input and every point the
-group law produces are checked on the integral Jacobian equation.
+serves only verify item 5's oracle, the reference for the flex test.  It is
+double-and-add on the affine chord-and-tangent rule (Silverman, AEC III.2),
+on Fractions.  The input and every point it produces are checked with
+``equation_at``.
 
 Tangent frame (Silverman, AEC III.1).  x = x' + x0, y = y' + y0 moves a
 point P = (x0, y0) to the origin: then a6 = 0 iff P is on the curve, and the
@@ -169,102 +166,57 @@ class WCurve(record("WCurve", "a1 a2 a3 a4 a6")):
         return (y * y + a1 * x * y + a3 * y
                 - x * x * x - a2 * x * x - a4 * x - a6)
 
-    # -- group law (Jacobian coordinates on the integral model) -----------
-
-    def _enter(self, P: WPoint):
-        """(u, integral coefficients, Jacobian point) for a point on the
-        curve, checked on it."""
-        affine = () if P.infinity else (P.x, P.y)
-        u, v = 1, self.coeffs() + affine
-        if _has_fraction(v):
-            u, v = integral_model(v, CURVE_WEIGHTS + POINT_WEIGHTS[:len(affine)])
-        a = v[:5]
-        J = (*v[5:], 1) if affine else _JO
-        if not _on_curve(a, J):
-            raise CurveError(f"point {P} is not on the curve")
-        return u, a, J
+    # -- group law (chord and tangent, Silverman AEC III.2) --------------
 
     def smul(self, n: int, P: WPoint) -> WPoint:
-        u, a, J = self._enter(P)
+        def checked(Q, error="the group law produced {}, which is"):
+            if not Q.infinity and self.equation_at(Q.x, Q.y):
+                raise CurveError(f"{error.format(Q)} not on the curve")
+            return Q
+
+        checked(P, "point {} is")
         if n < 0:
-            n, J = -n, _produced(a, _jneg(a, J))
-        R = _JO
+            n, P = -n, checked(_neg(self, P))
+        R = O
         while n:
             if n & 1:
-                R = _produced(a, _jadd(a, R, J))
+                R = checked(_add(self, R, P))
             n >>= 1
             if n:
-                J = _produced(a, _jadd(a, J, J))
-        return _affine(u, R)
+                P = checked(_add(self, P, P))
+        return R
 
 
-# -- the Jacobian group law on integral coefficients a = (a1, a2, a3, a4, a6)
-
-_JO = (1, 1, 0)
-
-
-def _on_curve(a, J):
-    """J = (X, Y, Z) satisfies the Jacobian equation: the affine equation
-    of the curve with coefficients a_i Z^i at (X, Y), which is Z^6 times
-    the equation at (X/Z^2, Y/Z^3)."""
-    X, Y, Z = J
-    Z2 = Z * Z
-    Z3 = Z2 * Z
-    C = WCurve(a[0] * Z, a[1] * Z2, a[2] * Z3, a[3] * Z2 * Z2, a[4] * Z3 * Z3)
-    return not C.equation_at(X, Y)
+def _neg(C, P):
+    """-P, the point (x, -y - a1 x - a3)."""
+    if P.infinity:
+        return P
+    return WPoint(P.x, -P.y - C.a1 * P.x - C.a3)
 
 
-def _produced(a, J):
-    """J, a point the group law produced, after checking it on the curve."""
-    if not _on_curve(a, J):
-        raise CurveError(f"the group law produced {J}, which is not on the curve")
-    return J
+def _tangent(C, P):
+    """The slope of the tangent at P, which is not vertical."""
+    a1, a2, a3, a4, _ = C.coeffs()
+    x, y = P.x, P.y
+    return Fraction(3 * x * x + 2 * a2 * x + a4 - a1 * y, 2 * y + a1 * x + a3)
 
 
-def _jneg(a, J):
-    """-J, the point (x, -y - a1 x - a3)."""
-    X, Y, Z = J
-    return X, -Y - a[0] * X * Z - a[2] * Z * Z * Z, Z
-
-
-def _jadd(a, J, K):
-    """J + K: minus the third point of the curve on the line through J and
-    K (the tangent when they are equal)."""
-    if not J[2]:
-        return K
-    if not K[2]:
-        return J
-    a1, a2, a3, a4, a6 = a
-    X1, Y1, Z1 = J
-    X2, Y2, Z2 = K
-    # both points over the common Z0: x_i = U_i / Z0^2, y_i = S_i / Z0^3
-    Z0, Z1s, Z2s = Z1 * Z2, Z1 * Z1, Z2 * Z2
-    U1, U2 = X1 * Z2s, X2 * Z1s
-    S1, S2 = Y1 * Z2s * Z2, Y2 * Z1s * Z1
-    if U1 != U2:
-        H, L = U2 - U1, S2 - S1
+def _add(C, P, Q):
+    """P + Q: minus the third point of C on the line through P and Q (the
+    tangent when they are equal)."""
+    if P.infinity:
+        return Q
+    if Q.infinity:
+        return P
+    if P.x != Q.x:
+        slope = Fraction(Q.y - P.y, Q.x - P.x)
+    elif P.y + Q.y + C.a1 * P.x + C.a3:
+        # same x and Q != -P, so Q = P
+        slope = _tangent(C, P)
     else:
-        # K = -J when y1 + y2 + a1 x + a3 = 0; otherwise K = J and H is the
-        # tangent's denominator 2 y1 + a1 x1 + a3, times Z0^3
-        H = S1 + S2 + a1 * U1 * Z0 + a3 * Z0 * Z0 * Z0
-        if not H:
-            return _JO
-        Z02 = Z0 * Z0
-        L = 3 * U1 * U1 + 2 * a2 * U1 * Z02 + a4 * Z02 * Z02 - a1 * S1 * Z0
-    # the slope is L / Z3; x1 = U1 H^2 / Z3^2 and y1 = S1 H^3 / Z3^3
-    Z3 = Z0 * H
-    H2 = H * H
-    X3 = L * L + a1 * L * Z3 - a2 * Z3 * Z3 - (U1 + U2) * H2
-    return _jneg(a, (X3, L * (X3 - U1 * H2) + S1 * H2 * H, Z3))
-
-
-def _affine(u, J):
-    """The affine point of J on the curve whose integral model is scaled by u."""
-    X, Y, Z = J
-    if not Z:
         return O
-    uZ = u * Z
-    return WPoint(Fraction(X, uZ * uZ), Fraction(Y, uZ * uZ * uZ))
+    x = slope * slope + C.a1 * slope - C.a2 - P.x - Q.x
+    return _neg(C, WPoint(x, P.y + slope * (x - P.x)))
 
 
 # -- coordinate transformations ----------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import atexit
 import gc
 import json
 import os
@@ -627,3 +628,12 @@ def test_main_in_process_keeps_the_collector(capsys, monkeypatch):
     capsys.readouterr()
     assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     assert recorder.funcs == [gc.freeze]
+
+
+def test_repeated_main_calls_do_not_grow_the_atexit_array(capsys):
+    assert main(["invariants", "--json"]) == 0
+    slots = atexit._ncallbacks()
+    for _ in range(3):
+        assert main(["invariants", "--json"]) == 0
+    capsys.readouterr()
+    assert atexit._ncallbacks() == slots

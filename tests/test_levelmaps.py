@@ -202,7 +202,7 @@ def _ref_tstar(g):
     t*(Delta^m) = q*(Delta)^m = a3^m (a1^3 - 27 a3)^(3m)."""
     m = max(math.ceil(g.e3 / 3), g.e9)
     num = g.num * a3() ** (3 * m - g.e3) * disc_factor() ** (m - g.e9)
-    out = MultiPoly.zero()
+    out = MultiPoly({})
     for (i, j), c in num.terms.items():
         k = min(i, j)
         term = Fraction(c, num.den) * T_B ** k

@@ -85,12 +85,26 @@ def test_item5_fails_when_the_flex_test_accepts_every_point(monkeypatch):
     assert r["pass"] is False and "negative disagreement" in r["detail"]
 
 
-def test_item5_fails_when_the_jacobian_sum_leaves_the_curve(monkeypatch):
-    # the sum's Y3 = -Y' - a1 X3 Z3 - a3 Z3^3 is the negation of the chord's
-    # third point; without a1 X3 Z3 the sums leave the curve, and the check
-    # of every produced point turns that into a failed item
-    monkeypatch.setattr(weierstrass, "_jneg",
-                        lambda a, J: (J[0], -J[1] - a[2] * J[2] ** 3, J[2]))
+def test_item5_fails_when_the_sum_leaves_the_curve(monkeypatch):
+    # the sum is the negation (x, -y - a1 x - a3) of the chord's third
+    # point; without a1 x the sums leave the curve, and the check of every
+    # produced point turns that into a failed item
+    monkeypatch.setattr(weierstrass, "_neg",
+                        lambda C, P: P if P.infinity else
+                        weierstrass.WPoint(P.x, -P.y - C.a3))
+    r = verify.item_flex()
+    assert r["pass"] is False
+    assert r["detail"].startswith("CurveError: the group law produced ")
+
+
+def test_item5_fails_when_the_tangent_slope_drops_its_a1_y_term(monkeypatch):
+    # the tangent's slope is (3x^2 + 2 a2 x + a4 - a1 y) / (2y + a1 x + a3);
+    # without -a1 y every doubling on a curve with a1 y != 0 leaves it
+    def tangent(C, P):
+        x, y = P.x, P.y
+        return Fraction(3 * x * x + 2 * C.a2 * x + C.a4, 2 * y + C.a1 * x + C.a3)
+
+    monkeypatch.setattr(weierstrass, "_tangent", tangent)
     r = verify.item_flex()
     assert r["pass"] is False
     assert r["detail"].startswith("CurveError: the group law produced ")

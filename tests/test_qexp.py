@@ -56,7 +56,7 @@ def test_g6_is_minus_c6_over_504():
 def _by_hand(expr, prec):
     """sum c c4^a c6^eps Delta^d as a q-series, written out term by term."""
     c4, c6, d = series_c4(prec), series_c6(prec), series_delta(prec)
-    total = QSeries.zero(prec)
+    total = QSeries([], prec)
     for (ca, eps, dd), c in expr.terms.items():
         s = c4 ** ca
         if eps:

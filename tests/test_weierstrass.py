@@ -33,14 +33,14 @@ def test_invariant_identity_on_random_curves():
 
 
 def test_symbolic_normal_form_discriminant():
-    zero = MultiPoly.zero()
+    zero = MultiPoly({})
     C = WCurve(a1(), zero, a3(), zero, zero)
     assert (C.disc() - a3() ** 3 * disc_factor()).is_zero()
     assert (C.c4() - (a1() ** 4 - 24 * a1() * a3())).is_zero()
 
 
 def test_symbolic_quotient_discriminant():
-    zero = MultiPoly.zero()
+    zero = MultiPoly({})
     C = WCurve(a1(), zero, 3 * a3(), -6 * a1() * a3(),
                -(9 * a3() ** 2 + a1() ** 3 * a3()))
     assert (C.disc() - a3() * disc_factor() ** 3).is_zero()
@@ -128,7 +128,7 @@ def test_gamma1_normalize_rejects_non_torsion():
         gamma1_normalize(C, WPoint(frac(0), frac(0)))
 
 
-# -- the integral model and the Jacobian group law against Fraction references
+# -- the integral model and the group law against Fraction references
 
 def _ref_b(a1, a2, a3, a4, a6):
     return (a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6,
@@ -303,7 +303,7 @@ def test_integral_model_clears_denominators_by_weight(monkeypatch):
         return real(values, weights)
 
     monkeypatch.setattr(weierstrass, "integral_model", counted)
-    zero = MultiPoly.zero()
+    zero = MultiPoly({})
     symbolic = WCurve(a1(), zero, frac(1, 2), zero, zero)
     assert (symbolic.c4() - a1() ** 4 + 12 * a1()).is_zero()
     assert WCurve(0, 0, 1, -1, 0).disc() == 37
@@ -343,7 +343,7 @@ def test_j_of_a_singular_curve_raises(coeffs):
 
 
 def test_multipoly_curves_keep_their_results_and_types():
-    zero = MultiPoly.zero()
+    zero = MultiPoly({})
     coeffs = (a1(), zero, 3 * a3(), -6 * a1() * a3(),
               -(9 * a3() ** 2 + a1() ** 3 * a3()))
     C = WCurve(*coeffs)
@@ -362,11 +362,11 @@ def test_multipoly_curves_keep_their_results_and_types():
 def test_every_point_the_group_law_produces_is_checked(monkeypatch):
     C = WCurve(0, 0, 1, -1, 0)
     P = WPoint(frac(2), frac(2))
-    # a negation that forgets a3 Z^3 leaves the curve
-    monkeypatch.setattr(weierstrass, "_jneg",
-                        lambda a, J: (J[0], -J[1] - a[0] * J[0] * J[2], J[2]))
+    # a negation that forgets a3 leaves the curve
+    monkeypatch.setattr(weierstrass, "_neg",
+                        lambda C, P: WPoint(P.x, -P.y - C.a1 * P.x))
     for run in (lambda: C.smul(-1, P), lambda: C.smul(2, P)):
-        with pytest.raises(CurveError, match="not on the curve"):
+        with pytest.raises(CurveError, match="^the group law produced .* not on the curve$"):
             run()
 
 
@@ -381,13 +381,13 @@ def test_group_law_rejects_points_off_the_curve():
 
 def test_smul_does_not_double_after_the_last_bit(monkeypatch):
     calls = []
-    real = weierstrass._jadd
+    real = weierstrass._add
 
-    def counted(a, J, K):
-        calls.append(J == K)
-        return real(a, J, K)
+    def counted(C, P, Q):
+        calls.append(P == Q)
+        return real(C, P, Q)
 
-    monkeypatch.setattr(weierstrass, "_jadd", counted)
+    monkeypatch.setattr(weierstrass, "_add", counted)
     C = WCurve(0, 0, 1, -1, 0)
     P = WPoint(frac(0), frac(0))
     assert C.smul(6, P) == _ref_smul(C, 6, P)
@@ -568,11 +568,3 @@ def test_integral_model_runs_once_per_invariant(monkeypatch):
         assert invariant() == value
         # one scan of the curve; the b-values come from the scanned model
         assert calls == [C.coeffs()]
-    # the group law scans the curve and the point once, as they enter, and
-    # checks every point it produces on a model built from integers
-    C = WCurve(0, 0, 1, -1, 0)
-    P = _ref_smul(C, 2, WPoint(frac(2), frac(2)))
-    want = _ref_smul(C, 6, P)
-    calls.clear()
-    assert C.smul(6, P) == want
-    assert calls == [C.coeffs() + (P.x, P.y)]
