@@ -48,7 +48,8 @@ class DomainError(Exception):
 
 KNOWN_IDENTS = ("a1", "a3", "c4", "c6", "Delta", "q")
 KNOWN_FUNCS = ("fstar", "qstar", "hstar", "tstar", "delta")
-# the pages sseq.compute_all returns, checked by argparse before any work
+# the pages sseq.compute_all returns, checked before any work by quick_parse
+# or, on a command line it does not read, by argparse
 CHART_PAGES = ("E2", "E4", "E7", "Einf")
 
 

@@ -79,7 +79,7 @@ class FFElem(Ring):
 
     def _lift(self, x):
         # through the constructor: * lifts its operand, so one() * x would recurse
-        return x if isinstance(x, FFElem) else FFElem(x)
+        return FFElem(x) if isinstance(x, (int, Fraction, MultiPoly)) else x
 
     def _key(self):
         return self.u, self.v, self.den

@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .levelmaps import LevelOneForm, delta_map, monomial_images
+from .levelmaps import LevelOneForm, cochain_D0, monomial_images
 from .rationals import bernoulli, sigma_pow
 from .ring import Ring
 
@@ -81,6 +81,8 @@ class QSeries(Ring):
     def __eq__(self, other):
         """Equality of the known coefficients, to the common precision."""
         other = self._lift(other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         n = min(self.prec, other.prec)
         return ([c * other.den for c in self.nums[:n]]
                 == [c * self.den for c in other.nums[:n]])
@@ -229,8 +231,7 @@ def eisenstein_in_c4c6(ks) -> dict:
 
 def e_alpha(G):
     """The explicit building 1-cocycle on G_k = ``eisenstein_in_c4c6([k])[k]``:
-    the pair (u (q* - f*) G_k, u (3^k - 1) G_k) with u = 1 for k = 0 mod 4
+    D0(u G_k) = (u (q* - f*) G_k, u (h* - 1) G_k) with u = 1 for k = 0 mod 4
     and u = 2 for k = 2 mod 4, returned as (LocElem, LevelOneForm)."""
-    k = G.weight_of()
-    u = 1 if k % 4 == 0 else 2
-    return u * delta_map(G), (u * (3 ** k - 1)) * G
+    u = 1 if G.weight_of() % 4 == 0 else 2
+    return cochain_D0(u * G)

@@ -29,7 +29,8 @@ Every page is recomputed and checked by exact F_2 ranks on bitmask vectors,
 all from one pivot loop: row_space_f2 builds the pivot table, kernel_f2 runs
 it on rows augmented by the identity and in_span_f2 reduces against it.
 apply_d3 evaluates d3_coeff once per monomial (again only for d3 o d3 on
-targets beyond the page) and eliminates each distinct d3 matrix once.
+targets beyond the page) and keys each cell's d3 matrix by its coefficients
+and target offset: one kernel per key, one image per key into a cell.
 """
 
 from __future__ import annotations
@@ -236,77 +237,68 @@ def apply_d3(page: ChartPage) -> ChartPage:
     win = page.window
     cells = page.cells
 
-    # the d3 coefficient of every monomial, evaluated once
-    coeffs = {(s, t): tuple([d3_coeff(s, i, j) for (i, j) in basis])
-              for (s, t), basis in cells.items()}
-
-    # In an E2 cell the d3 targets of the basis are a run: monomial k goes to
-    # position k + off of the target cell, off = len(tgt) - len(basis).
-    offs = {}
+    # A cell's d3 matrix is fixed by its key: its monomials' d3 coefficients,
+    # evaluated once (bytes, whose hash is cached), and the offset off where
+    # the run of its targets starts in the target cell.  A target beyond the
+    # window edge keeps its source's position (off = 0: kernels stay honest),
+    # and a zero matrix has off = 0, so that equal matrices have equal keys.
+    keys = {}
     for (s, t), basis in cells.items():
+        cs = bytes([d3_coeff(s, i, j) for (i, j) in basis])
         tgt = cells.get((s + 3, t + 2))
+        off = 0
         if tgt is not None:
             off = len(tgt) - len(basis)
             if off < 0 or tgt[off:] != [(i + 1, j) for (i, j) in basis]:
                 raise ValueError(f"apply_d3 expects the E2 page: the d3 targets "
                                  f"of ({s},{t}) are not a run in ({s + 3},{t + 2})")
-            offs[(s, t)] = off
+        keys[(s, t)] = (cs, off if 1 in cs else 0)
 
     # d3 o d3 = 0 on every monomial: the second coefficient is read from the
     # page where the target cell is on it, and evaluated beyond the edge
     for (s, t), basis in cells.items():
-        cs = coeffs[(s, t)]
+        cs, off = keys[(s, t)]
         if 1 not in cs:
             continue
-        off = offs.get((s, t))
-        if off is None:
+        tgt = keys.get((s + 3, t + 2))
+        if tgt is None:
             bad = [m for m, c in zip(basis, cs) if c and d3_coeff(s + 3, m[0] + 1, m[1])]
         else:
-            tcs = coeffs[(s + 3, t + 2)][off:]
-            bad = [m for m, c, c2 in zip(basis, cs, tcs) if c and c2] if 1 in tcs else []
+            bad = [m for m, c, c2 in zip(basis, cs, tgt[0][off:]) if c and c2]
         if bad:
             i, j = bad[0]
             raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
 
-    # each distinct d3 matrix once, numbered in order of appearance; a cell's
-    # matrix depends only on its coefficients and its offset.  Targets
-    # beyond the window edge still exist in the ring and keep their source's
-    # position as a virtual coordinate, so kernels stay honest.
-    numbers, by_coeffs, number = {}, {}, {}
-    for st, cs in coeffs.items():
-        key = (cs, offs.get(st, 0))
-        if key not in by_coeffs:
-            rows = tuple([1 << k + key[1] if c else 0 for k, c in enumerate(cs)])
-            by_coeffs[key] = numbers.setdefault(rows, len(numbers))
-        number[st] = by_coeffs[key]
-    matrices = list(numbers)
+    def rows(key):
+        cs, off = key
+        return [1 << k + off if c else 0 for k, c in enumerate(cs)]
 
-    # a cell's kernel depends only on its own matrix and its image only on
-    # the one into it: each once, and image in kernel once per distinct pair
+    # a cell's kernel depends only on its own key and its image only on the
+    # one into it: each once, and image in kernel once per distinct pair
     kernels, images, contained = {}, {}, set()
     out = {}
     for (s, t), basis in cells.items():
         if s >= 3 and t - 2 > win.W + s - 3:
             continue        # incoming source beyond the window: untrusted
-        own, below = number[(s, t)], number.get((s - 3, t - 2))
+        own, below = keys[(s, t)], keys.get((s - 3, t - 2))
         if own not in kernels:
             # kernel_f2's vectors have distinct leading bits: a pivot table
-            kernels[own] = {v.bit_length(): v for v in kernel_f2(matrices[own])}
+            kernels[own] = {v.bit_length(): v for v in kernel_f2(rows(own))}
         if below not in images:
-            images[below] = row_space_f2(() if below is None else matrices[below])
+            images[below] = row_space_f2(() if below is None else rows(below))
         kernel, img = kernels[own], images[below]
         if (own, below) not in contained:
             if not all(in_span_f2(v, kernel) for v in img.values()):
-                raise AssertionError("image not contained in kernel")
+                raise AssertionError(f"image not contained in kernel at ({s},{t})")
             contained.add((own, below))
-        cs = coeffs[(s, t)]
+        cs = own[0]
         # the honest dimension count against the monomial description: d3 is
         # monomial-to-monomial, so kernel and image are coordinate subspaces
         if s == 0:
             # integral kernel: c = 0 monomials plus 2 * (c = 1 monomials)
             survivors = list(basis)      # free rank is unchanged
             if len(kernel) != len(basis) - sum(cs):
-                raise AssertionError("0-line mod-2 kernel mismatch")
+                raise AssertionError(f"0-line mod-2 kernel mismatch at ({s},{t})")
         else:
             # the d3-cycles, c = 0, not hit from below: zeta^(s-3) a1^(i-1) a3^j
             # has u-exponent m + 1, so on lines s >= 3 only the i = 0 monomial,

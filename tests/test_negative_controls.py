@@ -195,6 +195,16 @@ def test_item8_fails_with_a_wrong_bernoulli_number(monkeypatch):
     assert r["pass"] is False and r["detail"].startswith("G_12 ")
 
 
+def test_item8_fails_with_a_wrong_hstar(monkeypatch):
+    # e_alpha is D0(u G_k), whose second component is u (h* - 1) G_k; with
+    # h* = 3^(weight - 1) it is 13/120 c4 at k = 4, not 1/3 c4
+    real = levelmaps.hstar
+    monkeypatch.setattr(levelmaps, "hstar", lambda m: real(m) / 3)
+    r = verify.item_eisenstein()
+    assert r["pass"] is False
+    assert r["detail"].startswith("e_alpha(4) second component")
+
+
 def test_no_table_of_powers_outlives_its_call(monkeypatch):
     # items 4, 7 and 8 take their powers from ladders; one kept from a first
     # run would let each pass again with a wrong generator patched in

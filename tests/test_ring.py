@@ -64,6 +64,16 @@ def test_a_scalar_compares_as_its_multiple_of_one(name):
     assert x.one() == one
 
 
+@pytest.mark.parametrize("name", SAMPLES)
+def test_a_foreign_value_is_never_equal(name):
+    # None, a str and a float are no ring elements: == is False, not an error
+    x, one = SAMPLES[name]
+    for other in (None, "x", 1.0):
+        assert (x == other) is False and (one == other) is False, other
+        assert (x != other) is True and (other != x) is True, other
+    assert x not in [None]
+
+
 def test_a_gf2poly_never_equals_a_scalar():
     # no scalar mixes with a GF2Poly, not even the ones that would read as 0 or 1
     assert (GF2Poly([(1, 0)]) == 0) is False
@@ -86,6 +96,8 @@ def test_only_qseries_defines_its_own_equality():
     with pytest.raises(TypeError, match="unhashable"):
         hash(QSeries.q(4))
     assert QSeries([1, 2], 2) == QSeries([1, 2, 3], 3) and QSeries([1], 1) == 1
+    # the q-expansion of c4 and c4 itself live in different rings
+    assert series_c4(5) != LevelOneForm.c4() and LevelOneForm.c4() != series_c4(5)
 
 
 def test_power_helper_raises_for_negative_exponents():
