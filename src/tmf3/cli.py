@@ -262,12 +262,6 @@ def qexp_env(prec):
             "Delta": series_delta(prec), "q": QSeries.q(prec)}
 
 
-def value_text(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return str(v)
-    return v.to_text()
-
-
 # -- output helpers ----------------------------------------------------------
 
 def _emit(args, command, inputs, result, checks):
@@ -332,9 +326,9 @@ def cmd_invariants(args):
         C = gamma1_curves(a1(), a3())[0]
     vals = {"b2": C.b2(), "b4": C.b4(), "b6": C.b6(), "b8": C.b8(),
             "c4": C.c4(), "c6": C.c6(), "Delta": C.disc()}
-    result = {k: value_text(v) for k, v in vals.items()}
+    result = {k: str(v) for k, v in vals.items()}
     if args.curve and vals["Delta"] != 0:
-        result["j"] = value_text(C.j())
+        result["j"] = str(C.j())
     else:
         # a singular curve has no j; the universal curve's j = c4^3 / Delta
         # is not a polynomial, and it prints the same placeholder
@@ -369,9 +363,8 @@ def cmd_isogeny(args):
     from .funfield import velu3, verify_isogeny
     Cprime, X, Y = velu3()
     report = verify_isogeny(Cprime, X, Y)
-    result = {"quotient_curve": {k: value_text(c)
-                                 for k, c in Cprime._asdict().items()},
-              "X": repr(X), "Y": repr(Y)}
+    result = {"quotient_curve": {k: str(c) for k, c in Cprime._asdict().items()},
+              "X": str(X), "Y": str(Y)}
     checks = [{"name": k, "pass": bool(v),
                "detail": "verified" if v else "FAILED"}
               for k, v in sorted(report.items())]
@@ -388,7 +381,7 @@ def cmd_maps(args):
     # --apply F evaluates F(expr)
     applied = args.apply
     value = evaluate(Call(applied, ast) if applied else ast, env)
-    result = value_text(value)
+    result = str(value)
     # the printed value, parsed and evaluated again, must give the value back
     try:
         same = evaluate(parse(result), env) == value
@@ -443,7 +436,7 @@ def cmd_delta(args):
 
 
 def cmd_qexp(args):
-    from .qexp import check_weight, eisenstein_in_c4c6
+    from .qexp import QSeries, check_weight, eisenstein_in_c4c6
     prec = args.precision
     if prec < 1:
         raise DomainError("--precision must be >= 1")
@@ -456,10 +449,10 @@ def cmd_qexp(args):
         usage_error("qexp", "qexp needs --expr or --eisenstein K")
     ast = parse(args.expr)
     value = evaluate(ast, qexp_env(prec))
-    if isinstance(value, Fraction):
-        result = str(value)
-    else:
-        result = value.to_text(terms=prec)
+    if not isinstance(value, (Fraction, QSeries)):
+        # a level map of a scalar, such as fstar(1), has no q-expansion
+        raise DomainError(f"qexp needs a q-series, got {type(value).__name__}")
+    result = str(value) if isinstance(value, Fraction) else value.to_text(terms=prec)
     return _emit(args, "qexp", {"expr": args.expr, "precision": prec},
                  result, [])
 

@@ -78,25 +78,26 @@ class FFElem(Ring):
         return not (self.u or self.v)
 
     def _lift(self, x):
-        # through the constructor: * lifts its operand, so one() * x would recurse
-        return FFElem(x) if isinstance(x, (int, Fraction, MultiPoly)) else x
+        """A MultiPoly p as p + 0*y, and a scalar as for every Ring."""
+        return FFElem(x) if isinstance(x, MultiPoly) else super()._lift(x)
 
     def _key(self):
         return self.u, self.v, self.den
 
     def __add__(self, other):
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         (i1, j1), (i2, j2) = self.den, other.den
         i, j = max(i1, i2), max(j1, j2)
         return FFElem(_shift(self.u, i - i1, j - j1) + _shift(other.u, i - i2, j - j2),
                       _shift(self.v, i - i1, j - j1) + _shift(other.v, i - i2, j - j2),
                       (i, j))
 
-    def __neg__(self):
-        return FFElem(-self.u, -self.v, self.den)
-
     def __mul__(self, other):
-        other = self._lift(other)
+        if isinstance(other, (int, Fraction)):
+            return FFElem(self.u * other, self.v * other, self.den)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         u1, v1, u2, v2 = self.u, self.v, other.u, other.v
         # (u1 + v1 y)(u2 + v2 y), with y^2 = x^3 - (a1 x + a3) y
         vv = v1 * v2
@@ -114,7 +115,7 @@ class FFElem(Ring):
             raise ZeroDivisionError("inverse of 0 in the function field")
         n = self * self.conj()      # the norm, with no y part
         if len(n.u.terms) != 1 or next(iter(n.u.terms))[0]:
-            raise ValueError(f"{self!r} is not a unit: its norm is not "
+            raise ValueError(f"{self} is not a unit: its norm is not "
                              "a constant times a monomial in x and a3")
         ((_, e3, ex), c), = n.u.terms.items()
         ni, nj = n.den
@@ -123,7 +124,7 @@ class FFElem(Ring):
 
     inverse = inv
 
-    def __repr__(self):
+    def to_text(self):
         s = f"({self.u.to_text()}) + ({self.v.to_text()})*y"
         den = monomial_text(("x", "a3"), self.den)
         return f"({s}) / ({den})" if den else s

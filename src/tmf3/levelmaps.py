@@ -105,19 +105,19 @@ class LevelOneForm(Ring):
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         t = dict(self.terms)
         for k, c in other.terms.items():
             t[k] = t.get(k, Fraction(0)) + c
         return LevelOneForm(t)
 
-    def __neg__(self):
-        return LevelOneForm({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = Fraction(other)
             return LevelOneForm({k: c * c0 for k, c in self.terms.items()})
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         out = {}
         for (a1_, e1, d1), c1 in self.terms.items():
             for (a2_, e2, d2), c2 in other.terms.items():

@@ -207,7 +207,8 @@ class MultiPoly(Ring):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         self._check(other)
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
@@ -220,14 +221,13 @@ class MultiPoly(Ring):
             g[key] = cs if old is None else _add_lists(old, cs)
         return MultiPoly._new(g, den, self.vars, self.weights)
 
-    def __neg__(self):
-        return MultiPoly._new(_scale(self.groups, -1), self.den, self.vars, self.weights)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
             return MultiPoly._new(_scale(self.groups, n), self.den * d,
                                   self.vars, self.weights)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         self._check(other)
         out = {}
         for k1, c1 in self.groups.items():
@@ -353,15 +353,19 @@ class GF2Poly(Ring):
 
     def _lift(self, x):
         # no scalar mixes with a GF2Poly, so GF2Poly(...) == 0 is False
-        return x
+        return x if isinstance(x, GF2Poly) else None
 
     def one(self):
         return GF2Poly([(0,) * len(self.vars)], self.vars)
 
     def __add__(self, other):
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         return GF2Poly(self.monos ^ other.monos, self.vars)
 
     def __mul__(self, other):
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         # the products of one monomial of self are distinct, so each is a set
         # of terms, and over F2 their sum is the symmetric difference
         acc = set()
@@ -444,18 +448,17 @@ class LocElem(Ring):
         return self.num.is_zero()
 
     def __add__(self, other):
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         return loc_sum((self.num, self.e3, self.e9), (other.num, other.e3, other.e9))
 
-    # negation, a scalar and a power keep a numerator canonical: a3 and
+    # a scalar, -1 included, and a power keep a numerator canonical: a3 and
     # a1^3 - 27*a3 are prime, so neither divides num^n unless it divides num
-    def __neg__(self):
-        return LocElem._from_canonical(-self.num, self.e3, self.e9)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LocElem._from_canonical(self.num * other, self.e3, self.e9)
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         return LocElem(self.num * other.num, self.e3 + other.e3, self.e9 + other.e9)
 
     def __pow__(self, n: int):
@@ -482,18 +485,9 @@ class LocElem(Ring):
 
     def to_text(self):
         s = self.num.to_text()
-        den = []
-        if self.e3 == 1:
-            den.append("a3")
-        elif self.e3 > 1:
-            den.append(f"a3^{self.e3}")
-        if self.e9 == 1:
-            den.append("(a1^3 - 27*a3)")
-        elif self.e9 > 1:
-            den.append(f"(a1^3 - 27*a3)^{self.e9}")
-        if den:
-            return f"({s}) / ({' * '.join(den)})"
-        return s
+        den = " * ".join(monomial_text((name,), (e,)) for name, e in
+                         (("a3", self.e3), ("(a1^3 - 27*a3)", self.e9)) if e)
+        return f"({s}) / ({den})" if den else s
 
 
 def loc_sum(*parts):

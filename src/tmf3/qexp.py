@@ -21,7 +21,7 @@ from operator import add, mul
 
 from .levelmaps import LevelOneForm, cochain_D0, monomial_images
 from .rationals import bernoulli, sigma_pow
-from .ring import Ring
+from .ring import Ring, monomial_text
 
 
 def _canonical(nums, den):
@@ -80,28 +80,27 @@ class QSeries(Ring):
 
     def __eq__(self, other):
         """Equality of the known coefficients, to the common precision."""
-        other = self._lift(other)
-        if not isinstance(other, QSeries):
+        if (other := self._lift(other)) is None:
             return NotImplemented
         n = min(self.prec, other.prec)
         return ([c * other.den for c in self.nums[:n]]
                 == [c * self.den for c in other.nums[:n]])
 
     def __add__(self, other):
-        other = self._lift(other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         n = min(self.prec, other.prec)
         den = lcm(self.den, other.den)
         f1, f2 = den // self.den, den // other.den
         return QSeries._make([a * f1 + b * f2 for a, b in
                               zip(self.nums[:n], other.nums[:n])], den, n)
 
-    def __neg__(self):
-        return QSeries._make([-c for c in self.nums], self.den, self.prec)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
             return QSeries._make([c * n for c in self.nums], self.den * d, self.prec)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         n = min(self.prec, other.prec)
         b = other.nums[:n]
         out = [0] * n
@@ -129,15 +128,10 @@ class QSeries(Ring):
     def to_text(self, terms=8):
         parts = []
         for n, c in enumerate(self.coeffs[:terms]):
-            if c == 0:
-                continue
-            if n == 0:
-                parts.append(str(c))
-            elif n == 1:
-                parts.append(f"{c}*q")
-            else:
-                parts.append(f"{c}*q^{n}")
-        body = " + ".join(parts) if parts else "0"
+            if c:
+                mono = monomial_text(("q",), (n,))
+                parts.append(f"{c}*{mono}" if mono else str(c))
+        body = " + ".join(parts) or "0"
         return f"{body} + O(q^{min(terms, self.prec)})"
 
 

@@ -3,12 +3,12 @@ square-and-multiply, and printing a monomial as name^x factors.
 
 ``MultiPoly``, ``GF2Poly``, ``LocElem``, ``LevelOneForm``, ``QSeries`` and
 ``FFElem`` are ``Ring``s. A subclass defines ``+`` and ``*`` (each also
-taking an int or Fraction where the class mixes with scalars), unary ``-``
-for subtraction, ``one()``, ``to_text()``, ``_key()`` (its canonical fields)
-and ``inverse()`` where elements can be inverted; ``Ring`` derives ``==`` and
-``hash`` from ``_key()``, with ``_lift`` taking a scalar c to c * one(), the
-reflected and mixed operators, ``-``, ``/``, ``**`` with its rule for n < 0,
-and ``repr``.
+taking an int or Fraction where the class mixes with scalars), ``one()``,
+``to_text()``, ``_key()`` (its canonical fields) and ``inverse()`` where
+elements can be inverted; ``Ring`` derives ``==`` and ``hash`` from
+``_key()``, with ``_lift`` taking a scalar c to c * one() and declining a
+foreign operand, the reflected and mixed operators, unary and binary ``-``,
+``/``, ``**`` with its rule for n < 0, and ``str`` and ``repr``.
 ``ladder`` takes several powers of one element from one table.
 """
 
@@ -63,44 +63,54 @@ def _upward(x, exponents):
 
 
 class Ring:
-    """Operators derived from ``+``, unary ``-``, ``*``, ``one()``,
-    ``inverse()``, ``to_text()`` and ``_key()``; every ring here is
-    commutative, and equal values have equal keys."""
+    """Operators derived from ``+``, ``*``, ``one()``, ``inverse()``,
+    ``to_text()`` and ``_key()``; every ring here is commutative, and equal
+    values have equal keys. An operator whose operand ``_lift`` declines
+    returns NotImplemented, so Python tries the reflected operator of the
+    other operand, or raises TypeError."""
 
     __slots__ = ()
 
     def _lift(self, x):
-        """x as an element of this ring: a scalar c as c * one(), anything
-        else as it is."""
-        return self.one() * x if isinstance(x, (int, Fraction)) else x
+        """x as an element of this ring: a scalar c as c * one(), an element
+        as it is, and None for anything else."""
+        if isinstance(x, type(self)):
+            return x
+        return self.one() * x if isinstance(x, (int, Fraction)) else None
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if not isinstance(other, type(self)):
+        if (other := self._lift(other)) is None:
             return NotImplemented
         return self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
 
+    def __neg__(self):
+        return self * -1
+
     def __radd__(self, other):
-        return self + other
+        return self.__add__(other)
 
     def __sub__(self, other):
         return self + -other
 
     def __rsub__(self, other):
-        return -self + other
+        return (-self).__add__(other)
 
     def __rmul__(self, other):
-        return self * other
+        return self.__mul__(other)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / other)
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
+        if (other := self._lift(other)) is None:
+            return NotImplemented
         return self.inverse() * other
 
     def __pow__(self, n: int):
@@ -108,6 +118,9 @@ class Ring:
 
     def inverse(self):
         raise ValueError(f"{self!r} is not invertible")
+
+    def __str__(self):
+        return self.to_text()
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()})"

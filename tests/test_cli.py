@@ -177,9 +177,9 @@ def test_maps_round_trip_evaluates_the_output(capsys, expr):
 @pytest.mark.parametrize("broken", [lambda text: text + " + a1",
                                     lambda text: text + ")"])
 def test_maps_round_trip_fails_on_a_wrong_output(capsys, monkeypatch, broken):
-    from tmf3 import cli
-    real = cli.value_text
-    monkeypatch.setattr(cli, "value_text", lambda v: broken(real(v)))
+    from tmf3.multipoly import LocElem
+    real = LocElem.to_text
+    monkeypatch.setattr(LocElem, "to_text", lambda g: broken(real(g)))
     code, out, err = run(capsys, "maps", "--apply", "tstar", "--expr", "a1*a3",
                          "--json")
     assert code == 3
@@ -308,6 +308,14 @@ def test_qexp_identity(capsys):
                          "--precision", "20")
     assert code == 0
     assert out.strip() == "0 + O(q^20)"
+
+
+@pytest.mark.parametrize("expr, got", [("fstar(0)", "LocElem"), ("hstar(2)", "LevelOneForm"),
+                                       ("tstar(1) + 1", "LocElem")])
+def test_qexp_of_a_level_map_is_a_domain_error(capsys, expr, got):
+    # a level map of a scalar evaluates, but it has no q-expansion to print
+    assert run(capsys, "qexp", "--expr", expr) == (
+        1, "", f"error: qexp needs a q-series, got {got}\n")
 
 
 def test_chart_json(capsys):

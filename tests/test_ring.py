@@ -2,16 +2,17 @@ import ast
 import importlib
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
 
+from tmf3 import funfield
 from tmf3.funfield import FFElem
 from tmf3.levelmaps import LevelOneForm
 from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3
 from tmf3.qexp import QSeries, series_c4
-from tmf3.ring import ladder, monomial_text, power, terms_text
+from tmf3.ring import Ring, ladder, monomial_text, power, terms_text
 
 
 # one element of each class with its one
@@ -74,6 +75,28 @@ def test_a_foreign_value_is_never_equal(name):
     assert x not in [None]
 
 
+@pytest.mark.parametrize("name", SAMPLES)
+def test_arithmetic_with_a_foreign_value_is_a_type_error(name):
+    # each operator declines the operand, and so does the other one's
+    # reflected operator: Python raises its TypeError, not an AttributeError
+    x, one = SAMPLES[name]
+    for other in (None, "x", 1.5):
+        for op in (add, sub, mul, truediv):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+
+@pytest.mark.parametrize("p, g", [(a1() + a3(), LocElem(a1() ** 2, 1, 0)),
+                                  (funfield._X + 1, FFElem.y())])
+def test_a_polynomial_mixes_with_its_localization_in_either_order(p, g):
+    # MultiPoly's operators decline g, so g's reflected operators lift p
+    assert p * g == g * p and p + g == g + p
+    assert p - g == -(g - p)
+    assert type(p * g) is type(g) and type(p + g) is type(g)
+
+
 def test_a_gf2poly_never_equals_a_scalar():
     # no scalar mixes with a GF2Poly, not even the ones that would read as 0 or 1
     assert (GF2Poly([(1, 0)]) == 0) is False
@@ -98,6 +121,60 @@ def test_only_qseries_defines_its_own_equality():
     assert QSeries([1, 2], 2) == QSeries([1, 2, 3], 3) and QSeries([1], 1) == 1
     # the q-expansion of c4 and c4 itself live in different rings
     assert series_c4(5) != LevelOneForm.c4() and LevelOneForm.c4() != series_c4(5)
+
+
+def test_only_ring_derives_negation_and_printing():
+    # a subclass prints through its to_text, and negates by its product by -1
+    classes = {type(x) for x, _ in SAMPLES.values()}
+    for name in ("__neg__", "__str__", "__repr__"):
+        assert name in vars(Ring)
+        assert {cls for cls in classes if name in vars(cls)} == set(), name
+    assert all("to_text" in vars(cls) for cls in classes)
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_negation_is_the_product_by_minus_one(name):
+    for x in SAMPLES[name]:
+        assert str(x) == x.to_text()
+        assert repr(x) == f"{type(x).__name__}({x.to_text()})"
+        if name == "GF2Poly":
+            # no scalar mixes with a GF2Poly, so it has no -x
+            for op in (lambda: -x, lambda: x * -1, lambda: 0 - x):
+                with pytest.raises(TypeError):
+                    op()
+        else:
+            assert -x == x * -1 == 0 - x and -x + x == 0
+
+
+# a level-3 element's text over each denominator a3^e3 (a1^3 - 27*a3)^e9
+LOC_TEXTS = {
+    (0, 0): "2*a1^2 + -1/3*a1*a3",
+    (0, 1): "(2*a1^2 + -1/3*a1*a3) / ((a1^3 - 27*a3))",
+    (0, 2): "(2*a1^2 + -1/3*a1*a3) / ((a1^3 - 27*a3)^2)",
+    (1, 0): "(2*a1^2 + -1/3*a1*a3) / (a3)",
+    (1, 1): "(2*a1^2 + -1/3*a1*a3) / (a3 * (a1^3 - 27*a3))",
+    (1, 2): "(2*a1^2 + -1/3*a1*a3) / (a3 * (a1^3 - 27*a3)^2)",
+    (2, 0): "(2*a1^2 + -1/3*a1*a3) / (a3^2)",
+    (2, 1): "(2*a1^2 + -1/3*a1*a3) / (a3^2 * (a1^3 - 27*a3))",
+    (2, 2): "(2*a1^2 + -1/3*a1*a3) / (a3^2 * (a1^3 - 27*a3)^2)",
+}
+
+
+@pytest.mark.parametrize("e3, e9", LOC_TEXTS)
+def test_a_level3_element_prints_its_denominator(e3, e9):
+    g = LocElem(2 * a1() ** 2 - Fraction(1, 3) * a1() * a3(), e3, e9)
+    assert (g.e3, g.e9) == (e3, e9)
+    assert g.to_text() == LOC_TEXTS[e3, e9]
+
+
+def test_a_q_series_prints_its_known_terms():
+    s = QSeries([0, -1, 0, Fraction(2, 3), 0, 5], 6)
+    assert [s.to_text(terms=n) for n in (0, 1, 2, 4, 6, 9)] == [
+        "0 + O(q^0)", "0 + O(q^1)", "-1*q + O(q^2)", "-1*q + 2/3*q^3 + O(q^4)",
+        "-1*q + 2/3*q^3 + 5*q^5 + O(q^6)", "-1*q + 2/3*q^3 + 5*q^5 + O(q^6)"]
+    assert QSeries([Fraction(-1, 2), 0, 0], 3).to_text() == "-1/2 + O(q^3)"
+    assert QSeries([0, 0, 0], 3).to_text() == "0 + O(q^3)"
+    assert QSeries([7], 1).to_text(terms=5) == "7 + O(q^1)"
 
 
 def test_power_helper_raises_for_negative_exponents():
