@@ -13,8 +13,8 @@ abbreviation, a usage error) goes to the argparse parser that
 then.
 
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
-3 verification failure. A domain error (``DomainError``) is raised where
-user input is evaluated and cannot be; other exceptions propagate.
+3 verification failure. A domain error (``tmf3.ring.DomainError``) is raised
+by the rule that rejects the input, in the library or here; others propagate.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .record import record
+from .ring import DomainError
 
 
 class CliSyntaxError(Exception):
@@ -38,10 +39,6 @@ class CliSyntaxError(Exception):
         super().__init__(f"syntax error at line {line}, column {col}: {message}")
         self.line = line
         self.col = col
-
-
-class DomainError(Exception):
-    """Well-formed input that asks for an undefined operation."""
 
 
 # -- tokens and AST ----------------------------------------------------------
@@ -205,13 +202,10 @@ def evaluate(node, env):
             return _OPERATORS[op](a, b)
         except ZeroDivisionError as exc:
             raise DomainError(f"division by zero: {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
 
-    # a call: (map, domain, its name, coercion of a scalar); tstar's
-    # ValueError, on an element that is not sigma-invariant, is user input
+    # a call: (map, domain, its name, coercion of a scalar)
     level1 = (LevelOneForm, "a level-1 form", LevelOneForm.const)
-    calls = {"tstar": (lambda g: _domain(tstar, g), LocElem,
+    calls = {"tstar": (tstar, LocElem,
                        "a level-3 element", lambda c: LocElem(MultiPoly.const(c))),
              "fstar": (fstar, *level1), "qstar": (qstar, *level1),
              "hstar": (hstar, *level1), "delta": (delta_map, *level1)}
@@ -298,21 +292,12 @@ def _parse_list(flag, text):
 
 def _parse_range(text):
     try:
-        a, b = text.split("..")
-        a, b = int(a), int(b)
+        a, b = map(int, text.split(".."))
     except ValueError as exc:
         raise DomainError("--range wants A..B with integers A <= B") from exc
     if a > b:
         raise DomainError("--range wants A..B with integers A <= B")
     return range(a, b + 1)
-
-
-def _domain(fn, *args):
-    """fn(*args) on user input, its ValueError turned into a domain error."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
 
 
 # -- subcommands -------------------------------------------------------------
@@ -346,7 +331,7 @@ def cmd_normalize(args):
         usage_error("normalize", "normalize needs --curve and --point")
     C = WCurve(*_parse_list("--curve", args.curve))
     P = WPoint(*_parse_list("--point", args.point))
-    A1, A3, T = _domain(gamma1_normalize, C, P)
+    A1, A3, T = gamma1_normalize(C, P)
     Cn = transform(C, T)
     result = {"A1": str(A1), "A3": str(A3),
               "transform": {"lam": str(T.lam), "r": str(T.r),
@@ -375,9 +360,7 @@ def cmd_maps(args):
     if not args.expr:
         usage_error("maps", "maps needs --expr")
     ast = parse(args.expr)
-    env = {}
-    env.update(level1_env())
-    env.update(level3_env())
+    env = {**level1_env(), **level3_env()}
     # --apply F evaluates F(expr)
     applied = args.apply
     value = evaluate(Call(applied, ast) if applied else ast, env)
@@ -411,12 +394,8 @@ def cmd_delta(args):
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
         return _emit(args, "delta", inputs, g.to_text(), [])
-    span = _parse_range(args.range) if args.range else None
-    # the sweeps' input rule, checked here: their ValueError is a library fault
-    name, first = ("k", args.c4_pow) if args.c4_pow is not None else ("N", args.delta_pow)
-    values = span or [first]
-    if min(values) < 1:
-        raise DomainError(f"{name} >= 1 required")
+    values = (_parse_range(args.range) if args.range
+              else [args.c4_pow if args.c4_pow is not None else args.delta_pow])
     rows, checks = [], []
     if args.c4_pow is not None:
         for k, r in zip(values, val2_delta_c4pow(values)):
@@ -436,13 +415,12 @@ def cmd_delta(args):
 
 
 def cmd_qexp(args):
-    from .qexp import QSeries, check_weight, eisenstein_in_c4c6
+    from .qexp import QSeries, eisenstein_in_c4c6
     prec = args.precision
     if prec < 1:
         raise DomainError("--precision must be >= 1")
     if args.eisenstein is not None:
         k = args.eisenstein
-        _domain(check_weight, k)
         result = eisenstein_in_c4c6([k])[k].to_text()
         return _emit(args, "qexp", {"eisenstein": k}, result, [])
     if not args.expr:
@@ -458,17 +436,15 @@ def cmd_qexp(args):
 
 
 def cmd_chart(args):
-    from .sseq import (Window, DEFAULT_WINDOW, check_window, compute_all,
-                       chart_json, chart_ascii)
+    from .sseq import (Window, DEFAULT_WINDOW, compute_all, chart_json,
+                       chart_ascii)
+    win = DEFAULT_WINDOW
     if args.window:
         try:
-            S, W, D = (int(x) for x in args.window.split(","))
+            S, W, D = map(int, args.window.split(","))
         except ValueError as exc:
             raise DomainError("--window wants S,W,D integers") from exc
         win = Window(S, W, D)
-    else:
-        win = DEFAULT_WINDOW
-    _domain(check_window, win)
     try:
         pages = compute_all(win)
     except AssertionError as exc:
@@ -490,7 +466,7 @@ def cmd_verify(args):
     if args.all:
         results = run_all()
     elif args.item is not None:
-        results = [_domain(get_item, args.item)()]
+        results = [get_item(args.item)()]
     else:
         usage_error("verify", "verify needs --all or --item N")
     checks = [{"name": f"item {r['index']}: {r['name']}", "pass": r["pass"],
@@ -619,6 +595,20 @@ def quick_parse(argv):
     return args
 
 
+def _join_values(argv):
+    """argv with each exact value flag of its subcommand joined to the next
+    token as --flag=value, unless that token is a flag or -h/--help."""
+    flags = _flags(argv[0]) if argv and argv[0] in COMMANDS else {}
+    values = {flag for flag, kw in flags.items() if kw.get("action") != "store_true"}
+    joined = argv[:1]
+    for token in argv[1:]:
+        if joined[-1] in values and token not in (*flags, "-h", "--help"):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 # the atexit registries that gc.freeze is registered with
 _FREEZE_REGISTERED = set()
 
@@ -635,7 +625,7 @@ def main(argv=None):
     if atexit not in _FREEZE_REGISTERED:
         _FREEZE_REGISTERED.add(atexit)
         atexit.register(gc.freeze)
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_values(sys.argv[1:] if argv is None else list(argv))
     args = quick_parse(argv)
     if args is None:
         args = build_parser().parse_args(argv)

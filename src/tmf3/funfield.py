@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly, _leading_zeros
-from .ring import Ring, ladder, monomial_text
+from .ring import DomainError, Ring, ladder, monomial_text
 from .weierstrass import WCurve, gamma1_curves
 
 VARS = ("a1", "a3", "x")
@@ -109,13 +109,13 @@ class FFElem(Ring):
         return FFElem(self.u - self.v * _S, -self.v, self.den)
 
     def inv(self) -> "FFElem":
-        """Inverse of a unit: raises ValueError unless the norm is a
+        """Inverse of a unit: raises DomainError unless the norm is a
         constant times a monomial in x and a3."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in the function field")
         n = self * self.conj()      # the norm, with no y part
         if len(n.u.terms) != 1 or next(iter(n.u.terms))[0]:
-            raise ValueError(f"{self} is not a unit: its norm is not "
+            raise DomainError(f"{self} is not a unit: its norm is not "
                              "a constant times a monomial in x and a3")
         ((_, e3, ex), c), = n.u.terms.items()
         ni, nj = n.den

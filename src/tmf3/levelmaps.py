@@ -29,7 +29,7 @@ from operator import add, mul
 
 from .multipoly import MultiPoly, LocElem, a1, a3, loc_sum, mod2, min_a1_term
 from .rationals import val_p_int
-from .ring import Ring, ladder, terms_text
+from .ring import DomainError, Ring, ladder, terms_text
 from .weierstrass import gamma1_curves
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
@@ -134,7 +134,7 @@ class LevelOneForm(Ring):
         MF*[Delta^-1]: c4^3 - c6^2 = 1728 Delta is irreducible, so the ring
         is Q[c4, c6] with that one prime inverted."""
         if len(self.terms) != 1 or next(iter(self.terms))[:2] != (0, 0):
-            raise ValueError(f"{self.to_text()} is not a unit c*Delta^d "
+            raise DomainError(f"{self.to_text()} is not a unit c*Delta^d "
                              "of MF*[Delta^-1]")
         ((_, _, d), c), = self.terms.items()
         return LevelOneForm.monomial(0, 0, -d, 1 / c)
@@ -244,7 +244,7 @@ def tstar(g: LocElem) -> LocElem:
     is summed as sum_j c_j 27^(J-j) D^j over 27^J, J the group's top index.
     """
     if not is_gamma03(g):
-        raise ValueError("tstar requires a sigma-invariant element")
+        raise DomainError("tstar requires a sigma-invariant element")
     if g.is_zero():
         return g
     e3, e9 = g.e3, g.e9
@@ -333,7 +333,7 @@ def val2_delta_c4pow(ks) -> list:
     its coefficient there is 2^4 * 15k, which has exactly that valuation."""
     ks = list(ks)
     if min(ks, default=1) < 1:
-        raise ValueError("k >= 1 required")
+        raise DomainError("k >= 1 required")
     q4s, f4s = ladder(Q4, ks), ladder(F4, ks)
     return [_content_check(f"delta(c4^{k})", q4s[k] - f4s[k], 4 + val_p_int(k, 2))
             for k in ks]
@@ -350,7 +350,7 @@ def val_delta_c4c6(ks) -> list:
     coefficient on a1^(4k+3) a3 is 2^3 times 63 plus a multiple of 2^4."""
     ks = list(ks)
     if min(ks, default=0) < 0:
-        raise ValueError("k >= 0 required")
+        raise DomainError("k >= 0 required")
     q4s, f4s = ladder(Q4, ks), ladder(F4, ks)
     return [_content_check(f"delta(c4^{k}*c6)",
                            q4s.get(k, 1) * Q6 - f4s.get(k, 1) * F6, 3)
@@ -368,7 +368,7 @@ def delta_mod2_Delta_pow(N: int) -> dict:
     (1 + t)^N starts with 1: the least a1-power is that t-power times
     a3^(4N)."""
     if N < 1:
-        raise ValueError("N >= 1 required")
+        raise DomainError("N >= 1 required")
     d = mod2(QDELTA) ** N + mod2(FDELTA) ** N
     lead = min_a1_term(d)
     r = val_p_int(N, 2)
@@ -392,10 +392,10 @@ def lemma_binomial_check(d: int, ks) -> list:
     nu_2(C(k, j) 2^(dj)) >= nu_2(k) + dj - nu_2(j), and dj - nu_2(j) > d
     for j >= 2, so only j = 1, the term k 2^d u^(k-1) v, reaches the bound."""
     if d <= 1:
-        raise ValueError("d > 1 required")
+        raise DomainError("d > 1 required")
     ks = list(ks)
     if min(ks, default=1) < 1:
-        raise ValueError("k >= 1 required")
+        raise DomainError("k >= 1 required")
     u = a1() ** 3
     us, sums = ladder(u, ks), ladder(u + 2 ** d * a3(), ks)
     return [_content_check(f"(a1^3 + 2^{d}*a3)^{k} - a1^{3 * k}",

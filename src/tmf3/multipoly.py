@@ -39,7 +39,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .ring import Ring, monomial_text, terms_text
+from .ring import DomainError, Ring, monomial_text, terms_text
 
 DEFAULT_VARS = ("a1", "a3")
 # the weight of every variable a MultiPoly may use
@@ -470,12 +470,12 @@ class LocElem(Ring):
         """Inverse, defined only when num is a unit of the localization,
         i.e. a scalar times a3^i * (a1^3-27*a3)^j."""
         if self.is_zero():
-            raise ValueError("element is not invertible in the localization")
+            raise DomainError("element is not invertible in the localization")
         # neither factor divides num to a power above num's top weight
         top = max(self.num.groups)[0]
         num, e3, e9 = _loc_reduce(self.num, top, top)
         if list(num.groups) != [(0,)]:
-            raise ValueError("element is not invertible in the localization")
+            raise DomainError("element is not invertible in the localization")
         c = Fraction(num.groups[(0,)][0], num.den)
         inv_num = (_A3 ** self.e3) * (_DISC ** self.e9) * (1 / c)
         return LocElem(inv_num, top - e3, top - e9)

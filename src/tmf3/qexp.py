@@ -21,7 +21,7 @@ from operator import add, mul
 
 from .levelmaps import LevelOneForm, cochain_D0, monomial_images
 from .rationals import bernoulli, sigma_pow
-from .ring import Ring, monomial_text
+from .ring import DomainError, Ring, monomial_text
 
 
 def _canonical(nums, den):
@@ -174,13 +174,13 @@ def series_delta(prec: int) -> QSeries:
 # -- expressing Eisenstein series in c4, c6, Delta ---------------------------
 
 def check_weight(k: int) -> None:
-    """The weight rule of ``eisenstein_in_c4c6``: a ValueError unless
+    """The weight rule of ``eisenstein_in_c4c6``: a DomainError unless
     weight k has holomorphic forms (k even, and k >= 6 when k = 2 mod 4)
     and G_k is defined (k >= 4)."""
     if k % 2 or k < (6 if k % 4 == 2 else 0):
-        raise ValueError(f"no holomorphic forms of weight {k}")
+        raise DomainError(f"no holomorphic forms of weight {k}")
     if k < 4:
-        raise ValueError("eisenstein_G needs even weight >= 4")
+        raise DomainError("eisenstein_G needs even weight >= 4")
 
 
 def eisenstein_in_c4c6(ks) -> dict:

@@ -9,12 +9,17 @@ elements can be inverted; ``Ring`` derives ``==`` and ``hash`` from
 ``_key()``, with ``_lift`` taking a scalar c to c * one() and declining a
 foreign operand, the reflected and mixed operators, unary and binary ``-``,
 ``/``, ``**`` with its rule for n < 0, and ``str`` and ``repr``.
-``ladder`` takes several powers of one element from one table.
+``ladder`` takes several powers of one element from one table. Every rule
+that rejects a user's input raises the one ``DomainError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+class DomainError(ValueError):
+    """Well-formed input that asks for an undefined operation."""
 
 
 def power(x, n: int, one):
@@ -117,7 +122,7 @@ class Ring:
         return power(self if n >= 0 else self.inverse(), abs(n), self.one())
 
     def inverse(self):
-        raise ValueError(f"{self!r} is not invertible")
+        raise DomainError(f"{self!r} is not invertible")
 
     def __str__(self):
         return self.to_text()

@@ -40,6 +40,7 @@ from itertools import compress
 from operator import not_
 
 from .multipoly import GF2Poly
+from .ring import DomainError
 
 Window = namedtuple("Window", ["S", "W", "D"])
 DEFAULT_WINDOW = Window(S=12, W=100, D=8)
@@ -201,16 +202,16 @@ class ChartPage:
 
 
 def check_window(window: Window, pages: bool = True) -> None:
-    """The window rule: a ValueError unless every bound is positive and,
+    """The window rule: a DomainError unless every bound is positive and,
     for the page checks (``pages``), S >= 7 and W >= 24.
 
     A window with positive bounds holds every bidegree the page checks read
     iff S >= 7 and W >= 24: the E7 checks read x^7 Delta^-4 at (7, 30),
     which apply_d3 keeps only when 30 - 2 <= W + 7 - 3."""
     if min(window) <= 0:
-        raise ValueError("window bounds must be positive")
+        raise DomainError("window bounds must be positive")
     if pages and (window.S < 7 or window.W < 24):
-        raise ValueError(f"window {tuple(window)} is too small for the page "
+        raise DomainError(f"window {tuple(window)} is too small for the page "
                          f"checks: they need S >= 7 and W >= 24")
 
 
@@ -517,7 +518,7 @@ def pi_table(einf: ChartPage):
 def compute_all(window: Window = DEFAULT_WINDOW):
     """E2 -> E4 -> localized E7 -> E-infinity, returned as a dict of pages.
 
-    A window outside ``check_window`` is a ValueError; an AssertionError is
+    A window outside ``check_window`` is a DomainError; an AssertionError is
     a page check that failed."""
     check_window(window)
     e2 = build_E2(window)

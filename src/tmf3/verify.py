@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .multipoly import LocElem, MultiPoly, a1, a3, disc_factor
+from .ring import DomainError
 from .weierstrass import (WCurve, WPoint, WTransform, transform,
                           transform_point, gamma1_curves, gamma1_normalize,
                           is_flex, CurveError)
@@ -315,6 +316,6 @@ def run_all():
 def get_item(index: int):
     """The function of item ``index`` (1-based)."""
     if not 1 <= index <= len(ITEMS):
-        raise ValueError(f"no verification item {index}; valid range 1..{len(ITEMS)}")
+        raise DomainError(f"no verification item {index}; valid range 1..{len(ITEMS)}")
     return ITEMS[index - 1]
 

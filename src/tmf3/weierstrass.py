@@ -49,9 +49,10 @@ from fractions import Fraction
 from math import lcm
 
 from .record import record
+from .ring import DomainError
 
 
-class CurveError(ValueError):
+class CurveError(DomainError):
     pass
 
 

@@ -12,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from tmf3 import cli, funfield, sseq, weierstrass
+from tmf3 import cli, funfield, levelmaps, qexp, sseq, verify, weierstrass
 from tmf3.cli import (parse, CliSyntaxError, main, Num, Ident,
                       BinOp, Call, Unary)
-from tmf3.weierstrass import WCurve, WPoint, WTransform, transform, transform_point
+from tmf3.multipoly import LocElem, MultiPoly, a1, a3
+from tmf3.ring import DomainError
+from tmf3.weierstrass import (CurveError, WCurve, WPoint, WTransform, transform,
+                              transform_point)
 
 
 def run(capsys, *argv):
@@ -403,6 +406,14 @@ def _raise(exc):
     (("chart",), "tmf3.sseq", "apply_d3", ValueError("internal fault")),
     (("qexp", "--eisenstein", "12"), "tmf3.qexp", "monomial_images",
      ValueError("internal fault")),
+    # a ValueError of the library under a command on user input is no domain
+    # error either: only the rule that rejects the input raises one
+    (("normalize", "--curve", "0,0,1,-1,0", "--point", "0,0"), "tmf3.weierstrass",
+     "transform", ValueError("internal fault")),
+    (("maps", "--apply", "tstar", "--expr", "a1*a3"), "tmf3.levelmaps",
+     "_tpow_cached", ValueError("internal fault")),
+    (("maps", "--expr", "a1/a3"), "tmf3.multipoly", "divide_exact",
+     ValueError("internal fault")),
 ])
 def test_an_internal_error_surfaces_as_a_traceback(monkeypatch, argv, module, name, exc):
     # only errors in evaluating user input are domain errors (exit 1)
@@ -418,6 +429,56 @@ def test_user_input_errors_are_domain_errors(capsys):
                  ("normalize", "--curve", "0,0,1,-1,0", "--point", "0,0")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
+
+
+def test_domain_error_is_a_value_error_and_curve_error_is_one():
+    assert issubclass(DomainError, ValueError)
+    assert issubclass(CurveError, DomainError)
+    assert cli.DomainError is DomainError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sseq.check_window(sseq.Window(0, 100, 8)), "window bounds must be positive"),
+    (lambda: sseq.check_window(sseq.Window(6, 100, 8)),
+     "window (6, 100, 8) is too small for the page checks: they need S >= 7 and W >= 24"),
+    (lambda: qexp.check_weight(2), "no holomorphic forms of weight 2"),
+    (lambda: qexp.check_weight(0), "eisenstein_G needs even weight >= 4"),
+    (lambda: levelmaps.tstar(LocElem(a1())), "tstar requires a sigma-invariant element"),
+    (lambda: a1().inverse(), "MultiPoly(1*a1) is not invertible"),
+    (lambda: LocElem(MultiPoly.const(0)).inverse(),
+     "element is not invertible in the localization"),
+    (lambda: LocElem(a1() + a3()).inverse(), "element is not invertible in the localization"),
+    (lambda: levelmaps.LevelOneForm.c4().inverse(),
+     "1*c4 is not a unit c*Delta^d of MF*[Delta^-1]"),
+    (lambda: (funfield.FFElem.x() + funfield.FFElem.y()).inv(),
+     "is not a unit: its norm is not a constant times a monomial in x and a3"),
+    (lambda: levelmaps.val2_delta_c4pow([0]), "k >= 1 required"),
+    (lambda: levelmaps.val_delta_c4c6([-1]), "k >= 0 required"),
+    (lambda: levelmaps.delta_mod2_Delta_pow(0), "N >= 1 required"),
+    (lambda: levelmaps.lemma_binomial_check(1, [1]), "d > 1 required"),
+    (lambda: levelmaps.lemma_binomial_check(2, [0]), "k >= 1 required"),
+    (lambda: verify.get_item(10), "no verification item 10; valid range 1..9"),
+])
+def test_each_input_rule_raises_a_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("maps", "--expr", "-c4"), "-1*c4\n"),
+    (("invariants", "--curve", "-1,0,2,0,0", "--json"), '"j": "-117649/440"'),
+])
+def test_a_separate_value_may_start_with_a_minus(capsys, argv, out):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 0 and out in stdout
+
+
+def test_a_value_flag_followed_by_a_flag_is_still_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["maps", "--expr", "--json"])
+    assert exc.value.code == 2
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
 
 
 def test_invariants_j_placeholder(capsys):

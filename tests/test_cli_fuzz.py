@@ -1,9 +1,9 @@
 """A grammar-driven fuzz of every subcommand, run in process through
 ``cli.main``: each command line is drawn from ``cli.COMMANDS``, with values at
 and just past each bound, and each expression from the grammar of
-``cli.parse``. A well-formed line goes through the quick parse; an
-abbreviated flag, a negative or malformed value and --help go through
-argparse."""
+``cli.parse``. A well-formed line, a separate value that starts with "-"
+included, goes through the quick parse; an abbreviated flag, a malformed
+value and --help go through argparse."""
 
 import io
 import json
@@ -136,6 +136,9 @@ def _run(argv):
 @example(["verify", "--all", "--json"])
 # a level map of a scalar in qexp once printed a TypeError traceback
 @example(["qexp", "--expr", "fstar(0)"])
+# a separate value that starts with "-" once read as a missing value (exit 2)
+@example(["maps", "--expr", "-c4"])
+@example(["invariants", "--curve", "-1,0,2,0,0"])
 def test_every_command_line_exits_with_a_code(argv):
     code, out, err = _run(argv)
     if code is None:
