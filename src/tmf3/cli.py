@@ -6,11 +6,12 @@ The tokens and AST nodes (``Token``, ``Num``, ``Ident``, ``Unary``,
 only their own type, so two parses of the same text compare equal and a
 node never equals a plain tuple or a node of another type.
 
-The subcommands and their flags are one table, ``COMMANDS``. A well-formed
-command line is read from it by ``quick_parse``; any other (help, an
-abbreviation, a usage error) goes to the argparse parser that
-``build_parser`` makes from the same table, so argparse is imported only
-then.
+The subcommands and their flags are one table, ``COMMANDS``. ``main`` joins
+each value given after its flag as ``--flag=value`` (``_join_values``); a
+well-formed joined line is read from the table by ``quick_parse``, and any
+other (help, an abbreviation, a usage error) goes to the argparse parser
+that ``build_parser`` makes from the same table, so argparse is imported
+only then.
 
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
 3 verification failure. A domain error (``tmf3.ring.DomainError``) is raised
@@ -259,7 +260,7 @@ def qexp_env(prec):
 # -- output helpers ----------------------------------------------------------
 
 def _emit(args, command, inputs, result, checks):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps({"command": command, "inputs": inputs,
                           "result": result, "checks": checks}, indent=2))
     else:
@@ -273,31 +274,23 @@ def _emit(args, command, inputs, result, checks):
     return 0 if all(c["pass"] for c in checks) else 3
 
 
-# the comma-separated options: flag -> (entries, usage, what an entry is)
-_LISTS = {"--curve": (5, "five comma-separated rationals a1,a2,a3,a4,a6",
-                      "curve coefficient"),
-          "--point": (2, "two comma-separated rationals x,y", "point coordinate")}
+# the list-valued options: flag -> (separator, entries, entry type, usage)
+_LISTS = {"--curve": (",", 5, Fraction,
+                      "five comma-separated rationals a1,a2,a3,a4,a6"),
+          "--point": (",", 2, Fraction, "two comma-separated rationals x,y"),
+          "--window": (",", 3, int, "S,W,D integers"),
+          "--range": ("..", 2, int, "A..B with integers A <= B")}
 
 
 def _parse_list(flag, text):
-    count, usage, what = _LISTS[flag]
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
+    separator, count, kind, usage = _LISTS[flag]
+    try:
+        values = [kind(part) for part in text.split(separator)]
+    except (ValueError, ZeroDivisionError):
+        values = []
+    if len(values) != count:
         raise DomainError(f"{flag} wants {usage}")
-    try:
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"bad {what}: {exc}") from exc
-
-
-def _parse_range(text):
-    try:
-        a, b = map(int, text.split(".."))
-    except ValueError as exc:
-        raise DomainError("--range wants A..B with integers A <= B") from exc
-    if a > b:
-        raise DomainError("--range wants A..B with integers A <= B")
-    return range(a, b + 1)
+    return values
 
 
 # -- subcommands -------------------------------------------------------------
@@ -394,8 +387,12 @@ def cmd_delta(args):
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
         return _emit(args, "delta", inputs, g.to_text(), [])
-    values = (_parse_range(args.range) if args.range
-              else [args.c4_pow if args.c4_pow is not None else args.delta_pow])
+    values = [args.c4_pow if args.c4_pow is not None else args.delta_pow]
+    if args.range:
+        a, b = _parse_list("--range", args.range)
+        if a > b:
+            raise DomainError(f"--range wants {_LISTS['--range'][3]}")
+        values = range(a, b + 1)
     rows, checks = [], []
     if args.c4_pow is not None:
         for k, r in zip(values, val2_delta_c4pow(values)):
@@ -438,13 +435,8 @@ def cmd_qexp(args):
 def cmd_chart(args):
     from .sseq import (Window, DEFAULT_WINDOW, compute_all, chart_json,
                        chart_ascii)
-    win = DEFAULT_WINDOW
-    if args.window:
-        try:
-            S, W, D = map(int, args.window.split(","))
-        except ValueError as exc:
-            raise DomainError("--window wants S,W,D integers") from exc
-        win = Window(S, W, D)
+    win = (Window(*_parse_list("--window", args.window)) if args.window
+           else DEFAULT_WINDOW)
     try:
         pages = compute_all(win)
     except AssertionError as exc:
@@ -497,9 +489,9 @@ COMMANDS = {
     "normalize": (cmd_normalize, {"--curve": {}, "--point": {}}),
     "isogeny": (cmd_isogeny, {}),
     "maps": (cmd_maps, {"--expr": {}, "--apply": {"choices": KNOWN_FUNCS}}),
-    "delta": (cmd_delta, {"--c4-pow": {"type": int, "dest": "c4_pow"},
+    "delta": (cmd_delta, {"--c4-pow": {"type": int},
                           "--val2": {"action": "store_true"},
-                          "--delta-pow": {"type": int, "dest": "delta_pow"},
+                          "--delta-pow": {"type": int},
                           "--range": {}}),
     "qexp": (cmd_qexp, {"--expr": {}, "--precision": {"type": int, "default": 10},
                         "--eisenstein": {"type": int}}),
@@ -542,31 +534,20 @@ def usage_error(command, message):
     _add_flags(argparse.ArgumentParser(prog=f"tmf3 {command}"), command).error(message)
 
 
-def _modelled(kw):
-    """Whether quick_parse reads a flag of these argparse keywords: type only
-    as int, action only as "store_true"; any other flag is left to argparse."""
-    return (kw.keys() <= {"type", "choices", "default", "dest", "action", "help"}
-            and kw.get("type", int) is int
-            and kw.get("action", "store_true") == "store_true")
-
-
 def quick_parse(argv):
     """The namespace build_parser().parse_args(argv) returns, read from
     COMMANDS without argparse; None for a command line it does not read.
 
-    It reads a known subcommand followed by its exact long flags, each at
-    most once: --flag=value, --flag value where the value does not start
-    with "-", or a store-true flag alone. Anything else (help, an
-    abbreviation, "--", a repeated flag, a bad int or choice) is None, so
-    that argparse parses it and gives its own messages and exit codes."""
+    It reads the line as _join_values leaves it: a known subcommand
+    followed by its exact long flags, each at most once, as --flag=value or
+    a store-true flag alone. Anything else (help, an abbreviation, "--", a
+    value flag with no value, a repeated flag, a bad int or choice) is None,
+    so that argparse parses it and gives its own messages and exit codes."""
     if not argv or argv[0] not in COMMANDS:
         return None
     flags = _flags(argv[0])
-    if not all(map(_modelled, flags.values())):
-        return None
     given = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
+    for token in argv[1:]:
         flag, eq, value = token.partition("=")
         kw = flags.get(flag)
         if kw is None or flag in given:
@@ -576,9 +557,7 @@ def quick_parse(argv):
                 return None
             value = True
         elif not eq:
-            value = next(tokens, None)
-            if value is None or value.startswith("-"):
-                return None
+            return None
         if "type" in kw:
             try:
                 value = int(value)
@@ -590,19 +569,22 @@ def quick_parse(argv):
     args = SimpleNamespace(command=argv[0], fn=COMMANDS[argv[0]][0])
     for flag, kw in flags.items():
         unset = False if kw.get("action") == "store_true" else None
-        setattr(args, kw.get("dest", flag[2:].replace("-", "_")),
+        setattr(args, flag[2:].replace("-", "_"),
                 given.get(flag, kw.get("default", unset)))
     return args
 
 
 def _join_values(argv):
     """argv with each exact value flag of its subcommand joined to the next
-    token as --flag=value, unless that token is a flag or -h/--help."""
+    token as --flag=value, unless that token, up to any "=", is -h or, by
+    argparse's rule for abbreviations, "--" or a prefix of one of the
+    subcommand's flags or --help."""
     flags = _flags(argv[0]) if argv and argv[0] in COMMANDS else {}
     values = {flag for flag, kw in flags.items() if kw.get("action") != "store_true"}
+    stops = {"-h"} | {f[:n] for f in (*flags, "--help") for n in range(2, len(f) + 1)}
     joined = argv[:1]
     for token in argv[1:]:
-        if joined[-1] in values and token not in (*flags, "-h", "--help"):
+        if joined[-1] in values and token.partition("=")[0] not in stops:
             joined[-1] += f"={token}"
         else:
             joined.append(token)

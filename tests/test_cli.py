@@ -481,6 +481,39 @@ def test_a_value_flag_followed_by_a_flag_is_still_a_usage_error(capsys):
     assert "argument --expr: expected one argument" in capsys.readouterr().err
 
 
+def test_an_abbreviated_flag_is_no_value(capsys):
+    # --js abbreviates --json, so --expr has no value, as argparse reads it
+    with pytest.raises(SystemExit) as exc:
+        main(["maps", "--expr", "--js"])
+    assert exc.value.code == 2
+    assert "argument --expr: expected one argument" in capsys.readouterr().err
+
+
+_CURVE = "five comma-separated rationals a1,a2,a3,a4,a6"
+_POINT = "two comma-separated rationals x,y"
+_RANGE = "A..B with integers A <= B"
+
+
+_MALFORMED_LISTS = [
+    (("invariants", "--curve=1,2,3,4"), "--curve", _CURVE),
+    (("invariants", "--curve=1,2,x,4,5"), "--curve", _CURVE),
+    (("invariants", "--curve=1/0,0,0,0,0"), "--curve", _CURVE),
+    (("normalize", "--curve=1,0,2,0,0", "--point=0,0,0"), "--point", _POINT),
+    (("normalize", "--curve=1,0,2,0,0", "--point=0,y"), "--point", _POINT),
+    (("chart", "--window=12,100"), "--window", "S,W,D integers"),
+    (("chart", "--window=12,100,1/2"), "--window", "S,W,D integers"),
+    (("delta", "--delta-pow=1", "--range=1..2..3"), "--range", _RANGE),
+    (("delta", "--delta-pow=1", "--range=1..x"), "--range", _RANGE),
+    (("delta", "--delta-pow=1", "--range", "3..1"), "--range", _RANGE),
+]
+
+
+@pytest.mark.parametrize("argv, flag, usage", _MALFORMED_LISTS,
+                         ids=[" ".join(argv) for argv, _, _ in _MALFORMED_LISTS])
+def test_a_malformed_list_value_names_its_usage(capsys, argv, flag, usage):
+    assert run(capsys, *argv) == (1, "", f"error: {flag} wants {usage}\n")
+
+
 def test_invariants_j_placeholder(capsys):
     code, out, err = run(capsys, "invariants", "--curve", "0,0,0,0,0", "--json")
     assert code == 0 and json.loads(out)["result"]["j"] == "undefined (Delta = 0)"

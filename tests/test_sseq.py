@@ -346,7 +346,7 @@ def test_stabilization_check_fails_on_a_growing_cokernel(e4):
         localize_stabilize(e4)
 
 
-# -- E8 from the u-exponent's d7, against the parity rule it replaced ---------
+# -- E8 from the u-exponent's d7, against the parity rule and the closed form -
 
 def _ref_e8_cells(e7):
     """E8 by the parity rule: on lines s >= 7 every class dies, on lines
@@ -385,10 +385,34 @@ _WINDOWS = _E8_GRID + _BENCHMARK_WINDOWS + [
     Window(S, W, DEFAULT_WINDOW.D) for S in (7, 8, 12) for W in range(24, 331, 7)]
 
 
+def _survives(s, i, j):
+    m = (i + 3 * j - s) // 2
+    return m % 2 == 0 and (s <= 2 if i >= 1 else s <= 6 and m % 4 == 0)
+
+
+def _closed_form_e8_cells(e2):
+    """E8 = Einf from E2 alone, by the u-exponent m = (i + 3j - s)/2: the
+    0-line keeps every monomial, and on a line s >= 1 the class
+    x^s a1^i a3^j survives iff m is even, and either i >= 1 and s <= 2, or
+    i = 0, s <= 6 and m = 0 mod 4. The cells with s >= 3 and
+    t - 2 > W + s - 3, which apply_d3 does not trust, are dropped."""
+    cells = {}
+    for (s, t), basis in e2.cells.items():
+        if s >= 3 and t - 2 > e2.window.W + s - 3:
+            continue
+        keep = [(i, j) for (i, j) in basis if s == 0 or _survives(s, i, j)]
+        if keep:
+            cells[(s, t)] = keep
+    return cells
+
+
 def test_e8_cells_match_the_parity_rule():
     for window in _WINDOWS:
-        e7 = localize_stabilize(apply_d3(build_E2(window)))
-        assert e7_model_and_d7(e7).cells == _ref_e8_cells(e7), window
+        e2 = build_E2(window)
+        e7 = localize_stabilize(apply_d3(e2))
+        e8 = e7_model_and_d7(e7).cells
+        assert e8 == _ref_e8_cells(e7), window
+        assert e8 == _closed_form_e8_cells(e2), window
 
 
 # -- E2 and E4 against the filter-and-sort form they replaced -----------------
