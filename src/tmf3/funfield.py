@@ -1,6 +1,6 @@
 """Function field of the universal curve y^2 + a1 xy + a3 y = x^3.
 
-Elements are (u + v*y) / (x^i * a3^j) with u, v ``MultiPoly``s in
+Elements are (u + v*y) / (x^i * a3^j) with u, v ``FieldPoly``s in
 (a1, a3, x) of weights (1, 3, 2); multiplication uses the reduction
 y^2 = x^3 - (a1 x + a3) y.  The conjugate ybar = -y - a1 x - a3 satisfies
 y * ybar = -x^3, and translation by (0,0) sends (x, y) to
@@ -21,25 +21,31 @@ from .multipoly import MultiPoly, _leading_zeros
 from .ring import DomainError, Ring, ladder, monomial_text
 from .weierstrass import WCurve, gamma1_curves
 
-VARS = ("a1", "a3", "x")
 
-_A1 = MultiPoly.gen("a1", VARS)
-_A3 = MultiPoly.gen("a3", VARS)
-_X = MultiPoly.gen("x", VARS)
+class FieldPoly(MultiPoly):
+    """A polynomial in (a1, a3, x), x of weight 2."""
+
+    __slots__ = ()
+    vars = ("a1", "a3", "x")
+    weights = (1, 3, 2)
+
+
+_A1 = FieldPoly.gen("a1")
+_A3 = FieldPoly.gen("a3")
+_X = FieldPoly.gen("x")
 _X3 = _X ** 3
 _S = _A1 * _X + _A3     # y + ybar = -(a1 x + a3)
 
 
-def _shift(p: MultiPoly, dx: int, da3: int) -> MultiPoly:
+def _shift(p: FieldPoly, dx: int, da3: int) -> FieldPoly:
     """p * x^dx * a3^da3, for shifts that keep every exponent >= 0."""
     return p._shift((0, da3, dx))
 
 
-def _euler(p: MultiPoly, i: int) -> MultiPoly:
+def _euler(p: FieldPoly, i: int) -> FieldPoly:
     """x * dp/dx - i * p: each group's list runs over the power k of x."""
-    return MultiPoly._new({key: [c * (k - i) for k, c in enumerate(cs)]
-                           for key, cs in p.groups.items()},
-                          p.den, p.vars, p.weights)
+    return FieldPoly._new({key: [c * (k - i) for k, c in enumerate(cs)]
+                           for key, cs in p.groups.items()}, p.den)
 
 
 class FFElem(Ring):
@@ -78,8 +84,8 @@ class FFElem(Ring):
         return not (self.u or self.v)
 
     def _lift(self, x):
-        """A MultiPoly p as p + 0*y, and a scalar as for every Ring."""
-        return FFElem(x) if isinstance(x, MultiPoly) else super()._lift(x)
+        """A FieldPoly p as p + 0*y, and a scalar as for every Ring."""
+        return FFElem(x) if type(x) is FieldPoly else super()._lift(x)
 
     def _key(self):
         return self.u, self.v, self.den
@@ -146,7 +152,7 @@ def sigma_pullback(e: FFElem) -> FFElem:
     result = FFElem(0)
     for p, sy in parts:
         for (e1, e3, ex), c in p.terms.items():
-            term = FFElem(MultiPoly({(e1, e3, 0): Fraction(c, p.den)}, VARS), 0, (0, j))
+            term = FFElem(FieldPoly({(e1, e3, 0): Fraction(c, p.den)}), 0, (0, j))
             # a factor 1 is left out
             for factor in (sy, powers.get(ex - i)):
                 if factor is not None:

@@ -262,8 +262,7 @@ def tstar(g: LocElem) -> LocElem:
         groups[w] = (sign, half + e3 - 4 * e9 - 3 * top, acc)
     low = min(power for _, power, _ in groups.values())
     num = MultiPoly._new({(w,): [sign * 3 ** (power - low) * x for x in acc]
-                          for w, (sign, power, acc) in groups.items()},
-                         g.num.den, g.num.vars, g.num.weights)
+                          for w, (sign, power, acc) in groups.items()}, g.num.den)
     # t* swaps a3 and a1^3 - 27 a3 up to units, so the result is canonical
     return LocElem._from_canonical(num * Fraction(3) ** low, e9, e3)
 

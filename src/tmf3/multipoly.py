@@ -13,9 +13,10 @@ are dropped, gcd(den, numerators) = 1 and ``den == 1`` for zero, so equal
 polynomials have equal fields. Products are list convolutions, one per pair
 of groups; ``terms`` is a read-only view {exponent tuple: int}.
 
-A variable's weight follows from its name, by the one table ``WEIGHTS``: the
-default set (a1, a3) carries modular-form weights (1, 3), and the function
-field adds x of weight 2.
+A polynomial's variable set is its type: ``MultiPoly`` is the level-3 ring
+in (a1, a3) of modular-form weights (1, 3), and a subclass fixes another set
+in the class attributes ``vars`` and ``weights``, as the function field's
+``FieldPoly`` does for (a1, a3, x). Mixing two sets is a TypeError.
 
 Also provides:
 
@@ -40,11 +41,6 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .ring import DomainError, Ring, monomial_text, terms_text
-
-DEFAULT_VARS = ("a1", "a3")
-# the weight of every variable a MultiPoly may use
-WEIGHTS = {"a1": 1, "a3": 3, "x": 2}
-
 
 # -- int lists ---------------------------------------------------------------
 
@@ -124,16 +120,13 @@ def _canonical(groups, den):
 
 
 class MultiPoly(Ring):
-    """Weight-graded polynomial: {key: list of ints} over ``den``."""
+    """Weight-graded polynomial in ``vars``: {key: list of ints} over ``den``."""
 
-    __slots__ = ("vars", "weights", "groups", "den")
+    __slots__ = ("groups", "den")
+    vars = ("a1", "a3")
+    weights = (1, 3)
 
-    def __init__(self, terms=None, vars=DEFAULT_VARS):
-        self.vars = tuple(vars)
-        self.weights = tuple(WEIGHTS.get(v, 0) for v in self.vars)
-        if len(self.vars) < 2 or self.weights[0] != 1 or 0 in self.weights:
-            raise ValueError(f"a MultiPoly needs two or more variables of {WEIGHTS}, "
-                             f"the first of weight 1, not {self.vars}")
+    def __init__(self, terms=None):
         clean = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
         den = lcm(*(c.denominator for c in clean.values()))
         self.groups, self.den = _canonical(_group(
@@ -143,28 +136,24 @@ class MultiPoly(Ring):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _new(cls, groups, den, vars, weights):
+    def _new(cls, groups, den):
         """Internal: build from {key: list of ints} over a positive den."""
         self = cls.__new__(cls)
-        self.vars = vars
-        self.weights = weights
         self.groups, self.den = _canonical(groups, den)
         return self
 
     @classmethod
-    def const(cls, c, vars=DEFAULT_VARS):
-        n = len(vars)
-        return cls({(0,) * n: c}, vars)
+    def const(cls, c):
+        return cls({(0,) * len(cls.vars): c})
 
     def one(self):
-        return MultiPoly.const(1, self.vars)
+        return self.const(1)
 
     @classmethod
-    def gen(cls, name, vars=DEFAULT_VARS):
-        i = tuple(vars).index(name)
-        e = [0] * len(vars)
-        e[i] = 1
-        return cls({tuple(e): 1}, vars)
+    def gen(cls, name):
+        e = [0] * len(cls.vars)
+        e[cls.vars.index(name)] = 1
+        return cls({tuple(e): 1})
 
     # -- basic structure ---------------------------------------------------
 
@@ -188,12 +177,7 @@ class MultiPoly(Ring):
         return bool(self.groups)
 
     def _key(self):
-        return (self.vars, self.den,
-                frozenset((key, tuple(cs)) for key, cs in self.groups.items()))
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+        return self.den, frozenset((key, tuple(cs)) for key, cs in self.groups.items())
 
     def _shift(self, exps):
         """self times the monomial with exponents ``exps``, whose negative
@@ -202,14 +186,13 @@ class MultiPoly(Ring):
         mid, k = exps[1:-1], exps[-1]
         groups = {(key[0] + dw, *map(add, key[1:], mid)):
                   [0] * k + cs if k >= 0 else cs[-k:] for key, cs in self.groups.items()}
-        return MultiPoly._new(groups, self.den, self.vars, self.weights)
+        return self._new(groups, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if (other := self._lift(other)) is None:
             return NotImplemented
-        self._check(other)
         d1, d2 = self.den, other.den
         den = d1 if d1 == d2 else lcm(d1, d2)
         f1, f2 = den // d1, den // d2
@@ -219,16 +202,14 @@ class MultiPoly(Ring):
                 cs = [c * f2 for c in cs]
             old = g.get(key)
             g[key] = cs if old is None else _add_lists(old, cs)
-        return MultiPoly._new(g, den, self.vars, self.weights)
+        return self._new(g, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             n, d = other.numerator, other.denominator
-            return MultiPoly._new(_scale(self.groups, n), self.den * d,
-                                  self.vars, self.weights)
+            return self._new(_scale(self.groups, n), self.den * d)
         if (other := self._lift(other)) is None:
             return NotImplemented
-        self._check(other)
         out = {}
         for k1, c1 in self.groups.items():
             for k2, c2 in other.groups.items():
@@ -236,16 +217,15 @@ class MultiPoly(Ring):
                 prod = _convolve(c1, c2)
                 old = out.get(key)
                 out[key] = prod if old is None else _add_lists(old, prod)
-        return MultiPoly._new(out, self.den * other.den, self.vars, self.weights)
+        return self._new(out, self.den * other.den)
 
     def __pow__(self, n: int):
         if n >= 0 and len(self.groups) == 1:
             # every homogeneous polynomial in two variables
             (key, cs), = self.groups.items()
             z = _leading_zeros(cs)
-            return MultiPoly._new({tuple(n * x for x in key):
-                                   [0] * (z * n) + _power_list(cs[z:], n)},
-                                  self.den ** n, self.vars, self.weights)
+            return self._new({tuple(n * x for x in key):
+                              [0] * (z * n) + _power_list(cs[z:], n)}, self.den ** n)
         return super().__pow__(n)
 
     # -- queries -----------------------------------------------------------
@@ -314,7 +294,8 @@ def divide_exact(p: MultiPoly):
     q * (a1^3 - 27*a3) equals p in every coefficient but the top one, so
     the product gives back p exactly when c_n = -27 q_(n-1).
     """
-    p._check(_DISC)
+    if type(p) is not MultiPoly:
+        raise TypeError(f"{p!r} is not a polynomial in (a1, a3)")
     out = {}
     for (w,), c in p.groups.items():
         q, prev = [], 0
@@ -324,7 +305,7 @@ def divide_exact(p: MultiPoly):
         if c[-1] != -27 * prev:
             return None
         out[(w - 3,)] = q
-    return MultiPoly._new(out, p.den, p.vars, p.weights)
+    return MultiPoly._new(out, p.den)
 
 
 # -- mod 2 -------------------------------------------------------------------
@@ -334,7 +315,7 @@ class GF2Poly(Ring):
 
     __slots__ = ("vars", "monos")
 
-    def __init__(self, monos=(), vars=DEFAULT_VARS):
+    def __init__(self, monos=(), vars=MultiPoly.vars):
         acc = set()
         for e in monos:
             e = tuple(e)
@@ -352,8 +333,8 @@ class GF2Poly(Ring):
         return self.vars, self.monos
 
     def _lift(self, x):
-        # no scalar mixes with a GF2Poly, so GF2Poly(...) == 0 is False
-        return x if isinstance(x, GF2Poly) else None
+        # neither a scalar (GF2Poly(...) == 0 is False) nor other variables mix
+        return x if type(x) is GF2Poly and x.vars == self.vars else None
 
     def one(self):
         return GF2Poly([(0,) * len(self.vars)], self.vars)
@@ -419,6 +400,8 @@ class LocElem(Ring):
     def __init__(self, num: MultiPoly, e3: int = 0, e9: int = 0):
         if e3 < 0 or e9 < 0:
             raise ValueError("denominator exponents must be >= 0")
+        if type(num) is not MultiPoly:
+            raise TypeError(f"{num!r} is not a polynomial in (a1, a3)")
         num, e3, e9 = _loc_reduce(num, e3, e9)
         self.num = num
         self.e3 = e3
@@ -439,7 +422,7 @@ class LocElem(Ring):
 
     def _lift(self, x):
         """A MultiPoly p as p / 1, and a scalar as for every Ring."""
-        return LocElem(x) if isinstance(x, MultiPoly) else super()._lift(x)
+        return LocElem(x) if type(x) is MultiPoly else super()._lift(x)
 
     def _key(self):
         return self.num, self.e3, self.e9

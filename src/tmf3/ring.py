@@ -6,9 +6,9 @@ square-and-multiply, and printing a monomial as name^x factors.
 taking an int or Fraction where the class mixes with scalars), ``one()``,
 ``to_text()``, ``_key()`` (its canonical fields) and ``inverse()`` where
 elements can be inverted; ``Ring`` derives ``==`` and ``hash`` from
-``_key()``, with ``_lift`` taking a scalar c to c * one() and declining a
-foreign operand, the reflected and mixed operators, unary and binary ``-``,
-``/``, ``**`` with its rule for n < 0, and ``str`` and ``repr``.
+``_key()``, with ``_lift`` taking a scalar c to c * one() and declining
+an operand of another class, the reflected and mixed operators, unary and
+binary ``-``, ``/``, ``**`` with its rule for n < 0, and ``str`` and ``repr``.
 ``ladder`` takes several powers of one element from one table. Every rule
 that rejects a user's input raises the one ``DomainError``.
 """
@@ -78,8 +78,8 @@ class Ring:
 
     def _lift(self, x):
         """x as an element of this ring: a scalar c as c * one(), an element
-        as it is, and None for anything else."""
-        if isinstance(x, type(self)):
+        of exactly this class as it is, and None for anything else."""
+        if type(x) is type(self):
             return x
         return self.one() * x if isinstance(x, (int, Fraction)) else None
 

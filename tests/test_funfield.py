@@ -8,12 +8,11 @@ import pytest
 from tmf3 import funfield, weierstrass
 from tmf3.funfield import (FFElem, sigma_pullback, velu3, velu3_closed_form,
                            verify_isogeny)
-from tmf3.multipoly import MultiPoly
 from tmf3.weierstrass import WCurve
 
 
 def gen(name):
-    return MultiPoly.gen(name, funfield.VARS)
+    return funfield.FieldPoly.gen(name)
 
 
 def test_field_relation():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmf3 import multipoly
+from tmf3.funfield import FieldPoly
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, disc_factor,
                             divide_exact, mod2, min_a1_term)
 from tmf3.rationals import val_p_int
@@ -271,30 +272,28 @@ def test_loc_elem_results_equal_the_reduced_form(p, e3, e9, c, n, q, k3, k9):
     assert ((g * 0).e3, (g * 0).e9) == (0, 0)
 
 
-# the level-3 ring, (a1, x) for a second variable of weight other than 3,
-# and the function field's (a1, a3, x), each with the weights its names
-# carry and the exponent bounds its random polynomials use
-VAR_SETS = [(("a1", "a3"), (1, 3), (6, 3)), (("a1", "x"), (1, 2), (6, 6)),
-            (("a1", "a3", "x"), (1, 3, 2), (4, 2, 3))]
+class _A1X(MultiPoly):
+    """A second variable of weight other than 3."""
+
+    __slots__ = ()
+    vars = ("a1", "x")
+    weights = (1, 2)
+
+
+# the level-3 ring, (a1, x) and the function field's (a1, a3, x), each with
+# the exponent bounds its random polynomials use
+VAR_SETS = [(MultiPoly, (6, 3)), (_A1X, (6, 6)), (FieldPoly, (4, 2, 3))]
 
 
 def test_equal_names_mean_equal_gradings():
-    # a generator built alone and one from the function field's table are
-    # one polynomial: they add, multiply and compare as such
+    # a generator built alone and one the function field shares are one
+    # polynomial: they add, multiply and compare as such
     from tmf3 import funfield
-    x = MultiPoly.gen("x", ("a1", "a3", "x"))
+    x = FieldPoly.gen("x")
     assert x == funfield._X and hash(x) == hash(funfield._X)
     assert (x + funfield._X).to_text() == "2*x"
     assert x * funfield._A1 == funfield._A1 * funfield._X
     assert (x * funfield._A3).weight_of() == 5
-
-
-def test_a_variable_without_a_weight_is_refused():
-    for vars in (("a1", "y"), ("t", "a3"), ("a1", "a3", "z"), ("u", "v")):
-        with pytest.raises(ValueError, match="two or more variables of"):
-            MultiPoly({}, vars)
-    with pytest.raises(ValueError, match="first of weight 1"):
-        MultiPoly({}, ("a3", "a1"))
 
 
 def _polys(bounds):
@@ -302,20 +301,20 @@ def _polys(bounds):
                            _COEFFS, max_size=6).map(_ref_clean)
 
 
-@pytest.mark.parametrize("vars, weights, bounds", VAR_SETS, ids=["a1a3", "a1x", "a1a3x"])
+@pytest.mark.parametrize("cls, bounds", VAR_SETS, ids=["a1a3", "a1x", "a1a3x"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_graded_layout_matches_fraction_reference(vars, weights, bounds, data):
+def test_graded_layout_matches_fraction_reference(cls, bounds, data):
     p, q = (data.draw(_polys(bounds)) for _ in range(2))
     n = data.draw(st.integers(0, 4))
-    P, Q = MultiPoly(p, vars), MultiPoly(q, vars)
-    assert P.weights == weights
-    one = (0,) * len(vars)
+    P, Q = cls(p), cls(q)
+    assert type(P + Q) is type(P * Q) is type(P ** n) is type(-P) is cls
+    one = (0,) * len(cls.vars)
     assert _agrees(P, p)
     assert _agrees(P + Q, _ref_add(p, q))
     assert _agrees(P - Q, _ref_add(p, {e: -c for e, c in q.items()}))
     assert _agrees(P * Q, _ref_mul(p, q))
-    assert _agrees(P ** n, _ref_pow(p, n, len(vars)))
+    assert _agrees(P ** n, _ref_pow(p, n, len(cls.vars)))
     assert _agrees(P * Fraction(-5, 9), _ref_mul(p, {one: Fraction(-5, 9)}))
     # equal values built along different paths are equal and hash alike
     assert (P == Q) == (p == q)
@@ -333,11 +332,11 @@ def test_graded_layout_matches_fraction_reference(vars, weights, bounds, data):
 def test_power_of_a_homogeneous_polynomial(var_set, zeros, cs, n):
     # one weight group, leading zeros included: the power takes Miller's
     # recurrence, checked against repeated products
-    vars, weights, _ = var_set
-    wl, top = weights[1], zeros + len(cs) - 1
+    cls, _ = var_set
+    wl, top = cls.weights[1], zeros + len(cs) - 1
     p = _ref_clean({(wl * (top - j), j): c for j, c in enumerate([0] * zeros + cs)})
-    P = MultiPoly(p, vars)
-    assert P.weights == weights and len(P.groups) == 1
+    P = cls(p)
+    assert len(P.groups) == 1
     assert _agrees(P ** n, _ref_pow(p, n))
 
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmf3 import qexp
 from tmf3.qexp import (QSeries, eisenstein_G, eisenstein_in_c4c6, series_c4,
                        series_c6, series_delta, e_alpha)
 from tmf3.levelmaps import LevelOneForm, cochain_D1, monomial_images
 from tmf3.multipoly import LocElem, MultiPoly
+from tmf3.rationals import bernoulli, val_p_int
 
 
 def test_series_arithmetic():
@@ -135,6 +137,52 @@ def test_e_alpha_weight_four():
 def test_e_alpha_cocycles():
     for G in eisenstein_in_c4c6([4, 6, 8, 10, 12]).values():
         assert cochain_D1(*e_alpha(G)).is_zero()
+
+
+def _v2(c):
+    return val_p_int(c.numerator, 2) - val_p_int(c.denominator, 2)
+
+
+def _cocycle_orders(u_of):
+    """{k: r} for even k from 4 to 80: the class of e_alpha(k) = D0(u G_k)
+    has order 2^r, r = -min v2 over the coefficients of u G_k in the basis
+    c4^a c6^eps Delta^d, since D0 is injective in weight k != 0."""
+    exprs = eisenstein_in_c4c6(range(4, 81, 2))
+    return {k: -min(_v2(u_of(k) * c) for c in G.terms.values()) for k, G in exprs.items()}
+
+
+def _unit(k):
+    # the u of e_alpha
+    return 1 if k % 4 == 0 else 2
+
+
+def test_the_building_cocycles_have_the_2_order_of_the_image_of_j():
+    # for 4 | k the order is v2 of the denominator of B_k/2k, which is
+    # v2(k) + 2 (Adams, J(X) IV): the 2-order of the image of J in stem
+    # 2k - 1; for k = 2 mod 4, where u = 2, it is 2, one less than that 3
+    orders = _cocycle_orders(_unit)
+    assert sorted(orders) == list(range(4, 81, 2))
+    for k, r in orders.items():
+        den = val_p_int((bernoulli(k) / (2 * k)).denominator, 2)
+        assert den == val_p_int(k, 2) + 2, k
+        assert r == (den if k % 4 == 0 else 2), k
+
+
+def test_without_the_unit_every_order_is_the_denominators():
+    # u = 1 gives r = 3 at every k = 2 mod 4, so without u the order is v2
+    # of the denominator of B_k/2k at every k
+    for k, r in _cocycle_orders(lambda k: 1).items():
+        assert r == val_p_int((bernoulli(k) / (2 * k)).denominator, 2), k
+        assert k % 4 == 0 or r == 3, k
+
+
+def test_the_cocycle_orders_fail_with_a_wrong_bernoulli_number(monkeypatch):
+    # G_12's constant term is -B_12/24, read where qexp reads it
+    real = qexp.bernoulli
+    monkeypatch.setattr(qexp, "bernoulli",
+                        lambda m: real(m) * (2 if m == 12 else 1))
+    with pytest.raises(ValueError, match="^G_12 has no expression"):
+        _cocycle_orders(_unit)
 
 
 def _delta_by_product(prec):

@@ -10,7 +10,7 @@ import pytest
 from tmf3 import funfield
 from tmf3.funfield import FFElem
 from tmf3.levelmaps import LevelOneForm
-from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3
+from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3, divide_exact
 from tmf3.qexp import QSeries, series_c4
 from tmf3.ring import Ring, ladder, monomial_text, power, terms_text
 
@@ -75,17 +75,42 @@ def test_a_foreign_value_is_never_equal(name):
     assert x not in [None]
 
 
+# an element in another variable set is as foreign as None: a polynomial
+# in (a1, a3) and one of the function field's, or a mod-2 polynomial in
+# (a1, a3) and one in the chart's (a1, zeta, a3)
+OTHER_VARIABLES = {
+    MultiPoly: [funfield._X + 1, funfield.FieldPoly.const(1)],
+    LocElem: [funfield._X + 1, funfield.FieldPoly.const(1)],
+    FFElem: [a1() + a3(), MultiPoly.const(1)],
+    GF2Poly: [GF2Poly([(0, 1, 3)], ("a1", "zeta", "a3")),
+              GF2Poly([(0, 0, 0)], ("a1", "zeta", "a3"))],
+}
+
+
 @pytest.mark.parametrize("name", SAMPLES)
 def test_arithmetic_with_a_foreign_value_is_a_type_error(name):
     # each operator declines the operand, and so does the other one's
     # reflected operator: Python raises its TypeError, not an AttributeError
     x, one = SAMPLES[name]
-    for other in (None, "x", 1.5):
-        for op in (add, sub, mul, truediv):
-            with pytest.raises(TypeError):
-                op(x, other)
-            with pytest.raises(TypeError):
-                op(other, x)
+    for other in (None, "x", 1.5, *OTHER_VARIABLES.get(type(x), ())):
+        for y in (x, one):
+            assert (y == other) is False and (other == y) is False, other
+            for op in (add, sub, mul, truediv):
+                with pytest.raises(TypeError):
+                    op(y, other)
+                with pytest.raises(TypeError):
+                    op(other, y)
+
+
+@pytest.mark.parametrize("p", [funfield._X, funfield._A1 ** 3 - 27 * funfield._A3,
+                               funfield.FieldPoly()])
+def test_the_level3_ring_refuses_a_function_field_polynomial(p):
+    # neither divides by a1^3 - 27*a3 nor stores a numerator in (a1, a3, x)
+    with pytest.raises(TypeError, match=r"not a polynomial in \(a1, a3\)"):
+        divide_exact(p)
+    for e3, e9 in ((0, 0), (1, 1)):
+        with pytest.raises(TypeError, match=r"not a polynomial in \(a1, a3\)"):
+            LocElem(p, e3, e9)
 
 
 @pytest.mark.parametrize("p, g", [(a1() + a3(), LocElem(a1() ** 2, 1, 0)),

@@ -1,5 +1,6 @@
 """Every name an import binds in a ``tmf3`` module is used in that module,
-and every module-level ``_private`` name is read somewhere."""
+every module-level ``_private`` name is read somewhere, and no ring lifts an
+operand of another class."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,38 @@ def test_an_orphaned_private_name_is_found():
     # a string in a reader, as the tracer names the caches it wraps, reads it
     assert orphans(modules, ["WRAP = ('b', '_unused')"]) == [
         ("a.py", 2, "_DROPPED"), ("a.py", 5, "_Orphan")]
+
+
+def subclass_lifts(source):
+    """(line, call) of each ``isinstance`` call in a ``_lift`` that tests for
+    more than the scalars (int, Fraction). A ring lifts an element only of
+    exactly its own class, with ``type(x) is``: an isinstance would take a
+    subclass, such as a polynomial in another variable set, as its own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_lift":
+            found += [(call.lineno, ast.unparse(call)) for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id == "isinstance"
+                      and ast.unparse(call.args[1]) != "(int, Fraction)"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_ring_lifts_a_subclass(path):
+    assert subclass_lifts(path.read_text()) == []
+
+
+def test_a_subclass_lift_is_found():
+    source = ("class A(Ring):\n"
+              "    def _lift(self, x):\n"
+              "        if isinstance(x, (int, Fraction)):\n"
+              "            return self.one() * x\n"
+              "        return x if isinstance(x, type(self)) else None\n"
+              "class B(Ring):\n"
+              "    def _lift(self, x):\n"
+              "        return B(x) if isinstance(x, (MultiPoly, int)) else None\n"
+              "    def __add__(self, other):\n"
+              "        return isinstance(other, B)\n")
+    assert subclass_lifts(source) == [(5, "isinstance(x, type(self))"),
+                                      (8, "isinstance(x, (MultiPoly, int))")]
