@@ -57,6 +57,8 @@ class FFElem(Ring):
 
     def __init__(self, u=0, v=0, den=(0, 0)):
         u, v = _X._lift(u), _X._lift(v)
+        if u is None or v is None:
+            raise TypeError("the parts u, v of an FFElem are polynomials in (a1, a3, x)")
         i, j = den
         groups = [*u.groups.items(), *v.groups.items()]
         if not groups:

@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul
 
-from .multipoly import MultiPoly, LocElem, a1, a3, loc_sum, mod2, min_a1_term
+from .multipoly import MultiPoly, LocElem, a1, a3, loc_sum, mod2
 from .rationals import val_p_int
 from .ring import DomainError, Ring, ladder, terms_text
 from .weierstrass import gamma1_curves
@@ -357,7 +357,7 @@ def val_delta_c4c6(ks) -> list:
 
 
 def delta_mod2_Delta_pow(N: int) -> dict:
-    """min_a1_term of delta(Delta^N) mod 2, checked against
+    """The term of least a1-power of delta(Delta^N) mod 2, checked against
     a1^(3*2^(r+1)) a3^(2^(r+1)(4k+1)) for N = 2^r (2k+1).
 
     Proof: mod 2, FDELTA = a3^4 (1 + t) and QDELTA = a3^4 (1 + t)^3 with
@@ -368,8 +368,8 @@ def delta_mod2_Delta_pow(N: int) -> dict:
     a3^(4N)."""
     if N < 1:
         raise DomainError("N >= 1 required")
-    d = mod2(QDELTA) ** N + mod2(FDELTA) ** N
-    lead = min_a1_term(d)
+    # a1 is the first variable: the least exponent tuple has the least a1-power
+    lead = min((mod2(QDELTA) ** N + mod2(FDELTA) ** N).monos)
     r = val_p_int(N, 2)
     kk = ((N >> r) - 1) // 2
     expected = (3 * 2 ** (r + 1), 2 ** (r + 1) * (4 * kk + 1))

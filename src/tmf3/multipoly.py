@@ -23,7 +23,8 @@ Also provides:
 * ``divide_exact`` -- exact division by a1^3 - 27*a3 only, weight by
   weight: the quotient's list is q_j = c_j + 27 q_(j-1) from the low end,
   accepted only if the product gives back p;
-* ``GF2Poly`` -- the mod-2 reduction, as a set of exponent vectors;
+* ``GF2Poly`` -- polynomials over F2 in ``vars``, (a1, a3) or a subclass's,
+  as sets of exponent vectors, and ``mod2``, the reduction of a MultiPoly;
 * ``LocElem`` -- canonical elements of the localization inverting
   Delta = a3^3 * (a1^3 - 27*a3); denominators are tracked as the pair
   (power of a3, power of a1^3 - 27*a3) since Delta is reducible. A power
@@ -173,9 +174,6 @@ class MultiPoly(Ring):
     def is_zero(self):
         return not self.groups
 
-    def __bool__(self):
-        return bool(self.groups)
-
     def _key(self):
         return self.den, frozenset((key, tuple(cs)) for key, cs in self.groups.items())
 
@@ -311,11 +309,12 @@ def divide_exact(p: MultiPoly):
 # -- mod 2 -------------------------------------------------------------------
 
 class GF2Poly(Ring):
-    """Polynomial over F2: frozenset of exponent tuples."""
+    """Polynomial over F2 in ``vars``: frozenset of exponent tuples."""
 
-    __slots__ = ("vars", "monos")
+    __slots__ = ("monos",)
+    vars = MultiPoly.vars
 
-    def __init__(self, monos=(), vars=MultiPoly.vars):
+    def __init__(self, monos=()):
         acc = set()
         for e in monos:
             e = tuple(e)
@@ -323,26 +322,25 @@ class GF2Poly(Ring):
                 acc.discard(e)
             else:
                 acc.add(e)
-        self.vars = tuple(vars)
         self.monos = frozenset(acc)
 
     def is_zero(self):
         return not self.monos
 
     def _key(self):
-        return self.vars, self.monos
+        return self.monos
 
     def _lift(self, x):
-        # neither a scalar (GF2Poly(...) == 0 is False) nor other variables mix
-        return x if type(x) is GF2Poly and x.vars == self.vars else None
+        # no scalar mixes (GF2Poly(...) == 0 is False), nor another class
+        return x if type(x) is type(self) else None
 
     def one(self):
-        return GF2Poly([(0,) * len(self.vars)], self.vars)
+        return type(self)([(0,) * len(self.vars)])
 
     def __add__(self, other):
         if (other := self._lift(other)) is None:
             return NotImplemented
-        return GF2Poly(self.monos ^ other.monos, self.vars)
+        return type(self)(self.monos ^ other.monos)
 
     def __mul__(self, other):
         if (other := self._lift(other)) is None:
@@ -352,7 +350,7 @@ class GF2Poly(Ring):
         acc = set()
         for e1 in self.monos:
             acc ^= {tuple(map(add, e1, e2)) for e2 in other.monos}
-        return GF2Poly(acc, self.vars)
+        return type(self)(acc)
 
     def __pow__(self, n: int):
         # over F2 a square is the Frobenius image: its cross terms cancel in
@@ -360,7 +358,7 @@ class GF2Poly(Ring):
         # the product of those for the bits i of n
         if n < 0:
             return super().__pow__(n)
-        factors = [GF2Poly([tuple(c << i for c in e) for e in self.monos], self.vars)
+        factors = [type(self)([tuple(c << i for c in e) for e in self.monos])
                    for i in range(n.bit_length()) if n >> i & 1]
         return reduce(mul, factors) if factors else self.one()
 
@@ -371,23 +369,14 @@ class GF2Poly(Ring):
 
 def mod2(p: MultiPoly) -> GF2Poly:
     """Reduce coefficients mod 2; denominators must be odd (3 maps to 1)."""
+    if type(p) is not MultiPoly:
+        raise TypeError(f"{p!r} is not a polynomial in (a1, a3)")
     terms = p.terms
     if p.den % 2 == 0:
         bad = next(c for c in (Fraction(n, p.den) for n in terms.values())
                    if c.denominator % 2 == 0)
         raise ValueError(f"coefficient {bad} has even denominator")
-    return GF2Poly([e for e, c in terms.items() if c % 2], p.vars)
-
-
-def min_a1_term(p: GF2Poly):
-    """The exponent tuple of the unique term of minimal a1-exponent of a
-    nonzero GF2Poly.  Ties broken by minimal full exponent tuple
-    (impossible for homogeneous input).
-    """
-    if not p.monos:
-        raise ValueError("min_a1_term of zero polynomial")
-    i = p.vars.index("a1")
-    return min(p.monos, key=lambda e: (e[i], e))
+    return GF2Poly([e for e, c in terms.items() if c % 2])
 
 
 # -- localization at Delta ---------------------------------------------------

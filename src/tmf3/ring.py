@@ -4,11 +4,12 @@ square-and-multiply, and printing a monomial as name^x factors.
 ``MultiPoly``, ``GF2Poly``, ``LocElem``, ``LevelOneForm``, ``QSeries`` and
 ``FFElem`` are ``Ring``s. A subclass defines ``+`` and ``*`` (each also
 taking an int or Fraction where the class mixes with scalars), ``one()``,
-``to_text()``, ``_key()`` (its canonical fields) and ``inverse()`` where
-elements can be inverted; ``Ring`` derives ``==`` and ``hash`` from
-``_key()``, with ``_lift`` taking a scalar c to c * one() and declining
-an operand of another class, the reflected and mixed operators, unary and
-binary ``-``, ``/``, ``**`` with its rule for n < 0, and ``str`` and ``repr``.
+``is_zero()``, ``to_text()``, ``_key()`` (its canonical fields) and
+``inverse()`` where elements can be inverted; ``Ring`` derives ``==`` and
+``hash`` from ``_key()``, with ``_lift`` taking a scalar c to c * one() and
+declining an operand of another class, truth (a zero is falsy), the
+reflected and mixed operators, unary and binary ``-``, ``/``, ``**`` with
+its rule for n < 0, and ``str`` and ``repr``.
 ``ladder`` takes several powers of one element from one table. Every rule
 that rejects a user's input raises the one ``DomainError``.
 """
@@ -68,11 +69,11 @@ def _upward(x, exponents):
 
 
 class Ring:
-    """Operators derived from ``+``, ``*``, ``one()``, ``inverse()``,
-    ``to_text()`` and ``_key()``; every ring here is commutative, and equal
-    values have equal keys. An operator whose operand ``_lift`` declines
-    returns NotImplemented, so Python tries the reflected operator of the
-    other operand, or raises TypeError."""
+    """Operators derived from ``+``, ``*``, ``one()``, ``is_zero()``,
+    ``inverse()``, ``to_text()`` and ``_key()``; every ring here is
+    commutative, and equal values have equal keys. An operator whose operand
+    ``_lift`` declines returns NotImplemented, so Python tries the reflected
+    operator of the other operand, or raises TypeError."""
 
     __slots__ = ()
 
@@ -90,6 +91,9 @@ class Ring:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __neg__(self):
         return self * -1

@@ -3,8 +3,9 @@ Gamma_1(3) moduli, converging to pi_* TMF(Gamma_0(3)).
 
 E_2^{s,t} is the even part of Z[1/3, a1, a3, zeta, Delta^-1]/(2 zeta) with
 zeta in bidegree (1, 0): internally a basis of raw monomials
-zeta^s a1^i a3^j with i + j + s even and t = 2i + 6j.  The 0-line carries
-Z[1/3]-coefficients, lines s >= 1 carry F_2.
+zeta^s a1^i a3^j with i + j + s even and t = 2i + 6j; a sum of them is a
+``RawPoly``, keyed by (s, i, j).  The 0-line carries Z[1/3]-coefficients,
+lines s >= 1 carry F_2.
 
 Both differentials come from one exponent: zeta^s a1^i a3^j is
 a_sigma^s abar1^i abar3^j u_{2sigma}^m with m = (i + 3j - s)/2 (u_exponent).
@@ -93,23 +94,22 @@ def kernel_f2(rows):
 
 # -- the presentation generators --------------------------------------------
 
-# raw monomials a1^i zeta^s a3^j, and the named generators as their sums
-RAW_VARS = ("a1", "zeta", "a3")
+class RawPoly(GF2Poly):
+    """A sum of raw monomials, keyed by the (s, i, j) that d3_coeff takes."""
+
+    __slots__ = ()
+    vars = ("zeta", "a1", "a3")
 
 
-def _raw(*monos):
-    return GF2Poly(monos, RAW_VARS)
-
-
-RAW_A = _raw((2, 0, 0))              # a1^2
-RAW_B = _raw((1, 0, 1))              # a1 a3
-RAW_C = _raw((0, 0, 2))              # a3^2
-RAW_X = _raw((0, 1, 3))              # zeta a3^3
-RAW_DELTA = _raw((3, 0, 3), (0, 0, 4))   # B^3 - 27 C^2 mod 2
-RAW_H1 = _raw((1, 1, 0))             # zeta a1
-RAW_H2 = _raw((0, 3, 1))             # zeta^3 a3
-RAW_H20 = _raw((0, 1, 1))            # zeta a3
-RAW_ZETA = _raw((0, 1, 0))
+RAW_A = RawPoly([(0, 2, 0)])             # a1^2
+RAW_B = RawPoly([(0, 1, 1)])             # a1 a3
+RAW_C = RawPoly([(0, 0, 2)])             # a3^2
+RAW_X = RawPoly([(1, 0, 3)])             # zeta a3^3
+RAW_DELTA = RawPoly([(0, 3, 3), (0, 0, 4)])   # B^3 - 27 C^2 mod 2
+RAW_H1 = RawPoly([(1, 1, 0)])            # zeta a1
+RAW_H2 = RawPoly([(3, 0, 1)])            # zeta^3 a3
+RAW_H20 = RawPoly([(1, 0, 1)])           # zeta a3
+RAW_ZETA = RawPoly([(1, 0, 0)])
 
 
 # -- the differentials from the u-exponent -----------------------------------
@@ -131,9 +131,9 @@ def d7(s, i, j):
     return (s + 7, 0, j + 1) if i == 0 and u_exponent(s, i, j) & 2 else None
 
 
-def _raw_d3(p: GF2Poly) -> GF2Poly:
+def _raw_d3(p: RawPoly) -> RawPoly:
     """d3 of a polynomial in raw monomials, monomial by monomial."""
-    return _raw(*((i + 1, s + 3, j) for (i, s, j) in p.monos if d3_coeff(s, i, j)))
+    return RawPoly((s + 3, i + 1, j) for (s, i, j) in p.monos if d3_coeff(s, i, j))
 
 
 def d3_presentation_checks():
@@ -177,7 +177,7 @@ def square_rule_check():
     """d3(c^2) = h1 (zeta c)^2 for odd-weight monomials c = a1^p a3^q."""
     return all(_raw_d3(c ** 2) == RAW_H1 * (RAW_ZETA * c) ** 2
                for (p, q) in ((1, 0), (0, 1), (3, 2), (5, 0), (2, 3))
-               for c in [_raw((p, 0, q))])
+               for c in [RawPoly([(0, p, q)])])
 
 
 # -- chart pages -------------------------------------------------------------
@@ -326,7 +326,7 @@ def _delta_mult_matrix(page, s, t):
     rows = []
     for (i, j) in src:
         row = 0
-        for m in ((i + di, j + dj) for (di, _, dj) in RAW_DELTA.monos):
+        for m in ((i + di, j + dj) for (_, di, dj) in RAW_DELTA.monos):
             if m in pos:
                 row ^= 1 << pos[m]
         rows.append(row)

@@ -400,7 +400,7 @@ def _raise(exc):
     # no domain error
     (("delta", "--c4-pow", "2", "--val2"), "tmf3.levelmaps", "_content_check",
      ValueError("internal fault")),
-    (("delta", "--delta-pow", "3"), "tmf3.levelmaps", "min_a1_term",
+    (("delta", "--delta-pow", "3"), "tmf3.levelmaps", "mod2",
      ValueError("internal fault")),
     # the window and weight rules are checked before the computation
     (("chart",), "tmf3.sseq", "apply_d3", ValueError("internal fault")),

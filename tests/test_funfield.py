@@ -8,6 +8,7 @@ import pytest
 from tmf3 import funfield, weierstrass
 from tmf3.funfield import (FFElem, sigma_pullback, velu3, velu3_closed_form,
                            verify_isogeny)
+from tmf3.multipoly import MultiPoly, a1
 from tmf3.weierstrass import WCurve
 
 
@@ -28,6 +29,14 @@ def test_inverse_and_norm():
     assert (y * y.conj()).v == 0
     with pytest.raises(ValueError):
         (x + y).inv()
+
+
+@pytest.mark.parametrize("args", [(a1(),), (1, a1()), (0, MultiPoly.const(1))],
+                         ids=["u", "v", "v constant"])
+def test_a_part_in_another_variable_set_is_a_type_error(args):
+    # u and v are polynomials in (a1, a3, x): one in (a1, a3) is foreign
+    with pytest.raises(TypeError, match=r"polynomials in \(a1, a3, x\)"):
+        FFElem(*args)
 
 
 def test_sigma_has_order_three():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tmf3 import multipoly
 from tmf3.funfield import FieldPoly
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, disc_factor,
-                            divide_exact, mod2, min_a1_term)
+                            divide_exact, mod2)
 from tmf3.rationals import val_p_int
 
 
@@ -110,10 +110,13 @@ def test_gf2_negative_power_raises_without_looping():
 
 
 def test_min_a1_term():
-    g = mod2(a1() ** 6 * a3() ** 2 + a1() ** 8 * a3())
-    assert min_a1_term(g) == (6, 2)
-    with pytest.raises(ValueError, match="zero polynomial"):
-        min_a1_term(mod2(2 * a1()))
+    # a1 is the first variable, so the least exponent tuple of a mod-2
+    # polynomial is its term of least a1-power, as delta_mod2_Delta_pow reads it
+    assert GF2Poly.vars == ("a1", "a3")
+    g = mod2(a1() ** 6 * a3() ** 2 + a1() ** 8 * a3() + a1() ** 7 * a3() ** 5)
+    assert min(g.monos) == (6, 2)
+    with pytest.raises(ValueError):
+        min(mod2(2 * a1()).monos)
 
 
 # -- differential tests against a Fraction-dict reference ---------------------
@@ -320,7 +323,12 @@ def test_graded_layout_matches_fraction_reference(cls, bounds, data):
     assert (P == Q) == (p == q)
     assert P * Q == Q * P and hash(P * Q) == hash(Q * P)
     assert (P + Q) - Q == P and hash((P + Q) - Q) == hash(P)
-    assert mod2(P).monos == {e for e, c in p.items() if c.numerator % 2}
+    # mod2 reduces exactly a polynomial in (a1, a3)
+    if cls is MultiPoly:
+        assert mod2(P).monos == {e for e, c in p.items() if c.numerator % 2}
+    else:
+        with pytest.raises(TypeError, match=r"not a polynomial in \(a1, a3\)"):
+            mod2(P)
     if p:
         assert P.content_val2() == min(val_p_int(c.numerator, 2) for c in p.values())
 

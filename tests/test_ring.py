@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tmf3 import funfield
+from tmf3 import funfield, sseq
 from tmf3.funfield import FFElem
 from tmf3.levelmaps import LevelOneForm
 from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3, divide_exact
@@ -77,13 +77,12 @@ def test_a_foreign_value_is_never_equal(name):
 
 # an element in another variable set is as foreign as None: a polynomial
 # in (a1, a3) and one of the function field's, or a mod-2 polynomial in
-# (a1, a3) and one in the chart's (a1, zeta, a3)
+# (a1, a3) and one in the chart's (zeta, a1, a3)
 OTHER_VARIABLES = {
     MultiPoly: [funfield._X + 1, funfield.FieldPoly.const(1)],
     LocElem: [funfield._X + 1, funfield.FieldPoly.const(1)],
     FFElem: [a1() + a3(), MultiPoly.const(1)],
-    GF2Poly: [GF2Poly([(0, 1, 3)], ("a1", "zeta", "a3")),
-              GF2Poly([(0, 0, 0)], ("a1", "zeta", "a3"))],
+    GF2Poly: [sseq.RawPoly([(1, 0, 3)]), sseq.RawPoly([(0, 0, 0)])],
 }
 
 
@@ -120,6 +119,17 @@ def test_a_polynomial_mixes_with_its_localization_in_either_order(p, g):
     assert p * g == g * p and p + g == g + p
     assert p - g == -(g - p)
     assert type(p * g) is type(g) and type(p + g) is type(g)
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_a_zero_is_falsy(name):
+    # Ring derives truth from is_zero, so a zero coefficient of any ring
+    # reads as 0 in a test such as WCurve.is_smooth's
+    x, one = SAMPLES[name]
+    zero = x + x if name == "GF2Poly" else x - x
+    assert zero.is_zero() and bool(zero) is False and not zero
+    assert bool(x) is True and bool(one) is True
+    assert "__bool__" in vars(Ring) and "__bool__" not in vars(type(x))
 
 
 def test_a_gf2poly_never_equals_a_scalar():

@@ -1,6 +1,7 @@
 """Every name an import binds in a ``tmf3`` module is used in that module,
-every module-level ``_private`` name is read somewhere, and no ring lifts an
-operand of another class."""
+every module-level ``_private`` name is read somewhere, no ring lifts an
+operand of another class, and no polynomial keeps its variables per
+instance."""
 
 import ast
 from pathlib import Path
@@ -144,3 +145,51 @@ def test_a_subclass_lift_is_found():
               "        return isinstance(other, B)\n")
     assert subclass_lifts(source) == [(5, "isinstance(x, type(self))"),
                                       (8, "isinstance(x, (MultiPoly, int))")]
+
+
+def instance_variable_sets(source):
+    """(line, what) for each ``__slots__`` that lists ``vars`` or ``weights``
+    and each assignment to ``self.vars`` or ``self.weights``. A polynomial's
+    variable set is its type: a class attribute, fixed by a subclass."""
+    names = {"vars", "weights"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id == "__slots__":
+                slots = {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+                found += [(node.lineno, f"__slots__ {n}") for n in sorted(slots & names)]
+            found += [(node.lineno, ast.unparse(t)) for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and t.attr in names
+                      and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_polynomial_keeps_its_variables_per_instance(path):
+    assert instance_variable_sets(path.read_text()) == []
+
+
+def test_a_per_instance_variable_set_is_found():
+    source = ("class A(Ring):\n"
+              "    __slots__ = ('vars', 'monos')\n"
+              "    def __init__(self, monos, vars):\n"
+              "        self.vars = tuple(vars)\n"
+              "class B(MultiPoly):\n"
+              "    __slots__ = ()\n"
+              "    vars = ('a1', 'x')\n"
+              "    def __init__(self, other):\n"
+              "        self.weights, self.monos = (1, 2), ()\n"
+              "        self.vars_seen = other.vars\n"
+              "class C:\n"
+              "    __slots__ = 'weights'\n"
+              "    def f(self):\n"
+              "        self.weights: tuple = ()\n")
+    assert instance_variable_sets(source) == [
+        (2, "__slots__ vars"), (4, "self.vars"), (9, "self.weights"),
+        (12, "__slots__ weights"), (14, "self.weights")]

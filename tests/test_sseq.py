@@ -319,7 +319,7 @@ def test_injectivity_check_fails_on_a_zeroed_delta_row(monkeypatch, e4):
 
 def test_delta_matrix_rows_are_products_with_delta():
     # each row of the Delta-step matrix is RAW_DELTA times the source
-    # monomial, multiplied as GF2Polys and restricted to the target's basis;
+    # monomial, multiplied as RawPolys and restricted to the target's basis;
     # the rank checks alone cannot tell Delta from another injective map
     for window in [Window(*DEFAULT_WINDOW)] + _BENCHMARK_WINDOWS:
         page = apply_d3(build_E2(window))
@@ -329,8 +329,8 @@ def test_delta_matrix_rows_are_products_with_delta():
             pos = {m: k for k, m in enumerate(page.cells.get((s, t + 24), []))}
             expected = []
             for i, j in basis:
-                product = sseq.RAW_DELTA * sseq._raw((i, s, j))
-                expected.append(sum(1 << pos[(i2, j2)] for (i2, _, j2) in product.monos
+                product = sseq.RAW_DELTA * sseq.RawPoly([(s, i, j)])
+                expected.append(sum(1 << pos[(i2, j2)] for (_, i2, j2) in product.monos
                                     if (i2, j2) in pos))
             assert sseq._delta_mult_matrix(page, s, t) == expected, (window, s, t)
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tmf3 import verify, weierstrass
-from tmf3.multipoly import MultiPoly, a1, a3, disc_factor
+from tmf3 import funfield, verify, weierstrass
+from tmf3.funfield import FFElem
+from tmf3.multipoly import LocElem, MultiPoly, a1, a3, disc_factor
 from tmf3.weierstrass import (WCurve, WPoint, O, WTransform, CurveError,
                               transform, transform_point, gamma1_normalize,
-                              is_flex, integral_model)
+                              gamma1_curves, is_flex, integral_model)
 
 
 def frac(n, d=1):
@@ -30,6 +31,16 @@ def test_invariant_identity_on_random_curves():
         C = WCurve(*[Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                      for _ in range(5)])
         assert C.c4() ** 3 - C.c6() ** 2 == 1728 * C.disc()
+
+
+def test_a_cusp_is_singular_over_every_exact_ring():
+    # y^2 = x^3 has Delta = 0, and a zero of any ring reads as 0
+    for ring in (Fraction, FFElem, lambda c: LocElem(MultiPoly.const(c))):
+        assert not WCurve(*map(ring, (0,) * 5)).is_smooth()
+    # the universal curve, Delta = a3^3 (a1^3 - 27 a3), is smooth over both
+    E = gamma1_curves(funfield._A1, funfield._A3)[0]
+    assert WCurve(*map(FFElem, E.coeffs())).is_smooth()
+    assert gamma1_curves(LocElem(a1()), LocElem(a3()))[0].is_smooth()
 
 
 def test_symbolic_normal_form_discriminant():
