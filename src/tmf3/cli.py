@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import atexit
 import gc
-import json
 import operator
 import re
 import sys
@@ -260,13 +259,17 @@ def qexp_env(prec):
 # -- output helpers ----------------------------------------------------------
 
 def _emit(args, command, inputs, result, checks):
+    # json is imported only by the branches that print JSON: text output,
+    # the common case, does not load it
     if args.json:
+        import json
         print(json.dumps({"command": command, "inputs": inputs,
                           "result": result, "checks": checks}, indent=2))
     else:
         if isinstance(result, str):
             print(result)
         else:
+            import json
             print(json.dumps(result, indent=2))
         for c in checks:
             status = "ok" if c["pass"] else "FAIL"
@@ -596,14 +599,22 @@ _FREEZE_REGISTERED = set()
 
 
 def main(argv=None):
+    # A command builds almost no cyclic garbage: each of the benchmark's
+    # golden command lines, run in process with the collector off, leaves at
+    # most 84 objects for gc.collect() to find (33 for chart and verify),
+    # while the four processes of one pass of the benchmark's chart workload
+    # run 152 collections that find next to nothing. So the handler runs
+    # with the collector paused, and the finally puts back the state main
+    # found, so that a library caller keeps its collector; reference
+    # counting frees a command's objects either way.
     # After the atexit handlers CPython's finalization runs full cyclic
     # collections over every object still alive. Nothing a command leaves
     # is cyclic garbage (ints, tuples, dicts, Fractions, records, lru_cache
     # tables, modules), so an atexit handler freezes it all out of their
-    # reach first; reference counting still frees it. Registered here, not
-    # at import, so a library caller keeps a working collector until its
-    # own exit; once per registry however often main runs, since every
-    # atexit.register takes a new slot, even after atexit.unregister.
+    # reach first. Registered here, not at import, so a library caller keeps
+    # a working collector until its own exit; once per registry however
+    # often main runs, since every atexit.register takes a new slot, even
+    # after atexit.unregister.
     if atexit not in _FREEZE_REGISTERED:
         _FREEZE_REGISTERED.add(atexit)
         atexit.register(gc.freeze)
@@ -611,6 +622,8 @@ def main(argv=None):
     args = quick_parse(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except CliSyntaxError as exc:
@@ -619,6 +632,9 @@ def main(argv=None):
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -37,8 +37,8 @@ and target offset: one kernel per key, one image per key into a cell.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
-from operator import not_
+from itertools import compress, repeat
+from operator import and_, not_
 
 from .multipoly import GF2Poly
 from .ring import DomainError
@@ -221,11 +221,14 @@ def build_E2(window: Window = DEFAULT_WINDOW) -> ChartPage:
     check_window(window, pages=False)
     # t = 2i + 6j makes i + j + s = t/2 - 2j + s, whose parity does not
     # depend on j: a cell holds every a3-exponent 0..t//6 when t = 2s mod 4
-    # and nothing otherwise.  The basis is in increasing a1-exponent.
+    # and nothing otherwise.  The basis is in increasing a1-exponent:
+    # (t/2 - 3j, j) for j from t//6 down to 0.
     cells = {}
     for s in range(window.S + 1):
         for t in range(2 * s % 4, s + window.W + 1, 4):
-            cells[(s, t)] = [(t // 2 - 3 * j, j) for j in range(t // 6, -1, -1)]
+            j = t // 6
+            cells[(s, t)] = list(zip(range(t // 2 - 3 * j, t // 2 + 1, 3),
+                                     range(j, -1, -1)))
     return ChartPage(r=2, window=window, cells=cells)
 
 
@@ -256,7 +259,8 @@ def apply_d3(page: ChartPage) -> ChartPage:
         keys[(s, t)] = (cs, off if 1 in cs else 0)
 
     # d3 o d3 = 0 on every monomial: the second coefficient is read from the
-    # page where the target cell is on it, and evaluated beyond the edge
+    # page where the target cell is on it, and evaluated beyond the edge; the
+    # list of failing monomials is built only to name the first
     for (s, t), basis in cells.items():
         cs, off = keys[(s, t)]
         if 1 not in cs:
@@ -264,8 +268,10 @@ def apply_d3(page: ChartPage) -> ChartPage:
         tgt = keys.get((s + 3, t + 2))
         if tgt is None:
             bad = [m for m, c in zip(basis, cs) if c and d3_coeff(s + 3, m[0] + 1, m[1])]
-        else:
+        elif any(map(and_, cs, tgt[0][off:])):
             bad = [m for m, c, c2 in zip(basis, cs, tgt[0][off:]) if c and c2]
+        else:
+            continue
         if bad:
             i, j = bad[0]
             raise AssertionError(f"d3^2 != 0 on zeta^{s} a1^{i} a3^{j}")
@@ -289,7 +295,7 @@ def apply_d3(page: ChartPage) -> ChartPage:
             images[below] = row_space_f2(() if below is None else rows(below))
         kernel, img = kernels[own], images[below]
         if (own, below) not in contained:
-            if not all(in_span_f2(v, kernel) for v in img.values()):
+            if not all(map(in_span_f2, img.values(), repeat(kernel))):
                 raise AssertionError(f"image not contained in kernel at ({s},{t})")
             contained.add((own, below))
         cs = own[0]
@@ -320,15 +326,13 @@ def apply_d3(page: ChartPage) -> ChartPage:
 def _delta_mult_matrix(page, s, t):
     """Multiplication by RAW_DELTA, Delta mod 2 on s >= 1, from cell (s, t)
     to (s, t + 24), reduced to the page basis."""
-    src = page.cells.get((s, t), [])
-    tgt = page.cells.get((s, t + 24), [])
-    pos = {m: k for k, m in enumerate(tgt)}
+    bit = {m: 1 << k for k, m in enumerate(page.cells.get((s, t + 24), ()))}
+    shifts = [(di, dj) for (_, di, dj) in RAW_DELTA.monos]
     rows = []
-    for (i, j) in src:
+    for (i, j) in page.cells.get((s, t), ()):
         row = 0
-        for m in ((i + di, j + dj) for (_, di, dj) in RAW_DELTA.monos):
-            if m in pos:
-                row ^= 1 << pos[m]
+        for di, dj in shifts:
+            row ^= bit.get((i + di, j + dj), 0)
         rows.append(row)
     return rows
 

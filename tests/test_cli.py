@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import warnings
@@ -722,14 +723,81 @@ class _AtexitRecorder:
 
 
 def test_main_in_process_keeps_the_collector(capsys, monkeypatch):
+    # the handler runs with the collector paused, and on every exit path
+    # main puts back the state it found: on for a caller that had it on,
+    # off for one that had turned it off
     recorder = _AtexitRecorder()
     monkeypatch.setattr(cli, "atexit", recorder)
-    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
-    for _ in range(2):
-        assert main(["invariants", "--json"]) == 0
-    capsys.readouterr()
-    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    seen = []
+    for command in {argv[0] for argv, _ in _EXIT_CASES}:
+        handler, flags = cli.COMMANDS[command]
+
+        def probe(args, handler=handler):
+            seen.append(gc.isenabled())
+            return handler(args)
+
+        monkeypatch.setitem(cli.COMMANDS, command, (probe, flags))
+    frozen = gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in _EXIT_CASES:
+                assert _in_process(capsys, argv)[0] == code, argv
+                assert gc.isenabled() is enabled, (argv, enabled)
+    finally:
+        gc.enable()
+    assert seen == [False] * 2 * len(_EXIT_CASES)
+    assert gc.get_freeze_count() == frozen
     assert recorder.funcs == [gc.freeze]
+
+
+# one line per subcommand, each the one of its subcommand that leaves the
+# most cyclic garbage among the benchmark's golden lines (isogeny has no
+# golden line), with chart's largest window and the text verify
+_GARBAGE_CASES = [
+    "invariants --curve=-4/3,-5/2,-1/3,-5/3,11/4 --json",
+    "normalize --curve=-1,213/16,-9/8,1863/32,1701/16 --point=-9/2,-27/4 --json",
+    "isogeny --json",
+    "maps --expr 'tstar(fstar(c6^3))' --json",
+    "delta --c4-pow 1 --val2 --range 1..6 --json",
+    "qexp '--expr=8*c6 + 3*c4^5 - q^1/(1 - q)' --precision 30 --json",
+    "chart --window 12,300,8",
+    "verify --all",
+]
+
+
+@pytest.mark.parametrize("line", _GARBAGE_CASES, ids=[c.split()[0] for c in _GARBAGE_CASES])
+def test_a_command_leaves_almost_no_cyclic_garbage(capsys, line):
+    # the reason main pauses the collector: run with it off, a command
+    # leaves at most 84 objects for a collection to find
+    gc.collect()
+    gc.disable()
+    try:
+        assert _in_process(capsys, shlex.split(line))[0] == 0, line
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found < 200, line
+
+
+def test_text_output_does_not_import_json():
+    # one child runs the commands in order; invariants prints its dict
+    # result with json.dumps, so it loads json last
+    argvs = [["chart"], ["maps", "--expr", "a1*a3"],
+             ["delta", "--c4-pow", "2", "--val2"], ["invariants"]]
+    code = ("import contextlib, io, sys\n"
+            "from tmf3.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "         contextlib.redirect_stderr(io.StringIO()):\n"
+            "        rc = main(argv)\n"
+            "    print(argv[0], rc, 'json' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["chart 0 False", "maps 0 False",
+                                        "delta 0 False", "invariants 0 True"]
 
 
 def test_repeated_main_calls_do_not_grow_the_atexit_array(capsys):
