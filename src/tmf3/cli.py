@@ -170,73 +170,74 @@ def parse(text: str):
 
 # -- evaluation --------------------------------------------------------------
 
-def _as_int(value, what):
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "^": operator.pow}
 
 
-def evaluate(node, env):
-    """Evaluate an AST in an identifier environment; values are Fractions,
-    LevelOneForms, LocElems, or QSeries, with scalar mixing only."""
+def _calls():
+    """Each function of an expression: (map, domain, its name, coercion of
+    a scalar into the domain)."""
     from .levelmaps import (LevelOneForm, fstar, qstar, hstar, tstar,
                             delta_map)
     from .multipoly import LocElem, MultiPoly
-
-    def combine(op, a, b):
-        if op == "^":
-            b = _as_int(b, "exponent")
-        elif not (isinstance(a, Fraction) or isinstance(b, Fraction)
-                  or type(a) is type(b)):
-            raise DomainError(
-                f"cannot apply {op!r} across domains "
-                f"({type(a).__name__} vs {type(b).__name__})")
-        if op in "+-*":
-            return _OPERATORS[op](a, b)
-        # a divisor or a base with a negative exponent must be a unit
-        try:
-            return _OPERATORS[op](a, b)
-        except ZeroDivisionError as exc:
-            raise DomainError(f"division by zero: {exc}") from exc
-
-    # a call: (map, domain, its name, coercion of a scalar)
     level1 = (LevelOneForm, "a level-1 form", LevelOneForm.const)
-    calls = {"tstar": (tstar, LocElem,
-                       "a level-3 element", lambda c: LocElem(MultiPoly.const(c))),
-             "fstar": (fstar, *level1), "qstar": (qstar, *level1),
-             "hstar": (hstar, *level1), "delta": (delta_map, *level1)}
+    return {"tstar": (tstar, LocElem, "a level-3 element",
+                      lambda c: LocElem(MultiPoly.const(c))),
+            "fstar": (fstar, *level1), "qstar": (qstar, *level1),
+            "hstar": (hstar, *level1), "delta": (delta_map, *level1)}
 
-    def walk(n):
-        chain = []      # a left-deep chain a + b - c ..., folded in a loop
-        while isinstance(n, BinOp):
-            chain.append(n)
-            n = n.left
-        if isinstance(n, Num):
-            value = n.value
-        elif isinstance(n, Ident):
-            if n.name not in env:
-                raise DomainError(f"identifier {n.name!r} has no value in this command")
-            value = env[n.name]
-        elif isinstance(n, Unary):
-            value = -walk(n.operand)
-        else:                   # a Call
-            fn, domain, what, coerce = calls[n.func]
-            value = walk(n.arg)
-            if isinstance(value, Fraction):
-                value = coerce(value)
-            if not isinstance(value, domain):
-                raise DomainError(
-                    f"{n.func} expects {what}, got {type(value).__name__}")
-            value = fn(value)
-        for b in reversed(chain):
-            value = combine(b.op, value, walk(b.right))
-        return value
 
-    return walk(node)
+def _combine(op, a, b):
+    if op == "^":
+        if not (isinstance(b, Fraction) and b.denominator == 1):
+            raise DomainError(f"exponent must be an integer, got {b!r}")
+        b = int(b)
+    elif not (isinstance(a, Fraction) or isinstance(b, Fraction)
+              or type(a) is type(b)):
+        raise DomainError(
+            f"cannot apply {op!r} across domains "
+            f"({type(a).__name__} vs {type(b).__name__})")
+    # a divisor or a base with a negative exponent must be a unit
+    try:
+        return _OPERATORS[op](a, b)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"division by zero: {exc}") from exc
+
+
+def _walk(node, env):
+    chain = []      # a left-deep chain a + b - c ..., folded in a loop
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    if isinstance(node, Num):
+        value = node.value
+    elif isinstance(node, Ident):
+        if node.name not in env:
+            raise DomainError(f"identifier {node.name!r} has no value in this command")
+        value = env[node.name]
+    elif isinstance(node, Unary):
+        value = -_walk(node.operand, env)
+    else:                   # a Call
+        fn, domain, what, coerce = _calls()[node.func]
+        value = _walk(node.arg, env)
+        if isinstance(value, Fraction):
+            value = coerce(value)
+        if not isinstance(value, domain):
+            raise DomainError(
+                f"{node.func} expects {what}, got {type(value).__name__}")
+        value = fn(value)
+    for b in reversed(chain):
+        value = _combine(b.op, value, _walk(b.right, env))
+    return value
+
+
+def evaluate(node, env):
+    """Evaluate an AST in an identifier environment; values are Fractions,
+    LevelOneForms, LocElems, or QSeries, with scalar mixing only.
+
+    It recurses through _walk, never through its own name, so that a
+    wrapper bound to this name sees one call per expression."""
+    return _walk(node, env)
 
 
 def level3_env():
@@ -258,12 +259,12 @@ def qexp_env(prec):
 
 # -- output helpers ----------------------------------------------------------
 
-def _emit(args, command, inputs, result, checks):
+def _emit(args, inputs, result, checks):
     # json is imported only by the branches that print JSON: text output,
     # the common case, does not load it
     if args.json:
         import json
-        print(json.dumps({"command": command, "inputs": inputs,
+        print(json.dumps({"command": args.command, "inputs": inputs,
                           "result": result, "checks": checks}, indent=2))
     else:
         if isinstance(result, str):
@@ -317,14 +318,13 @@ def cmd_invariants(args):
     holds = vals["c4"] ** 3 - vals["c6"] ** 2 - 1728 * vals["Delta"] == 0
     checks = [{"name": "c4^3 - c6^2 = 1728*Delta", "pass": bool(holds),
                "detail": "exact identity" if holds else "identity FAILS"}]
-    return _emit(args, "invariants", {"curve": args.curve or "a1,0,a3,0,0"},
-                 result, checks)
+    return _emit(args, {"curve": args.curve or "a1,0,a3,0,0"}, result, checks)
 
 
 def cmd_normalize(args):
     from .weierstrass import WCurve, WPoint, gamma1_normalize, transform
     if not args.curve or not args.point:
-        usage_error("normalize", "normalize needs --curve and --point")
+        usage_error(args.command, "normalize needs --curve and --point")
     C = WCurve(*_parse_list("--curve", args.curve))
     P = WPoint(*_parse_list("--point", args.point))
     A1, A3, T = gamma1_normalize(C, P)
@@ -336,8 +336,7 @@ def cmd_normalize(args):
     ok = Cn.coeffs() == (A1, 0, A3, 0, 0)
     checks = [{"name": "normal form reached", "pass": bool(ok),
                "detail": "transform lands on y^2 + A1 xy + A3 y = x^3"}]
-    return _emit(args, "normalize",
-                 {"curve": args.curve, "point": args.point}, result, checks)
+    return _emit(args, {"curve": args.curve, "point": args.point}, result, checks)
 
 
 def cmd_isogeny(args):
@@ -349,12 +348,12 @@ def cmd_isogeny(args):
     checks = [{"name": k, "pass": bool(v),
                "detail": "verified" if v else "FAILED"}
               for k, v in sorted(report.items())]
-    return _emit(args, "isogeny", {}, result, checks)
+    return _emit(args, {}, result, checks)
 
 
 def cmd_maps(args):
     if not args.expr:
-        usage_error("maps", "maps needs --expr")
+        usage_error(args.command, "maps needs --expr")
     ast = parse(args.expr)
     env = {**level1_env(), **level3_env()}
     # --apply F evaluates F(expr)
@@ -368,8 +367,7 @@ def cmd_maps(args):
         same = False
     checks = [{"name": "round-trip", "pass": same,
                "detail": "output reparses to an equal AST"}]
-    return _emit(args, "maps", {"expr": args.expr, "apply": applied},
-                 result, checks)
+    return _emit(args, {"expr": args.expr, "apply": applied}, result, checks)
 
 
 def cmd_delta(args):
@@ -380,16 +378,16 @@ def cmd_delta(args):
     elif args.delta_pow is not None:
         inputs = {"delta_pow": args.delta_pow}
     else:
-        usage_error("delta", "delta needs --c4-pow K [--val2] or --delta-pow N")
+        usage_error(args.command, "delta needs --c4-pow K [--val2] or --delta-pow N")
     if args.range:
         inputs["range"] = args.range
     if args.c4_pow is not None and not args.val2:
         if args.range:
-            usage_error("delta", "--range with --c4-pow needs --val2")
+            usage_error(args.command, "--range with --c4-pow needs --val2")
         if args.c4_pow < 0:
             raise DomainError("--c4-pow must be >= 0: c4 is not invertible")
         g = delta_map(LevelOneForm.monomial(args.c4_pow, 0, 0))
-        return _emit(args, "delta", inputs, g.to_text(), [])
+        return _emit(args, inputs, g.to_text(), [])
     values = [args.c4_pow if args.c4_pow is not None else args.delta_pow]
     if args.range:
         a, b = _parse_list("--range", args.range)
@@ -411,7 +409,7 @@ def cmd_delta(args):
             checks.append({"name": f"min_a1_term(mod2(delta(Delta^{N})))",
                            "pass": r["pass"],
                            "detail": f"computed {r['leading_term']}, expected {r['expected']}"})
-    return _emit(args, "delta", inputs, "\n".join(rows), checks)
+    return _emit(args, inputs, "\n".join(rows), checks)
 
 
 def cmd_qexp(args):
@@ -422,17 +420,16 @@ def cmd_qexp(args):
     if args.eisenstein is not None:
         k = args.eisenstein
         result = eisenstein_in_c4c6([k])[k].to_text()
-        return _emit(args, "qexp", {"eisenstein": k}, result, [])
+        return _emit(args, {"eisenstein": k}, result, [])
     if not args.expr:
-        usage_error("qexp", "qexp needs --expr or --eisenstein K")
+        usage_error(args.command, "qexp needs --expr or --eisenstein K")
     ast = parse(args.expr)
     value = evaluate(ast, qexp_env(prec))
     if not isinstance(value, (Fraction, QSeries)):
         # a level map of a scalar, such as fstar(1), has no q-expansion
         raise DomainError(f"qexp needs a q-series, got {type(value).__name__}")
     result = str(value) if isinstance(value, Fraction) else value.to_text(terms=prec)
-    return _emit(args, "qexp", {"expr": args.expr, "precision": prec},
-                 result, [])
+    return _emit(args, {"expr": args.expr, "precision": prec}, result, [])
 
 
 def cmd_chart(args):
@@ -452,8 +449,7 @@ def cmd_chart(args):
               for k, v in sorted(page.checks.items())]
     result = (chart_json(page) if args.json
               else chart_ascii(page, max_stem=min(win.W, 48)))
-    return _emit(args, "chart", {"page": args.page, "window": list(win)},
-                 result, checks)
+    return _emit(args, {"page": args.page, "window": list(win)}, result, checks)
 
 
 def cmd_verify(args):
@@ -463,7 +459,7 @@ def cmd_verify(args):
     elif args.item is not None:
         results = [get_item(args.item)()]
     else:
-        usage_error("verify", "verify needs --all or --item N")
+        usage_error(args.command, "verify needs --all or --item N")
     checks = [{"name": f"item {r['index']}: {r['name']}", "pass": r["pass"],
                "detail": r["detail"]} for r in results]
     failures = sum(1 for r in results if not r["pass"])
@@ -475,8 +471,7 @@ def cmd_verify(args):
     lines.append(f"{len(results)} items, {failures} failures")
     result = "\n".join(lines)
     if args.json:
-        return _emit(args, "verify",
-                     {"all": args.all, "item": args.item}, result, checks)
+        return _emit(args, {"all": args.all, "item": args.item}, result, checks)
     print(result)
     return 0 if failures == 0 else 3
 
@@ -525,8 +520,8 @@ def build_parser():
         description="Exact-arithmetic toolkit for level-3 modular forms, "
                     "degree-3 isogenies, and the Z/2 fixed-point chart.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, _) in COMMANDS.items():
-        _add_flags(sub.add_parser(name), name).set_defaults(fn=fn)
+    for name in COMMANDS:
+        _add_flags(sub.add_parser(name), name)
     return p
 
 
@@ -569,7 +564,7 @@ def quick_parse(argv):
         if "choices" in kw and value not in kw["choices"]:
             return None
         given[flag] = value
-    args = SimpleNamespace(command=argv[0], fn=COMMANDS[argv[0]][0])
+    args = SimpleNamespace(command=argv[0])
     for flag, kw in flags.items():
         unset = False if kw.get("action") == "store_true" else None
         setattr(args, flag[2:].replace("-", "_"),
@@ -599,11 +594,12 @@ _FREEZE_REGISTERED = set()
 
 
 def main(argv=None):
-    # A command builds almost no cyclic garbage: each of the benchmark's
-    # golden command lines, run in process with the collector off, leaves at
-    # most 84 objects for gc.collect() to find (33 for chart and verify),
-    # while the four processes of one pass of the benchmark's chart workload
-    # run 152 collections that find next to nothing. So the handler runs
+    # tmf3 builds no cyclic garbage: each of the benchmark's golden command
+    # lines, run in process with the collector off, leaves for gc.collect()
+    # only the 33 objects of the pure-Python json encoder that
+    # json.dumps(indent=2) uses, or none when it prints no json, while the
+    # four processes of one pass of the benchmark's chart workload run 152
+    # collections that find next to nothing. So the handler runs
     # with the collector paused, and the finally puts back the state main
     # found, so that a library caller keeps its collector; reference
     # counting frees a command's objects either way.
@@ -625,7 +621,7 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][0](args)
     except CliSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

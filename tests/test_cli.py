@@ -7,6 +7,7 @@ import random
 import shlex
 import subprocess
 import sys
+import types
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -751,9 +752,11 @@ def test_main_in_process_keeps_the_collector(capsys, monkeypatch):
     assert recorder.funcs == [gc.freeze]
 
 
-# one line per subcommand, each the one of its subcommand that leaves the
-# most cyclic garbage among the benchmark's golden lines (isogeny has no
-# golden line), with chart's largest window and the text verify
+# one line per subcommand from the benchmark's golden lines (isogeny has
+# none), the maps and qexp ones with level maps to evaluate, with chart's
+# largest window and the text verify; run with the collector off, each
+# leaves at most the 33 objects of the pure-Python json encoder that
+# json.dumps(indent=2) uses
 _GARBAGE_CASES = [
     "invariants --curve=-4/3,-5/2,-1/3,-5/3,11/4 --json",
     "normalize --curve=-1,213/16,-9/8,1863/32,1701/16 --point=-9/2,-27/4 --json",
@@ -769,7 +772,7 @@ _GARBAGE_CASES = [
 @pytest.mark.parametrize("line", _GARBAGE_CASES, ids=[c.split()[0] for c in _GARBAGE_CASES])
 def test_a_command_leaves_almost_no_cyclic_garbage(capsys, line):
     # the reason main pauses the collector: run with it off, a command
-    # leaves at most 84 objects for a collection to find
+    # leaves at most 33 objects for a collection to find
     gc.collect()
     gc.disable()
     try:
@@ -778,6 +781,64 @@ def test_a_command_leaves_almost_no_cyclic_garbage(capsys, line):
     finally:
         gc.enable()
     assert found < 200, line
+
+
+def _tmf3_made(garbage):
+    """The objects of garbage that tmf3 made: its functions, their closure
+    cells and the instances of its classes."""
+    package = str(Path(cli.__file__).parent)
+    functions = [o for o in garbage if isinstance(o, types.FunctionType)
+                 and o.__code__.co_filename.startswith(package)]
+    cells = {id(c) for f in functions for c in f.__closure__ or ()}
+    return functions + [o for o in garbage if id(o) in cells
+                        or type(o).__module__.partition(".")[0] == "tmf3"]
+
+
+_TEXT_EXPRESSION_CASES = [
+    "maps --expr 'tstar(fstar(c6^3))'",
+    "qexp --expr 'c4^3 - c6^2 - 1728*Delta' --precision 20",
+]
+
+
+@pytest.mark.parametrize("line", _GARBAGE_CASES + _TEXT_EXPRESSION_CASES)
+def test_no_command_leaves_cyclic_garbage_of_its_own(capsys, line):
+    # what a command leaves for a collection to find is the json encoder's,
+    # never tmf3's: evaluate keeps no closure that refers to itself
+    gc.collect()
+    gc.disable()
+    try:
+        assert _in_process(capsys, shlex.split(line))[0] == 0, line
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.enable()
+    try:
+        own = _tmf3_made(gc.garbage)
+        assert not own, [type(o).__name__ for o in own]
+    finally:
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["maps", "--expr", "tstar(fstar(c6^3))"], 2),
+    (["qexp", "--expr", "c4^3 - c6^2 - 1728*Delta", "--precision", "20"], 1),
+    (["maps", "--expr", "(" * 200 + "a1" + ")" * 200], 2),
+], ids=["maps", "qexp", "maps-nested"])
+def test_one_evaluate_call_per_evaluated_expression(capsys, monkeypatch, argv, calls):
+    # the benchmark's tracer rebinds cli.evaluate to a counting wrapper, so
+    # evaluate must recurse through another name: maps evaluates its value
+    # and the round trip, qexp its value
+    evaluate, seen = cli.evaluate, []
+
+    def counting(node, env):
+        seen.append(node)
+        return evaluate(node, env)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(seen) == calls
 
 
 def test_text_output_does_not_import_json():
