@@ -14,8 +14,11 @@ that ``build_parser`` makes from the same table, so argparse is imported
 only then.
 
 Exit codes: 0 success, 1 domain error, 2 usage/syntax error,
-3 verification failure. A domain error (``tmf3.ring.DomainError``) is raised
-by the rule that rejects the input, in the library or here; others propagate.
+3 verification failure, and 141 (128 + SIGPIPE) when the reader of stdout
+closed it early, as ``tmf3 chart --json | head -1`` does, which ends
+quietly, with nothing on stderr. A domain error (``tmf3.ring.DomainError``)
+is raised by the rule that rejects the input, in the library or here;
+others propagate.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import atexit
 import gc
 import operator
+import os
 import re
 import sys
 from fractions import Fraction
@@ -621,7 +625,15 @@ def main(argv=None):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return COMMANDS[args.command][0](args)
+        code = COMMANDS[args.command][0](args)
+        # what is still buffered goes out here, where a closed pipe is caught
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; pointed at devnull,
+        # that flush neither fails nor prints "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

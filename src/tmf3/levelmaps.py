@@ -3,6 +3,9 @@
 Level-1 forms live in Z[1/3][c4, c6, Delta, Delta^-1]/(c4^3 - c6^2 - 1728 Delta)
 with basis monomials c4^a * c6^eps * Delta^d (eps in {0, 1}, d in Z); level-3
 forms are LocElems in the even subring of Z[1/3][a1, a3] localized at Delta.
+A ``LevelOneForm`` stores int numerators by basis monomial over one common
+denominator, as the other rings do, so its sums, products, h* and the images
+under f* and q* are computed on ints; ``terms`` is a Fraction view.
 
 The maps:
 
@@ -16,7 +19,8 @@ The maps:
   two factors a3 and a1^3 - 27 a3 of Delta, so t*(f* Delta) = q* Delta.
 
 Also houses the building cochain complex D0, D1 and the 2-adic valuation
-analyses of delta = qstar - fstar.
+analyses of delta = qstar - fstar: content checks read the numerators of a
+MultiPoly, and the mod-2 sweep the bitmasks of a GF2Poly.
 """
 
 from __future__ import annotations
@@ -52,14 +56,28 @@ def weight(a: int, eps: int, d: int) -> int:
 
 
 class LevelOneForm(Ring):
-    """Element of MF* in the basis c4^a c6^eps Delta^d, eps in {0,1}."""
+    """Element of MF* in the basis c4^a c6^eps Delta^d, eps in {0,1}: int
+    numerators {(a, eps, d): n} over one positive ``den``, with zero
+    numerators dropped, gcd(den, numerators) = 1 and ``den == 1`` for zero;
+    ``terms`` is a read-only view {(a, eps, d): Fraction}. The numerators
+    keep their insertion order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        clean = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self.nums, self.den = _reduced(
+            {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _new(cls, nums, den):
+        """Internal: build from {(a, eps, d): int} over a positive den."""
+        self = cls.__new__(cls)
+        self.nums, self.den = _reduced({k: n for k, n in nums.items() if n}, den)
+        return self
 
     @classmethod
     def const(cls, c):
@@ -72,7 +90,8 @@ class LevelOneForm(Ring):
     def monomial(cls, ca, eps, d, coef=1):
         if eps not in (0, 1):
             raise ValueError("c6-exponent must be 0 or 1 in the basis")
-        return cls({(ca, eps, d): Fraction(coef)})
+        c = Fraction(coef)
+        return cls._new({(ca, eps, d): c.numerator}, c.denominator)
 
     @classmethod
     def c4(cls):
@@ -88,16 +107,21 @@ class LevelOneForm(Ring):
 
     # -- structure --------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only view {(a, eps, d): Fraction coefficient}."""
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
+
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def _key(self):
-        return frozenset(self.terms.items())
+        return self.den, frozenset(self.nums.items())
 
     def weight_of(self):
-        if not self.terms:
+        if not self.nums:
             raise ValueError("weight of zero form is undefined")
-        ws = {weight(*k) for k in self.terms}
+        ws = {weight(*k) for k in self.nums}
         if len(ws) != 1:
             raise ValueError(f"inhomogeneous form, weights {sorted(ws)}")
         return ws.pop()
@@ -107,37 +131,42 @@ class LevelOneForm(Ring):
     def __add__(self, other):
         if (other := self._lift(other)) is None:
             return NotImplemented
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            t[k] = t.get(k, Fraction(0)) + c
-        return LevelOneForm(t)
+        d1, d2 = self.den, other.den
+        den = d1 if d1 == d2 else math.lcm(d1, d2)
+        f1, f2 = den // d1, den // d2
+        t = dict(self.nums) if f1 == 1 else {k: n * f1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            t[k] = t.get(k, 0) + n * f2
+        return LevelOneForm._new(t, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
-            return LevelOneForm({k: c * c0 for k, c in self.terms.items()})
+            c = other.numerator
+            return LevelOneForm._new({k: n * c for k, n in self.nums.items()},
+                                     self.den * other.denominator)
         if (other := self._lift(other)) is None:
             return NotImplemented
         out = {}
-        for (a1_, e1, d1), c1 in self.terms.items():
-            for (a2_, e2, d2), c2 in other.terms.items():
-                ca, eps, d, c = a1_ + a2_, e1 + e2, d1 + d2, c1 * c2
+        for (a1_, e1, d1), n1 in self.nums.items():
+            for (a2_, e2, d2), n2 in other.nums.items():
+                ca, eps, d, n = a1_ + a2_, e1 + e2, d1 + d2, n1 * n2
                 if eps == 2:
                     # c6^2 = c4^3 - 1728 Delta
-                    out[(ca + 3, 0, d)] = out.get((ca + 3, 0, d), 0) + c
-                    eps, d, c = 0, d + 1, -1728 * c
-                out[(ca, eps, d)] = out.get((ca, eps, d), 0) + c
-        return LevelOneForm(out)
+                    out[(ca + 3, 0, d)] = out.get((ca + 3, 0, d), 0) + n
+                    eps, d, n = 0, d + 1, -1728 * n
+                out[(ca, eps, d)] = out.get((ca, eps, d), 0) + n
+        return LevelOneForm._new(out, self.den * other.den)
 
     def inverse(self):
         """The inverse of a unit c*Delta^d. These are the only units of
         MF*[Delta^-1]: c4^3 - c6^2 = 1728 Delta is irreducible, so the ring
         is Q[c4, c6] with that one prime inverted."""
-        if len(self.terms) != 1 or next(iter(self.terms))[:2] != (0, 0):
+        if len(self.nums) != 1 or next(iter(self.nums))[:2] != (0, 0):
             raise DomainError(f"{self.to_text()} is not a unit c*Delta^d "
                              "of MF*[Delta^-1]")
-        ((_, _, d), c), = self.terms.items()
-        return LevelOneForm.monomial(0, 0, -d, 1 / c)
+        ((_, _, d), n), = self.nums.items()
+        # (n / den)^-1 = den / n, with the sign on the numerator
+        return LevelOneForm._new({(0, 0, -d): self.den if n > 0 else -self.den}, abs(n))
 
     def evaluate(self, c4, c6, delta, images=None):
         """The image under the ring map sending c4, c6, Delta to elements of
@@ -146,7 +175,7 @@ class LevelOneForm(Ring):
         the images of more monomials than this form's, so that several
         forms share one table."""
         if images is None:
-            images = monomial_images(self.terms, c4, c6, delta)
+            images = monomial_images(self.nums, c4, c6, delta)
         total = 0 * c4
         for key, c in self.terms.items():
             total = total + c * images[key]
@@ -154,6 +183,18 @@ class LevelOneForm(Ring):
 
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
+
+
+def _reduced(nums, den):
+    """(nums, den) divided by gcd(den, nums), with den = 1 for no nums."""
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+    return nums, den
 
 
 def monomial_images(keys, c4, c6, delta):
@@ -182,21 +223,25 @@ def _cached_pow(base: MultiPoly, n: int) -> MultiPoly:
 
 def _image(m: LevelOneForm, k4, k6, kd, e3, e9):
     """The image of m = sum c c4^a c6^eps Delta^d as an unreduced fraction
-    (num, e e3, e e9): the numerator sum c k4^a k6^eps kd^(d + e) over
+    (num, e e3, e e9): the numerator sum c k4^a k6^eps kd^(d + e), summed on
+    m's int numerators and put over m's den once, over
     kd^e = a3^(e e3) (a1^3 - 27 a3)^(e e9), with -e <= 0 the least power of
     Delta in m. f* passes (F4, F6, FDELTA, 3, 1) and q* (Q4, Q6, QDELTA, 1, 3),
     read at each call."""
-    e = -min([0, *(d for _, _, d in m.terms)])
+    e = -min([0, *(d for _, _, d in m.nums)])
     num = None
-    for (ca, eps, d), c in m.terms.items():
-        term = c
-        # a factor with exponent 0 is 1 and is left out
-        for base, n in ((k4, ca), (kd, d + e), (k6, eps)):
-            if n:
-                term = term * _cached_pow(base, n)
+    for (ca, eps, d), c in m.nums.items():
+        # a factor with exponent 0 is 1 and is left out, and so is c = 1
+        factors = [_cached_pow(base, n)
+                   for base, n in ((k4, ca), (kd, d + e), (k6, eps)) if n]
+        if c != 1 or not factors:
+            factors.append(c)
+        term = reduce(mul, factors)
         num = term if num is None else num + term
-    # the image of a constant form is a scalar, and the zero form has none
-    return k4._lift(num or 0), e * e3, e * e9
+    # the image of a constant form is a scalar, and the zero form has none;
+    # the sum of the numerators' images goes over the form's den once
+    num = k4._lift(num or 0)
+    return MultiPoly._new(num.groups, num.den * m.den), e * e3, e * e9
 
 
 def fstar(m: LevelOneForm) -> LocElem:
@@ -210,8 +255,13 @@ def qstar(m: LevelOneForm) -> LocElem:
 
 
 def hstar(m: LevelOneForm) -> LevelOneForm:
-    """Quotient by the full 3-torsion: 3^weight on weight-w parts."""
-    return LevelOneForm({k: c * Fraction(3) ** weight(*k) for k, c in m.terms.items()})
+    """Quotient by the full 3-torsion: 3^weight on weight-w parts. A
+    negative weight's power of 3 goes into the denominator: every numerator
+    is multiplied by 3^(w - low), and den by 3^-low, with low <= 0 the least
+    weight."""
+    low = min([0, *(weight(*k) for k in m.nums)])
+    nums = {k: n * 3 ** (weight(*k) - low) for k, n in m.nums.items()}
+    return LevelOneForm._new(nums, m.den * 3 ** -low)
 
 
 def is_gamma03(g: LocElem) -> bool:
@@ -311,13 +361,19 @@ def basis_monomials(max_weight: int):
 
 def _content_check(label: str, p: MultiPoly, expected: int) -> dict:
     """nu_2 of the content of p, checked against ``expected``, with
-    p / 2^expected checked odd on a1^(w-3) a3, w the weight of p."""
+    p / 2^expected checked odd on a1^(w-3) a3, w the weight of p; the
+    ``expected`` of every caller is >= 0.  That coefficient is the entry 1
+    of the weight-w list over p.den, and it is read on ints: a Fraction is
+    built only when p / 2^expected is not an integer there."""
     v = p.content_val2()
-    i = p.weight_of() - 3
-    lead = p.coeff((i, 1)) / Fraction(2) ** expected
-    ok = (v == expected and lead.denominator == 1 and lead.numerator % 2 == 1)
+    w = p.weight_of()
+    cs = p.groups[(w,)]
+    lead, rest = divmod(cs[1] if len(cs) > 1 else 0, p.den << expected)
+    if rest:
+        lead = Fraction(cs[1], p.den << expected)
+    ok = v == expected and not rest and lead % 2 == 1
     return {"input": label, "valuation": v, "expected": expected,
-            "leading_term": f"{lead}*a1^{i}*a3", "pass": ok}
+            "leading_term": f"{lead}*a1^{w - 3}*a3", "pass": ok}
 
 
 def val2_delta_c4pow(ks) -> list:
@@ -368,8 +424,11 @@ def delta_mod2_Delta_pow(N: int) -> dict:
     a3^(4N)."""
     if N < 1:
         raise DomainError("N >= 1 required")
-    # a1 is the first variable: the least exponent tuple has the least a1-power
-    lead = min((mod2(QDELTA) ** N + mod2(FDELTA) ** N).monos)
+    # in a weight-w group the least a1-power, w - 3j, is at the top bit j;
+    # the least (a1, a3) exponent pair over the groups is the answer
+    lead = min((w - 3 * j, j) for (w,), b in
+               (mod2(QDELTA) ** N + mod2(FDELTA) ** N).groups.items()
+               for j in [b.bit_length() - 1])
     r = val_p_int(N, 2)
     kk = ((N >> r) - 1) // 2
     expected = (3 * 2 ** (r + 1), 2 ** (r + 1) * (4 * kk + 1))

@@ -24,7 +24,13 @@ Also provides:
   weight: the quotient's list is q_j = c_j + 27 q_(j-1) from the low end,
   accepted only if the product gives back p;
 * ``GF2Poly`` -- polynomials over F2 in ``vars``, (a1, a3) or a subclass's,
-  as sets of exponent vectors, and ``mod2``, the reduction of a MultiPoly;
+  in the same layout with one int per group: ``groups`` maps the key to a
+  bitmask whose bit k is the coefficient of the last variable's exponent k.
+  A sum is an XOR per group, a product a carry-less product per pair of
+  groups, and a power the product of the Frobenius images x^(2^i) for the
+  bits i of n, each made by shifting the keys and spreading the bits;
+  ``monos`` is a read-only view, the frozenset of exponent tuples. ``mod2``,
+  the reduction of a MultiPoly, takes the low bit of each numerator;
 * ``LocElem`` -- canonical elements of the localization inverting
   Delta = a3^3 * (a1^3 - 27*a3); denominators are tracked as the pair
   (power of a3, power of a1^3 - 27*a3) since Delta is reducible. A power
@@ -308,58 +314,105 @@ def divide_exact(p: MultiPoly):
 
 # -- mod 2 -------------------------------------------------------------------
 
-class GF2Poly(Ring):
-    """Polynomial over F2 in ``vars``: frozenset of exponent tuples."""
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    __slots__ = ("monos",)
+
+def _clmul(a, b, acc=0):
+    """acc plus the carry-less product of two bitmasks: the shifts of the
+    denser one over the set bits of the sparser one, all summed by XOR."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    while a:
+        low = a & -a
+        acc ^= b << low.bit_length() - 1
+        a ^= low
+    return acc
+
+
+class GF2Poly(Ring):
+    """Polynomial over F2 in ``vars``: {key: bitmask}, keyed as a MultiPoly
+    in the same variables is, with bit k the coefficient of the last
+    variable's exponent k; zero masks are dropped."""
+
+    __slots__ = ("groups",)
     vars = MultiPoly.vars
+    weights = MultiPoly.weights
 
     def __init__(self, monos=()):
-        acc = set()
+        groups = {}
+        w = self.weights
         for e in monos:
-            e = tuple(e)
-            if e in acc:
-                acc.discard(e)
-            else:
-                acc.add(e)
-        self.monos = frozenset(acc)
+            if min(e) < 0:
+                raise ValueError(f"negative exponent in {tuple(e)}")
+            key = (sum(map(mul, e, w)), *e[1:-1])
+            groups[key] = groups.get(key, 0) ^ 1 << e[-1]
+        self.groups = {key: b for key, b in groups.items() if b}
+
+    @classmethod
+    def _new(cls, groups):
+        """Internal: build from {key: bitmask}, zero masks allowed."""
+        self = cls.__new__(cls)
+        self.groups = {key: b for key, b in groups.items() if b}
+        return self
+
+    @property
+    def monos(self):
+        """Read-only view: the frozenset of exponent tuples with coefficient 1."""
+        w = self.weights
+        out = []
+        for key, b in self.groups.items():
+            mid = key[1:]
+            top = key[0] - sum(map(mul, mid, w[1:-1]))
+            out += [(top - w[-1] * k, *mid, k) for k in _bits(b)]
+        return frozenset(out)
 
     def is_zero(self):
-        return not self.monos
+        return not self.groups
 
     def _key(self):
-        return self.monos
+        return frozenset(self.groups.items())
 
     def _lift(self, x):
         # no scalar mixes (GF2Poly(...) == 0 is False), nor another class
         return x if type(x) is type(self) else None
 
     def one(self):
-        return type(self)([(0,) * len(self.vars)])
+        return self._new({(0,) * (len(self.vars) - 1): 1})
 
     def __add__(self, other):
         if (other := self._lift(other)) is None:
             return NotImplemented
-        return type(self)(self.monos ^ other.monos)
+        groups = dict(self.groups)
+        for key, b in other.groups.items():
+            groups[key] = groups.get(key, 0) ^ b
+        return self._new(groups)
 
     def __mul__(self, other):
         if (other := self._lift(other)) is None:
             return NotImplemented
-        # the products of one monomial of self are distinct, so each is a set
-        # of terms, and over F2 their sum is the symmetric difference
-        acc = set()
-        for e1 in self.monos:
-            acc ^= {tuple(map(add, e1, e2)) for e2 in other.monos}
-        return type(self)(acc)
+        out = {}
+        for k1, b1 in self.groups.items():
+            for k2, b2 in other.groups.items():
+                key = tuple(map(add, k1, k2))
+                out[key] = _clmul(b1, b2, out.get(key, 0))
+        return self._new(out)
 
     def __pow__(self, n: int):
         # over F2 a square is the Frobenius image: its cross terms cancel in
-        # pairs, so x^(2^i) is x with every exponent times 2^i, and x^n is
-        # the product of those for the bits i of n
+        # pairs, so x^(2^i) is x with every exponent times 2^i (each key
+        # entry and each bit position shifted left by i), and x^n is the
+        # product of those for the bits i of n
         if n < 0:
             return super().__pow__(n)
-        factors = [type(self)([tuple(c << i for c in e) for e in self.monos])
-                   for i in range(n.bit_length()) if n >> i & 1]
+        factors = [self._new({tuple(x << i for x in key):
+                              sum(1 << (k << i) for k in _bits(b))
+                              for key, b in self.groups.items()})
+                   for i in _bits(n)]
         return reduce(mul, factors) if factors else self.one()
 
     def to_text(self):
@@ -368,15 +421,17 @@ class GF2Poly(Ring):
 
 
 def mod2(p: MultiPoly) -> GF2Poly:
-    """Reduce coefficients mod 2; denominators must be odd (3 maps to 1)."""
+    """Reduce coefficients mod 2; denominators must be odd (3 maps to 1).
+    Over an odd ``den`` a coefficient's parity is its numerator's, so each
+    group's mask holds the low bits of its list."""
     if type(p) is not MultiPoly:
         raise TypeError(f"{p!r} is not a polynomial in (a1, a3)")
-    terms = p.terms
     if p.den % 2 == 0:
-        bad = next(c for c in (Fraction(n, p.den) for n in terms.values())
-                   if c.denominator % 2 == 0)
+        nums = chain.from_iterable(p.groups.values())
+        bad = next(c for c in (Fraction(n, p.den) for n in nums) if c.denominator % 2 == 0)
         raise ValueError(f"coefficient {bad} has even denominator")
-    return GF2Poly([e for e, c in terms.items() if c % 2])
+    return GF2Poly._new({key: sum((c & 1) << k for k, c in enumerate(cs))
+                         for key, cs in p.groups.items()})
 
 
 # -- localization at Delta ---------------------------------------------------

@@ -209,17 +209,17 @@ def eisenstein_in_c4c6(ks) -> dict:
     exprs = {}
     for k, basis in bases.items():
         rest = eisenstein_G(k, len(basis) + 10)
-        expr = LevelOneForm()
+        terms = {}
         for key in basis:
             c = rest[key[2]]
             if c:
                 rest = rest - c * images[key]
-                # the new term first: ascending power of c4
-                expr = LevelOneForm({key: c}) + expr
+                terms[key] = c
         if not rest.is_zero():
             raise ValueError(f"G_{k} has no expression in c4, c6, Delta: "
                              "inconsistent system")
-        exprs[k] = expr
+        # the basis runs down in the power of c4
+        exprs[k] = LevelOneForm(dict(reversed(terms.items())))
     return exprs
 
 

@@ -4,7 +4,8 @@ Gamma_1(3) moduli, converging to pi_* TMF(Gamma_0(3)).
 E_2^{s,t} is the even part of Z[1/3, a1, a3, zeta, Delta^-1]/(2 zeta) with
 zeta in bidegree (1, 0): internally a basis of raw monomials
 zeta^s a1^i a3^j with i + j + s even and t = 2i + 6j; a sum of them is a
-``RawPoly``, keyed by (s, i, j).  The 0-line carries Z[1/3]-coefficients,
+``RawPoly``, a GF2Poly in (zeta, a1, a3) of weights (1, 2, 6), so one
+bitmask over j per key (s + t, i).  The 0-line carries Z[1/3]-coefficients,
 lines s >= 1 carry F_2.
 
 Both differentials come from one exponent: zeta^s a1^i a3^j is
@@ -95,10 +96,13 @@ def kernel_f2(rows):
 # -- the presentation generators --------------------------------------------
 
 class RawPoly(GF2Poly):
-    """A sum of raw monomials, keyed by the (s, i, j) that d3_coeff takes."""
+    """A sum of raw monomials, whose exponent tuples are the (s, i, j) that
+    d3_coeff takes; with the weights (1, 2, 6) a group's key is (s + t, i)
+    and its mask runs over j."""
 
     __slots__ = ()
     vars = ("zeta", "a1", "a3")
+    weights = (1, 2, 6)
 
 
 RAW_A = RawPoly([(0, 2, 0)])             # a1^2
@@ -141,16 +145,21 @@ def d3_presentation_checks():
     the raw-monomial formula, with Delta- and C-denominators cleared."""
     checks = {}
     A6_C2 = RAW_A ** 6 + RAW_C ** 2
+    x3 = RAW_X ** 3
+
+    # Delta^4 clears the Delta-denominators below as a Frobenius image; the
+    # rule it rests on, cross terms cancelling in pairs, on Delta's square
+    checks["Delta^2 = Delta Delta"] = RAW_DELTA ** 2 == RAW_DELTA * RAW_DELTA
     d4 = RAW_DELTA ** 4
 
     # d3(A) = x^3 B^3 (A^6 + C^2) Delta^-4, i.e. h1^3
     checks["d3(A) = h1^3"] = (
-        _raw_d3(RAW_A) * d4 == RAW_X ** 3 * RAW_B ** 3 * A6_C2
+        _raw_d3(RAW_A) * d4 == x3 * RAW_B ** 3 * A6_C2
         and _raw_d3(RAW_A) == RAW_H1 ** 3)
 
     # d3(C) = x^3 B C^2 (A^6 + C^2) Delta^-4, i.e. h1 h20^2
     checks["d3(C) = h1 h20^2"] = (
-        _raw_d3(RAW_C) * d4 == RAW_X ** 3 * RAW_B * RAW_C ** 2 * A6_C2
+        _raw_d3(RAW_C) * d4 == x3 * RAW_B * RAW_C ** 2 * A6_C2
         and _raw_d3(RAW_C) == RAW_H1 * RAW_H20 ** 2)
 
     checks["d3(B) = 0"] = _raw_d3(RAW_B).is_zero()
@@ -168,7 +177,7 @@ def d3_presentation_checks():
 
     # translation identities locating h1, h2, h20 inside the presentation
     checks["h1 C^2 = x B"] = RAW_H1 * RAW_C ** 2 == RAW_X * RAW_B
-    checks["h2 C^4 = x^3"] = RAW_H2 * RAW_C ** 4 == RAW_X ** 3
+    checks["h2 C^4 = x^3"] = RAW_H2 * RAW_C ** 4 == x3
     checks["h20 C = x"] = RAW_H20 * RAW_C == RAW_X
     return checks
 
@@ -323,11 +332,11 @@ def apply_d3(page: ChartPage) -> ChartPage:
 
 # -- localization ------------------------------------------------------------
 
-def _delta_mult_matrix(page, s, t):
-    """Multiplication by RAW_DELTA, Delta mod 2 on s >= 1, from cell (s, t)
-    to (s, t + 24), reduced to the page basis."""
+def _delta_mult_matrix(page, s, t, shifts):
+    """Multiplication by Delta mod 2 on s >= 1, from cell (s, t) to
+    (s, t + 24), reduced to the page basis; ``shifts`` are the (i, j) of the
+    monomials of RAW_DELTA."""
     bit = {m: 1 << k for k, m in enumerate(page.cells.get((s, t + 24), ()))}
-    shifts = [(di, dj) for (_, di, dj) in RAW_DELTA.monos]
     rows = []
     for (i, j) in page.cells.get((s, t), ()):
         row = 0
@@ -346,6 +355,7 @@ def localize_stabilize(page: ChartPage) -> ChartPage:
     if page.r != 4:
         raise ValueError("localize_stabilize expects the E4 page")
     loc = {}
+    shifts = [(di, dj) for (_, di, dj) in RAW_DELTA.monos]
     for s in range(1, page.window.S + 1):
         for t0 in range(0, 24, 2):
             # t + 24 stays below W + s: apply_d3 drops the cell at
@@ -356,7 +366,7 @@ def localize_stabilize(page: ChartPage) -> ChartPage:
                 continue
             cokers = []
             for t in ts:
-                rows = _delta_mult_matrix(page, s, t)
+                rows = _delta_mult_matrix(page, s, t, shifts)
                 rk = len(row_space_f2(rows))
                 if rk != page.dim(s, t):
                     raise AssertionError(

@@ -264,12 +264,12 @@ def item_eisenstein():
     # independent re-check of each G_k to precision (number of terms) + 30,
     # larger than the solver used; one table of monomial series serves every
     # weight, as a comparison is to the lower of the two precisions
-    top = max(len(G.terms) for G in exprs.values()) + 30
+    top = max(len(G.nums) for G in exprs.values()) + 30
     series = series_c4(top), series_c6(top), series_delta(top)
-    images = monomial_images(chain.from_iterable(G.terms for G in exprs.values()),
+    images = monomial_images(chain.from_iterable(G.nums for G in exprs.values()),
                              *series)
     for k, G in exprs.items():
-        if G.evaluate(*series, images) != eisenstein_G(k, len(G.terms) + 30):
+        if G.evaluate(*series, images) != eisenstein_G(k, len(G.nums) + 30):
             return False, f"q-expansion mismatch for G_{k}"
     # the cocycles are built from the expressions solved above
     u, v = e_alpha(exprs[4])

@@ -561,7 +561,7 @@ def test_chart_exits_3_when_a_page_check_fails(monkeypatch, capsys):
 def _zero_first_delta_row(monkeypatch):
     real = sseq._delta_mult_matrix
     monkeypatch.setattr(sseq, "_delta_mult_matrix",
-                        lambda page, s, t: [0] + real(page, s, t)[1:])
+                        lambda page, s, t, shifts: [0] + real(page, s, t, shifts)[1:])
 
 
 @pytest.mark.parametrize("argv", [("--item", "9"), ("--all",)])
@@ -859,6 +859,26 @@ def test_text_output_does_not_import_json():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["chart 0 False", "maps 0 False",
                                         "delta 0 False", "invariants 0 True"]
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--json"],
+                                  ["chart", "--window", "12,300,8", "--json"]],
+                         ids=["buffered", "streamed"])
+def test_a_stdout_closed_by_its_reader_ends_quietly_with_141(argv):
+    # the reader is gone before the first byte: the short output fails at
+    # main's flush, the long one while it is printed; under -X dev a warning
+    # or an "Exception ignored" at shutdown would reach stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-c",
+                               "import sys; from tmf3.cli import main; sys.exit(main())",
+                               *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_repeated_main_calls_do_not_grow_the_atexit_array(capsys):

@@ -12,6 +12,7 @@ from tmf3.levelmaps import (LevelOneForm, F4, F6, FDELTA, Q4, Q6, QDELTA,
                             basis_monomials, val2_delta_c4pow, val_delta_c4c6,
                             delta_mod2_Delta_pow, lemma_binomial_check)
 from tmf3.rationals import val_p_int
+from tmf3.ring import terms_text
 from tmf3.weierstrass import gamma1_curves
 
 
@@ -136,6 +137,88 @@ def test_evaluate_on_the_level_three_images_is_fstar_and_qstar():
     for f in sums:
         for fn, gens in images.items():
             assert f.evaluate(*map(LocElem, gens)) == fn(f)
+
+
+# -- LevelOneForm against a dict-of-Fractions reference -----------------------
+#
+# A reference form is a dict {(a, eps, d): nonzero Fraction}, in insertion
+# order, as LevelOneForm kept its coefficients before it kept numerators.
+
+def _ref_clean(t):
+    return {k: c for k, c in t.items() if c}
+
+
+def _ref_add(f, g):
+    t = dict(f)
+    for k, c in g.items():
+        t[k] = t.get(k, 0) + c
+    return _ref_clean(t)
+
+
+def _ref_mul(f, g):
+    t = {}
+    for (a1_, e1, d1), c1 in f.items():
+        for (a2_, e2, d2), c2 in g.items():
+            ca, eps, d, c = a1_ + a2_, e1 + e2, d1 + d2, c1 * c2
+            if eps == 2:
+                # c6^2 = c4^3 - 1728 Delta
+                t[(ca + 3, 0, d)] = t.get((ca + 3, 0, d), 0) + c
+                eps, d, c = 0, d + 1, -1728 * c
+            t[(ca, eps, d)] = t.get((ca, eps, d), 0) + c
+    return _ref_clean(t)
+
+
+def _ref_evaluate(f, c4, c6, delta):
+    total = 0 * c4
+    for (ca, eps, d), c in f.items():
+        total = total + c * c4 ** ca * c6 ** eps * delta ** d
+    return total
+
+
+def _form_agrees(form, ref):
+    """form is canonical and has the reference's coefficients, in its order."""
+    assert form.den > 0 and math.gcd(form.den, *form.nums.values()) == 1
+    assert all(isinstance(n, int) and n for n in form.nums.values())
+    assert form.den == 1 or form.nums
+    assert form.terms == ref and list(form.terms) == list(ref)
+    assert form.to_text() == terms_text(("c4", "c6", "Delta"), ref)
+    return True
+
+
+_FORM_COEFFS = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 9, 10]))
+_REF_FORMS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 1), st.integers(-2, 2)),
+    _FORM_COEFFS, max_size=5).map(_ref_clean)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_REF_FORMS, _REF_FORMS, _FORM_COEFFS, st.integers(-3, 3), _FORM_COEFFS)
+def test_level_one_form_matches_fraction_reference(f, g, c, d, u):
+    F, G = LevelOneForm(f), LevelOneForm(g)
+    assert _form_agrees(F, f)
+    assert _form_agrees(F + G, _ref_add(f, g))
+    assert _form_agrees(F - G, _ref_add(f, {k: -x for k, x in g.items()}))
+    assert _form_agrees(F * G, _ref_mul(f, g))
+    assert _form_agrees(F * c, _ref_clean({k: x * c for k, x in f.items()}))
+    assert _form_agrees(hstar(F), {k: x * Fraction(3) ** levelmaps.weight(*k)
+                                   for k, x in f.items()})
+    # equal values built along different paths are equal and hash alike
+    assert (F == G) == (f == g)
+    assert F * G == G * F and hash(F * G) == hash(G * F)
+    assert (F + G) - G == F and hash((F + G) - G) == hash(F)
+    # the units c Delta^d and their inverses
+    if u:
+        unit = LevelOneForm.monomial(0, 0, d, u)
+        assert _form_agrees(unit.inverse(), {(0, 0, -d): 1 / u})
+        assert unit * unit.inverse() == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(_REF_FORMS)
+def test_level_one_evaluate_matches_fraction_reference(f):
+    # on the level-3 images, where Delta is invertible
+    gens = tuple(map(LocElem, (F4, F6, FDELTA)))
+    assert LevelOneForm(f).evaluate(*gens) == _ref_evaluate(f, *gens)
 
 
 def test_val2_examples():

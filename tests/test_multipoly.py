@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmf3 import multipoly
+from tmf3 import multipoly, sseq
 from tmf3.funfield import FieldPoly
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, disc_factor,
                             divide_exact, mod2)
@@ -331,6 +331,74 @@ def test_graded_layout_matches_fraction_reference(cls, bounds, data):
             mod2(P)
     if p:
         assert P.content_val2() == min(val_p_int(c.numerator, 2) for c in p.values())
+
+
+# -- GF2Poly against a set-of-monomials reference -----------------------------
+#
+# A reference F2 polynomial is the set of its exponent tuples: a sum is the
+# symmetric difference, and the products of one monomial by the terms of
+# another are distinct, so a product is the symmetric difference of those.
+
+def _ref_gf2_mul(p, q):
+    out = set()
+    for e1 in p:
+        out ^= {tuple(x + y for x, y in zip(e1, e2)) for e2 in q}
+    return out
+
+
+def _ref_gf2_pow(p, n, nvars):
+    out = {(0,) * nvars}
+    for _ in range(n):
+        out = _ref_gf2_mul(out, p)
+    return out
+
+
+def _ref_gf2_text(p, names):
+    return " + ".join("*".join(name if x == 1 else f"{name}^{x}"
+                               for name, x in zip(names, e) if x) or "1"
+                      for e in sorted(p, reverse=True)) or "0"
+
+
+# (a1, a3) and the chart's (zeta, a1, a3), each with its exponent bounds
+GF2_VAR_SETS = [(GF2Poly, (9, 5)), (sseq.RawPoly, (5, 6, 4))]
+
+
+@pytest.mark.parametrize("cls, bounds", GF2_VAR_SETS, ids=["a1a3", "zeta_a1a3"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_gf2_layout_matches_a_set_reference(cls, bounds, data):
+    monos = st.sets(st.tuples(*(st.integers(0, b) for b in bounds)), max_size=6)
+    p, q = data.draw(monos), data.draw(monos)
+    n = data.draw(st.integers(0, 9))
+    P, Q = cls(p), cls(q)
+    assert type(P + Q) is type(P * Q) is type(P ** n) is cls
+    # canonical: no zero mask, so equal values have equal fields
+    assert all(P.groups.values()) and all((P * Q).groups.values())
+    assert P.monos == p and (P + Q).monos == p ^ q
+    assert (P * Q).monos == _ref_gf2_mul(p, q)
+    assert (P ** n).monos == _ref_gf2_pow(p, n, len(bounds))
+    assert P.to_text() == _ref_gf2_text(p, cls.vars)
+    # a repeated monomial cancels in pairs
+    assert cls([*p, *q, *q]) == P and cls([*p, *p]).is_zero()
+    assert (P == Q) == (p == q)
+    assert P * Q == Q * P and hash(P * Q) == hash(Q * P)
+    assert (P + Q) + Q == P and hash((P + Q) + Q) == hash(P)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_REF_POLYS, st.sampled_from([1, 2, 4, 6]))
+def test_mod2_is_the_parity_of_the_numerators(p, scale):
+    # over an odd den a coefficient is odd exactly when its numerator is;
+    # an even den names the first coefficient, in the order of terms, that
+    # keeps an even denominator
+    P = MultiPoly(p) * Fraction(1, scale)
+    if P.den % 2:
+        assert mod2(P).monos == {e for e, c in P.terms.items() if c % 2}
+    else:
+        bad = next(c for c in (Fraction(n, P.den) for n in P.terms.values())
+                   if c.denominator % 2 == 0)
+        with pytest.raises(ValueError, match=f"^coefficient {bad} has even denominator$"):
+            mod2(P)
 
 
 @settings(max_examples=60, deadline=None)

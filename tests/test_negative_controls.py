@@ -6,7 +6,7 @@ have theirs beside their modules' tests (`test_funfield.py`,
 import math
 from fractions import Fraction
 
-from tmf3 import funfield, levelmaps, qexp, verify, weierstrass
+from tmf3 import funfield, levelmaps, multipoly, qexp, sseq, verify, weierstrass
 from tmf3.multipoly import MultiPoly, a1, a3
 
 
@@ -185,6 +185,38 @@ def test_item7_fails_when_the_lemma_is_evaluated_at_a_wrong_v(monkeypatch):
     r = verify.item_valuations()
     assert r["pass"] is False
     assert r["detail"].startswith("binomial lemma failed at d=2, k=1")
+
+
+def _or_product(a, b, acc=0):
+    """acc plus the product of two F2 bitmasks, with OR in place of XOR, so
+    that a coefficient 2 stays 1."""
+    for k in range(a.bit_length()):
+        if a >> k & 1:
+            acc |= b << k
+    return acc
+
+
+def test_item7_and_the_d3_presentation_fail_when_F2_products_or(monkeypatch):
+    # mod 2, delta(Delta^3) is a product of two Frobenius images with
+    # colliding terms, and so is Delta Delta; the Frobenius image Delta^2
+    # takes no product
+    monkeypatch.setattr(multipoly, "_clmul", _or_product)
+    r = verify.item_valuations()
+    assert r["pass"] is False
+    assert r["detail"].startswith("mod-2 minimal term of delta(Delta^3) failed")
+    assert [k for k, v in sseq.d3_presentation_checks().items() if not v] == [
+        "Delta^2 = Delta Delta"]
+    r = verify.item_sseq()
+    assert r["pass"] is False and r["detail"].startswith("d3 presentation checks failed")
+
+
+def test_item8_fails_when_a_level_one_form_keeps_a_common_factor(monkeypatch):
+    # numerators not divided by their gcd with den: a form equal to 1/3 c4,
+    # printed as such, has other fields than 1/3 c4 and compares unequal
+    monkeypatch.setattr(levelmaps, "_reduced", lambda nums, den: (nums, den if nums else 1))
+    r = verify.item_eisenstein()
+    assert r["pass"] is False
+    assert r["detail"] == "e_alpha(4) second component is 1/3*c4"
 
 
 def test_item8_fails_with_a_wrong_bernoulli_number(monkeypatch):

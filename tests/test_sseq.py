@@ -312,7 +312,7 @@ def e4():
 def test_injectivity_check_fails_on_a_zeroed_delta_row(monkeypatch, e4):
     real = sseq._delta_mult_matrix
     monkeypatch.setattr(sseq, "_delta_mult_matrix",
-                        lambda page, s, t: [0] + real(page, s, t)[1:])
+                        lambda page, s, t, shifts: [0] + real(page, s, t, shifts)[1:])
     with pytest.raises(AssertionError, match="not injective"):
         localize_stabilize(e4)
 
@@ -321,6 +321,7 @@ def test_delta_matrix_rows_are_products_with_delta():
     # each row of the Delta-step matrix is RAW_DELTA times the source
     # monomial, multiplied as RawPolys and restricted to the target's basis;
     # the rank checks alone cannot tell Delta from another injective map
+    shifts = [(i, j) for (_, i, j) in sseq.RAW_DELTA.monos]
     for window in [Window(*DEFAULT_WINDOW)] + _BENCHMARK_WINDOWS:
         page = apply_d3(build_E2(window))
         for (s, t), basis in page.cells.items():
@@ -332,7 +333,7 @@ def test_delta_matrix_rows_are_products_with_delta():
                 product = sseq.RAW_DELTA * sseq.RawPoly([(s, i, j)])
                 expected.append(sum(1 << pos[(i2, j2)] for (_, i2, j2) in product.monos
                                     if (i2, j2) in pos))
-            assert sseq._delta_mult_matrix(page, s, t) == expected, (window, s, t)
+            assert sseq._delta_mult_matrix(page, s, t, shifts) == expected, (window, s, t)
 
 
 def test_stabilization_check_fails_on_a_growing_cokernel(e4):
