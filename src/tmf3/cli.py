@@ -470,7 +470,7 @@ def cmd_verify(args):
     lines = []
     for r in results:
         status = "ok" if r["pass"] else "FAIL"
-        lines.append(f"[{status}] item {r['index']} ({r['seconds']}s) "
+        lines.append(f"[{status}] item {r['index']} ({r['seconds']:.3f}s) "
                      f"{r['name']}: {r['detail']}")
     lines.append(f"{len(results)} items, {failures} failures")
     result = "\n".join(lines)

@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import repeat
-from operator import add, mul
+from itertools import accumulate, repeat
+from operator import mul
 
-from .multipoly import MultiPoly, LocElem, a1, a3, loc_sum, mod2
+from .multipoly import (MultiPoly, LocElem, a1, a3, _cached_pow, loc_sum,
+                        mod2)
 from .rationals import val_p_int
 from .ring import DomainError, Ring, ladder, terms_text
 from .weierstrass import gamma1_curves
@@ -170,16 +171,16 @@ class LevelOneForm(Ring):
 
     def evaluate(self, c4, c6, delta, images=None):
         """The image under the ring map sending c4, c6, Delta to elements of
-        a Ring that mixes with Fraction scalars, as the sum of the
-        ``monomial_images`` times their coefficients.  ``images`` may hold
-        the images of more monomials than this form's, so that several
-        forms share one table."""
+        a Ring that mixes with Fraction scalars: the ``monomial_images``
+        times their int numerators, summed and divided by ``den`` once.
+        ``images`` may hold the images of more monomials than this form's,
+        so that several forms share one table."""
         if images is None:
             images = monomial_images(self.nums, c4, c6, delta)
         total = 0 * c4
-        for key, c in self.terms.items():
-            total = total + c * images[key]
-        return total
+        for key, n in self.nums.items():
+            total = total + n * images[key]
+        return total / self.den
 
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
@@ -214,12 +215,6 @@ def monomial_images(keys, c4, c6, delta):
 
 
 # -- the four maps -----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _cached_pow(base: MultiPoly, n: int) -> MultiPoly:
-    """base^n, cached by value: a generator rebound to another polynomial is a new key."""
-    return base ** n
-
 
 def _image(m: LevelOneForm, k4, k6, kd, e3, e9):
     """The image of m = sum c c4^a c6^eps Delta^d as an unreduced fraction
@@ -291,30 +286,45 @@ def tstar(g: LocElem) -> LocElem:
     and on T_A, T_B, T_C = t*(a1^2), t*(a1 a3), t*(a3^2) this is the table
     of item 2. In a weight-w group, i = w - 3j and the scalar is
     K_w 27^(-j) with K_w = (-3)^((w+e3-e9)/2) 3^e3 (-81)^(-e9); each group
-    is summed as sum_j c_j 27^(J-j) D^j over 27^J, J the group's top index.
+    is summed as sum_j b_j D^j over 27^J, with b_j = c_j 27^(J-j) and J the
+    group's top index.
+
+    That sum is a Taylor shift: with D = u a1^3 + v a3 (u, v read from
+    ``_tpow_cached(1)``), its coefficient on a1^(w-3k) a3^k is
+    v^k sum_j C(j, k) u^(j-k) b_j. The inner sums of b_j u^j are taken by
+    k + 1 rounds of suffix sums, additions only, and are divisible by u^k.
+    The scalars' least power of 3, when negative, goes into the
+    numerator's den.
     """
     if not is_gamma03(g):
         raise DomainError("tstar requires a sigma-invariant element")
     if g.is_zero():
         return g
     e3, e9 = g.e3, g.e9
+    u, v = _tpow_cached(1)
+    size = max(map(len, g.num.groups.values()))
+    p27, pu, pv = (list(accumulate(repeat(x, size - 1), mul, initial=1))
+                   for x in (27, u, v))
     groups = {}
     for (w,), cs in g.num.groups.items():
         top = len(cs) - 1
-        acc = [0] * len(cs)
-        for j, c in enumerate(cs):
-            if c:
-                acc[:j + 1] = map(add, acc[:j + 1],
-                                  map(mul, _tpow_cached(j), repeat(c * 27 ** (top - j))))
+        # b_j u^j, top first; each round of suffix sums ends with the next
+        # sum_j C(j, k) u^j b_j, and drops it
+        s = [c * p27[top - j] * pu[j] for j, c in enumerate(cs)][::-1]
+        acc = []
+        for k in range(len(cs)):
+            s = list(accumulate(s))
+            acc.append(s.pop() // pu[k] * pv[k])
         # the scalar K_w / 27^top = sign * 3^power
         half = (w + e3 - e9) // 2
         sign = -1 if (half + e9) % 2 else 1
         groups[w] = (sign, half + e3 - 4 * e9 - 3 * top, acc)
-    low = min(power for _, power, _ in groups.values())
-    num = MultiPoly._new({(w,): [sign * 3 ** (power - low) * x for x in acc]
-                          for w, (sign, power, acc) in groups.items()}, g.num.den)
+    low = min(0, *(power for _, power, _ in groups.values()))
+    num = MultiPoly._new({(w,): [x * (sign * 3 ** (power - low)) for x in acc]
+                          for w, (sign, power, acc) in groups.items()},
+                         g.num.den * 3 ** -low)
     # t* swaps a3 and a1^3 - 27 a3 up to units, so the result is canonical
-    return LocElem._from_canonical(num * Fraction(3) ** low, e9, e3)
+    return LocElem._from_canonical(num, e9, e3)
 
 
 def delta_map(m: LevelOneForm) -> LocElem:

@@ -36,13 +36,14 @@ Also provides:
   (power of a3, power of a1^3 - 27*a3) since Delta is reducible. A power
   of a3 is removed by one shift of the lists' leading zeros. ``loc_sum``
   adds fractions over their common denominator and reduces the sum once;
-  ``LocElem.__add__`` is its case of two.
+  ``LocElem.__add__`` is its case of two. Its powers of a1^3 - 27*a3 come
+  from ``_cached_pow``, a table of powers keyed by the polynomial itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -517,11 +518,18 @@ class LocElem(Ring):
         return f"({s}) / ({den})" if den else s
 
 
+@lru_cache(maxsize=None)
+def _cached_pow(base: MultiPoly, n: int) -> MultiPoly:
+    """base^n, cached by value: a generator or factor rebound to another
+    polynomial is a new key."""
+    return base ** n
+
+
 def loc_sum(*parts):
     """The sum of the fractions num / (a3^e3 (a1^3 - 27*a3)^e9), each given
     as (num, e3, e9) and not necessarily reduced, as one LocElem: every
-    numerator is lifted to the common denominator, and the sum is reduced
-    once."""
+    numerator is lifted to the common denominator, by a power of
+    a1^3 - 27*a3 from ``_cached_pow``, and the sum is reduced once."""
     e3 = max(p[1] for p in parts)
     e9 = max(p[2] for p in parts)
     total = None
@@ -529,7 +537,7 @@ def loc_sum(*parts):
         if e3 > f3:
             num = num._shift((0, e3 - f3))
         if e9 > f9:
-            num = num * _DISC ** (e9 - f9)
+            num = num * _cached_pow(_DISC, e9 - f9)
         total = num if total is None else total + num
     return LocElem(total, e3, e9)
 

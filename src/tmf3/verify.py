@@ -39,7 +39,7 @@ def _item(name, errors=()):
                 ok, detail = False, f"{type(exc).__name__}: {exc}"
             return {"index": index, "name": name, "pass": bool(ok),
                     "detail": detail,
-                    "seconds": round(time.perf_counter() - t0, 2)}
+                    "seconds": round(time.perf_counter() - t0, 3)}
         ITEMS.append(item)
         return item
     return register

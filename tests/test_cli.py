@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -373,6 +374,15 @@ def test_verify_single_item(capsys):
     code, out, err = run(capsys, "verify", "--item", "1")
     assert code == 0
     assert "0 failures" in out
+
+
+def test_verify_times_each_item_to_the_millisecond(capsys):
+    # most items take 5-30 ms, so two decimals would hide a change to one
+    code, out, err = run(capsys, "verify", "--all")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 10
+    for line in lines[:-1]:
+        assert re.match(r"\[ok\] item \d \(\d+\.\d{3}s\) ", line), line
 
 
 def test_verify_bad_item(capsys):

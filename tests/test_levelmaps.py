@@ -315,6 +315,19 @@ def test_tstar_matches_the_generator_expansion(terms, e3, e9):
         assert tstar(tstar(g)) == Fraction(3) ** g.weight_of() * g
 
 
+def test_tstar_matches_the_generator_expansion_on_what_verify_builds():
+    # the hypothesis test stops at exponent 7; the elements of items 3 and 8,
+    # delta(m) on the basis and the cocycles e_alpha, have groups of up to
+    # 33 entries, where every entry of the Taylor shift is a long sum
+    from tmf3.qexp import e_alpha, eisenstein_in_c4c6
+    elements = [delta_map(m) for m in basis_monomials(48)]
+    elements += [e_alpha(G)[0] for G in eisenstein_in_c4c6(range(4, 41, 2)).values()]
+    assert len(elements) == 161 + 19
+    assert max(len(cs) for g in elements for cs in g.num.groups.values()) > 30
+    for g in elements:
+        assert tstar(g) == _ref_tstar(g), g
+
+
 def test_tstar_rejects_an_element_that_is_not_sigma_invariant():
     with pytest.raises(ValueError, match="sigma-invariant"):
         tstar(LocElem(a1() ** 2 + a3()))

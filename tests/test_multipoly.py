@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tmf3 import multipoly, sseq
 from tmf3.funfield import FieldPoly
 from tmf3.multipoly import (MultiPoly, GF2Poly, LocElem, a1, a3, disc_factor,
-                            divide_exact, mod2)
+                            divide_exact, loc_sum, mod2)
 from tmf3.rationals import val_p_int
 
 
@@ -273,6 +273,23 @@ def test_loc_elem_results_equal_the_reduced_form(p, e3, e9, c, n, q, k3, k9):
     for got, num, f3, f9 in cases:
         assert got == LocElem(num, f3, f9)
     assert ((g * 0).e3, (g * 0).e9) == (0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_REF_POLYS, _REF_POLYS)
+def test_loc_sum_lifts_by_the_factor_it_reads(p, q):
+    # loc_sum takes its powers of a1^3 - 27 a3 from a table kept by value;
+    # after a sum with the true factor has filled it, a sum with another
+    # factor bound to _DISC must lift by that factor's own powers
+    P, Q = MultiPoly(p), MultiPoly(q)
+    assert loc_sum((P, 0, 0), (Q, 0, 2)) == LocElem(P * disc_factor() ** 2 + Q, 0, 2)
+    wrong = {(3, 0): Fraction(1), (0, 1): Fraction(27)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multipoly, "_DISC", MultiPoly(wrong))
+        got = loc_sum((P, 0, 0), (Q, 0, 2))
+    want, w3, w9 = _ref_loc_reduce(_ref_add(_ref_mul(p, _ref_pow(wrong, 2)), q), 0, 2)
+    assert (got.e3, got.e9) == (w3, w9)
+    assert _agrees(got.num, want)
 
 
 class _A1X(MultiPoly):

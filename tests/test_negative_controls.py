@@ -51,6 +51,22 @@ def test_item3_fails_with_a_wrong_tstar(monkeypatch):
     assert r["pass"] is False and "tstar.fstar != qstar" in r["detail"]
 
 
+def _scaled_disc_powers(j):
+    """The coefficients of (2 a1^3 - 27 a3)^j: a substitution whose D has
+    the right a3-coefficient and a constant term other than 1."""
+    return tuple(math.comb(j, k) * 2 ** (j - k) * (-27) ** k for k in range(j + 1))
+
+
+def test_items2_and_3_fail_when_D_has_another_leading_coefficient(monkeypatch):
+    # t* must read all of D's row: a core that takes D's constant term for 1
+    # would still pass both items with this D, and fail this test
+    monkeypatch.setattr(levelmaps, "_tpow_cached", _scaled_disc_powers)
+    r = verify.item_map_formulas()
+    assert r["pass"] is False and r["detail"].startswith("tstar(a1*a3) = ")
+    r = verify.item_cosimplicial()
+    assert r["pass"] is False and "tstar.fstar != qstar" in r["detail"]
+
+
 def test_item3_fails_with_a_wrong_hstar(monkeypatch):
     # h* = 3^weight; with 3^(weight + 1), t* q* = f* h* fails on c4
     real = levelmaps.hstar
