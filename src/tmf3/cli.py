@@ -378,8 +378,12 @@ def cmd_delta(args):
     from .levelmaps import (val2_delta_c4pow, delta_mod2_Delta_pow, delta_map,
                             LevelOneForm)
     if args.c4_pow is not None:
+        if args.delta_pow is not None:
+            usage_error(args.command, "--c4-pow and --delta-pow exclude each other")
         inputs = {"c4_pow": args.c4_pow}
     elif args.delta_pow is not None:
+        if args.val2:
+            usage_error(args.command, "--val2 needs --c4-pow")
         inputs = {"delta_pow": args.delta_pow}
     else:
         usage_error(args.command, "delta needs --c4-pow K [--val2] or --delta-pow N")
@@ -451,8 +455,7 @@ def cmd_chart(args):
     # every page check is a bool, and a false one has raised above
     checks = [{"name": k, "pass": v, "detail": "verified"}
               for k, v in sorted(page.checks.items())]
-    result = (chart_json(page) if args.json
-              else chart_ascii(page, max_stem=min(win.W, 48)))
+    result = chart_json(page) if args.json else chart_ascii(page)
     return _emit(args, {"page": args.page, "window": list(win)}, result, checks)
 
 

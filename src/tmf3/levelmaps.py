@@ -4,8 +4,9 @@ Level-1 forms live in Z[1/3][c4, c6, Delta, Delta^-1]/(c4^3 - c6^2 - 1728 Delta)
 with basis monomials c4^a * c6^eps * Delta^d (eps in {0, 1}, d in Z); level-3
 forms are LocElems in the even subring of Z[1/3][a1, a3] localized at Delta.
 A ``LevelOneForm`` stores int numerators by basis monomial over one common
-denominator, as the other rings do, so its sums, products, h* and the images
-under f* and q* are computed on ints; ``terms`` is a Fraction view.
+denominator by the rule of ``tmf3.ring``, as the other rings do, so its sums,
+products, h* and the images under f* and q* are computed on ints; ``terms``
+is a Fraction view.
 
 The maps:
 
@@ -34,7 +35,8 @@ from operator import mul
 from .multipoly import (MultiPoly, LocElem, a1, a3, _cached_pow, loc_sum,
                         mod2)
 from .rationals import val_p_int
-from .ring import DomainError, Ring, ladder, terms_text
+from .ring import (DomainError, Ring, integral_model, ladder, lowest_terms,
+                   terms_text)
 from .weierstrass import gamma1_curves
 
 # images of c4, c6, Delta under fstar and qstar, recomputed from the
@@ -67,9 +69,8 @@ class LevelOneForm(Ring):
 
     def __init__(self, terms=None):
         clean = {k: Fraction(c) for k, c in (terms or {}).items() if c}
-        den = math.lcm(*(c.denominator for c in clean.values()))
-        self.nums, self.den = _reduced(
-            {k: c.numerator * (den // c.denominator) for k, c in clean.items()}, den)
+        self.den, nums = integral_model(clean.values(), repeat(1))
+        self.nums = dict(zip(clean, nums))
 
     # -- constructors -----------------------------------------------------
 
@@ -77,7 +78,9 @@ class LevelOneForm(Ring):
     def _new(cls, nums, den):
         """Internal: build from {(a, eps, d): int} over a positive den."""
         self = cls.__new__(cls)
-        self.nums, self.den = _reduced({k: n for k, n in nums.items() if n}, den)
+        nums = {k: n for k, n in nums.items() if n}
+        ns, self.den = lowest_terms(list(nums.values()), den)
+        self.nums = dict(zip(nums, ns))
         return self
 
     @classmethod
@@ -88,11 +91,10 @@ class LevelOneForm(Ring):
         return LevelOneForm.const(1)
 
     @classmethod
-    def monomial(cls, ca, eps, d, coef=1):
+    def monomial(cls, ca, eps, d):
         if eps not in (0, 1):
             raise ValueError("c6-exponent must be 0 or 1 in the basis")
-        c = Fraction(coef)
-        return cls._new({(ca, eps, d): c.numerator}, c.denominator)
+        return cls._new({(ca, eps, d): 1}, 1)
 
     @classmethod
     def c4(cls):
@@ -184,18 +186,6 @@ class LevelOneForm(Ring):
 
     def to_text(self):
         return terms_text(("c4", "c6", "Delta"), self.terms)
-
-
-def _reduced(nums, den):
-    """(nums, den) divided by gcd(den, nums), with den = 1 for no nums."""
-    if not nums:
-        return nums, 1
-    if den != 1:
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            nums = {k: n // g for k, n in nums.items()}
-            den //= g
-    return nums, den
 
 
 def monomial_images(keys, c4, c6, delta):

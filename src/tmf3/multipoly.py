@@ -10,8 +10,9 @@ For (a1, a3) the key is (w,) and the list holds the coefficients of
 a1^(w-3j) a3^j; for the function field's (a1, a3, x) the key is (w, j) and
 the list runs over the power of x. Lists have no trailing zeros, zero lists
 are dropped, gcd(den, numerators) = 1 and ``den == 1`` for zero, so equal
-polynomials have equal fields. Products are list convolutions, one per pair
-of groups; ``terms`` is a read-only view {exponent tuple: int}.
+polynomials have equal fields (``tmf3.ring``'s rule, with the gcd taken over
+all lists at once). Products are list convolutions, one per pair of groups;
+``terms`` is a read-only view {exponent tuple: int}.
 
 A polynomial's variable set is its type: ``MultiPoly`` is the level-3 ring
 in (a1, a3) of modular-form weights (1, 3), and a subclass fixes another set
@@ -48,7 +49,7 @@ from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, mul
 
-from .ring import DomainError, Ring, monomial_text, terms_text
+from .ring import DomainError, Ring, integral_model, monomial_text, terms_text
 
 # -- int lists ---------------------------------------------------------------
 
@@ -94,9 +95,9 @@ def _leading_zeros(cs):
 
 
 def _group(terms, weights):
-    """{exponent tuple: int} -> {key: list}, not yet canonical."""
+    """(exponent tuple, int) pairs -> {key: list}, not yet canonical."""
     groups = {}
-    for e, c in terms.items():
+    for e, c in terms:
         if min(e) < 0:
             raise ValueError(f"negative exponent in {e}")
         cs = groups.setdefault((sum(map(mul, e, weights)), *e[1:-1]), [])
@@ -136,10 +137,8 @@ class MultiPoly(Ring):
 
     def __init__(self, terms=None):
         clean = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c}
-        den = lcm(*(c.denominator for c in clean.values()))
-        self.groups, self.den = _canonical(_group(
-            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
-            self.weights), den)
+        den, nums = integral_model(clean.values(), repeat(1))
+        self.groups, self.den = _canonical(_group(zip(clean, nums), self.weights), den)
 
     # -- constructors ------------------------------------------------------
 
@@ -234,11 +233,6 @@ class MultiPoly(Ring):
         return super().__pow__(n)
 
     # -- queries -----------------------------------------------------------
-
-    def coeff(self, exps) -> Fraction:
-        e = tuple(exps)
-        cs = self.groups.get((sum(map(mul, e, self.weights)), *e[1:-1]), ())
-        return Fraction(cs[e[-1]] if e[-1] < len(cs) else 0, self.den)
 
     def weight_of(self) -> int:
         """Common weight of all terms; raises if inhomogeneous or zero."""

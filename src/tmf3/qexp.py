@@ -3,7 +3,8 @@
 A QSeries is a truncated power series in q with rational coefficients and an
 explicit precision: coefficients are known for q^0 .. q^(prec-1).  They are
 stored as a list of integer numerators over one common denominator, reduced
-so that gcd(den, numerators) = 1, and products are computed on the ints.
+by ``tmf3.ring``'s rule to gcd(den, numerators) = 1, and products are
+computed on the ints.
 Arithmetic truncates to the minimum precision of the operands, so precision
 tracking is automatic and pessimistic.
 
@@ -16,21 +17,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul
 
 from .levelmaps import LevelOneForm, cochain_D0, monomial_images
 from .rationals import bernoulli, sigma_pow
-from .ring import DomainError, Ring, monomial_text
-
-
-def _canonical(nums, den):
-    """(nums, den) divided by gcd(den, nums); ``den`` must be positive."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            return [c // g for c in nums], den // g
-    return nums, den
+from .ring import (DomainError, Ring, integral_model, lowest_terms,
+                   monomial_text)
 
 
 class QSeries(Ring):
@@ -44,17 +37,15 @@ class QSeries(Ring):
             prec = len(coeffs)
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = coeffs[:prec]
-        den = lcm(*(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        self.nums, self.den = _canonical(nums + [0] * (prec - len(nums)), den)
+        self.den, nums = integral_model(coeffs[:prec], repeat(1))
+        self.nums = nums + [0] * (prec - len(nums))
         self.prec = prec
 
     @classmethod
     def _make(cls, nums, den, prec):
         """Internal: build from prec int numerators over a positive den."""
         self = cls.__new__(cls)
-        self.nums, self.den = _canonical(nums, den)
+        self.nums, self.den = lowest_terms(nums, den)
         self.prec = prec
         return self
 

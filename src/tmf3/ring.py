@@ -12,15 +12,39 @@ reflected and mixed operators, unary and binary ``-``, ``/``, ``**`` with
 its rule for n < 0, and ``str`` and ``repr``.
 ``ladder`` takes several powers of one element from one table. Every rule
 that rejects a user's input raises the one ``DomainError``.
+The rule for int numerators over one denominator: ``integral_model`` clears
+denominators, for the curves and the constructors from rationals, and
+``lowest_terms`` divides out the gcd of a computed ``LevelOneForm`` or
+``QSeries``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class DomainError(ValueError):
     """Well-formed input that asks for an undefined operation."""
+
+
+def integral_model(values, weights):
+    """(u, [v * u^w]) for rational values v of weights w, with u the lcm of
+    their denominators: every entry is an int, also when u = 1, and with
+    every weight 1 the entries over u are in lowest terms."""
+    u = lcm(*(v.denominator for v in values))
+    return u, [v.numerator * (u ** w // v.denominator)
+               for v, w in zip(values, weights)]
+
+
+def lowest_terms(nums, den):
+    """(nums, den) divided by gcd(den, nums) for a list of ints over a
+    positive den, so an empty or all-zero list gets den 1."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return [n // g for n in nums], den // g
+    return nums, den
 
 
 def power(x, n: int, one):

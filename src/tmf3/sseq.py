@@ -557,9 +557,10 @@ def chart_json(page: ChartPage) -> dict:
     return {"page": page.r, "cells": cells}
 
 
-def chart_ascii(page: ChartPage, max_stem=48) -> str:
+def chart_ascii(page: ChartPage) -> str:
     """Stem horizontal, filtration vertical, a digit per nonzero dimension
-    (dots would overlap for dims > 3)."""
+    (dots would overlap for dims > 3), up to stem min(W, 48) of the window."""
+    max_stem = min(page.window.W, 48)
     lines = []
     for s in range(page.window.S, -1, -1):
         row = [f"{s:2d} |"]

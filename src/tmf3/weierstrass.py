@@ -23,9 +23,9 @@ the v * u^w are integers, and a formula of weight W on them is u^W times its
 value.  The invariants, the equation and ``transform`` are each written once
 and follow one rule.  Values that are all ints, or not all rational, such as
 the MultiPoly coefficients of the universal curves, are used as they are.
-Values that contain a Fraction go through ``integral_model`` once, the
-formula runs on its ints, and the value is divided by u^W once.  So c4, c6
-and disc read the b-values of an all-int model, with no second scan.
+Values that contain a Fraction go through ``tmf3.ring.integral_model`` once,
+the formula runs on its ints, and the value is divided by u^W once.  So c4,
+c6 and disc read the b-values of an all-int model, with no second scan.
 
 Group law.  The public group law is ``smul``, n * P for any integer n; it
 serves only verify item 5's oracle, the reference for the flex test.  It is
@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
 
 from .record import record
-from .ring import DomainError
+from .ring import DomainError, integral_model
 
 
 class CurveError(DomainError):
@@ -68,14 +67,6 @@ def _has_fraction(values):
     through ``integral_model``."""
     types = set(map(type, values))
     return Fraction in types and types <= {int, Fraction}
-
-
-def integral_model(values, weights):
-    """(u, [v * u^w]) for rational values v of weights w, with u the lcm of
-    their denominators: every entry is an int, also when u = 1."""
-    u = lcm(*(v.denominator for v in values))
-    return u, [v.numerator * (u ** w // v.denominator)
-               for v, w in zip(values, weights)]
 
 
 def _integral(weight):

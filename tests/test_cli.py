@@ -276,6 +276,20 @@ def test_delta_range_of_c4_powers_needs_val2(capsys, rng):
     assert err.startswith("usage: tmf3 delta") and "needs --val2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--c4-pow", "2", "--delta-pow", "3", "--json"],
+     "--c4-pow and --delta-pow exclude each other"),
+    (["--delta-pow", "3", "--val2"], "--val2 needs --c4-pow"),
+])
+def test_delta_refuses_a_flag_it_would_ignore(capsys, argv, message):
+    # each line used to run one computation and drop the other flag
+    with pytest.raises(SystemExit) as exc:
+        main(["delta", *argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: tmf3 delta") and message in err
+
+
 def test_invariants_identity(capsys):
     code, out, err = run(capsys, "invariants", "--curve", "0,0,1,-1,0",
                          "--json")

@@ -208,7 +208,7 @@ def test_level_one_form_matches_fraction_reference(f, g, c, d, u):
     assert (F + G) - G == F and hash((F + G) - G) == hash(F)
     # the units c Delta^d and their inverses
     if u:
-        unit = LevelOneForm.monomial(0, 0, d, u)
+        unit = LevelOneForm.monomial(0, 0, d) * u
         assert _form_agrees(unit.inverse(), {(0, 0, -d): 1 / u})
         assert unit * unit.inverse() == 1
 

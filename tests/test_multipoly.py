@@ -202,7 +202,7 @@ def _agrees(poly, ref):
     assert all(isinstance(c, int) and c for c in poly.terms.values())
     assert poly.den == 1 or poly.terms
     assert all(cs and cs[-1] for cs in poly.groups.values())
-    assert {e: poly.coeff(e) for e in poly.terms} == ref
+    assert {e: Fraction(poly.terms[e], poly.den) for e in poly.terms} == ref
     assert poly.to_text() == _ref_text(ref, poly.vars)
     return True
 

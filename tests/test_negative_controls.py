@@ -229,7 +229,8 @@ def test_item7_and_the_d3_presentation_fail_when_F2_products_or(monkeypatch):
 def test_item8_fails_when_a_level_one_form_keeps_a_common_factor(monkeypatch):
     # numerators not divided by their gcd with den: a form equal to 1/3 c4,
     # printed as such, has other fields than 1/3 c4 and compares unequal
-    monkeypatch.setattr(levelmaps, "_reduced", lambda nums, den: (nums, den if nums else 1))
+    monkeypatch.setattr(levelmaps, "lowest_terms",
+                        lambda nums, den: (nums, den if nums else 1))
     r = verify.item_eisenstein()
     assert r["pass"] is False
     assert r["detail"] == "e_alpha(4) second component is 1/3*c4"

@@ -2,17 +2,20 @@ import ast
 import importlib
 from fractions import Fraction
 from functools import reduce
+from itertools import count, repeat
 from operator import add, mul, sub, truediv
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tmf3 import funfield, sseq
 from tmf3.funfield import FFElem
 from tmf3.levelmaps import LevelOneForm
 from tmf3.multipoly import GF2Poly, LocElem, MultiPoly, a1, a3, divide_exact
 from tmf3.qexp import QSeries, series_c4
-from tmf3.ring import Ring, ladder, monomial_text, power, terms_text
+from tmf3.ring import (Ring, integral_model, ladder, lowest_terms, monomial_text,
+                       power, terms_text)
 
 
 # one element of each class with its one
@@ -290,6 +293,40 @@ def test_terms_text():
     assert terms_text(names, {}) == "0"
     assert terms_text(names, {(0, 0, 0): Fraction(-1, 3), (3, 0, -1): 2}) == \
         "2*c4^3*Delta^-1 + -1/3"
+
+
+# zeros and negatives, over denominators whose lcm is small enough to search
+_VALUES = st.lists(st.builds(Fraction, st.integers(-40, 40),
+                             st.sampled_from([1, 2, 3, 4, 6, 9, 12, 27])),
+                   min_size=1, max_size=8)
+
+
+def _least_denominator(values):
+    """The least u > 0 with every v * u an int, found by search."""
+    return next(u for u in count(1) if all((v * u).denominator == 1 for v in values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_VALUES, st.integers(1, 12))
+@example([Fraction(0)] * 3, 6)
+@example([Fraction(-3, 4), Fraction(0), Fraction(5, 6)], 1)
+def test_every_ring_keeps_its_numerators_over_the_least_den(values, k):
+    den = _least_denominator(values)
+    nums = [v.numerator * den // v.denominator for v in values]
+    assert integral_model(values, repeat(1)) == (den, nums)
+    # a factor k common to the numerators and den is divided out, and an
+    # all-zero list gets den 1
+    assert lowest_terms([n * k for n in nums], den * k) == (nums, den)
+    # one weight group of MultiPoly, whose list keeps the order of values
+    top = len(values) - 1
+    poly = MultiPoly({(3 * (top - i), i): v for i, v in enumerate(values)})
+    form = LevelOneForm({(i, 0, 0): v for i, v in enumerate(values)})
+    series = QSeries(values)
+    assert poly.den == form.den == series.den == den
+    nonzero = [n for n in nums if n]
+    assert [n for cs in poly.groups.values() for n in cs if n] == nonzero
+    assert list(form.nums.values()) == nonzero
+    assert series.nums == nums
 
 
 def _traced_methods():

@@ -151,7 +151,7 @@ def test_chart_outputs(pages):
     payload = chart_json(pages["E2"])
     assert payload["page"] == 2
     assert all({"s", "t", "dim", "basis"} <= set(c) for c in payload["cells"])
-    art = chart_ascii(pages["Einf"], max_stem=24)
+    art = chart_ascii(pages["Einf"])
     assert "0 |" in art
 
 
